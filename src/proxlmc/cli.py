@@ -190,7 +190,7 @@ def resolve_config(raw: dict, seed_override=None, chains_override=None) -> RunCo
 
     default_gamma = {"trunc-gauss": 0.1, "wishart-mean-1d": 0.01, "wishart-precision": 0.1}
     gamma = _as_number(raw.get("gamma", default_gamma[experiment]), "gamma")
-    _require(gamma > 0, "gamma must be > 0")
+    _require(gamma > 0 and math.isfinite(gamma), "gamma must be a finite number > 0")
 
     if "num_steps" in raw:
         num_steps = _as_int(raw["num_steps"], "num_steps")
@@ -242,6 +242,7 @@ def resolve_config(raw: dict, seed_override=None, chains_override=None) -> RunCo
              "snapshot steps must lie in [1, num_steps]")
     _require(snapshot_steps[0] > burn_in,
              "snapshot steps must lie strictly after burn_in")
+    _require(len(set(snapshot_steps)) == len(snapshot_steps), "snapshot steps must be distinct")
 
     out = raw.get("out")
     if out is not None:

@@ -290,11 +290,16 @@ def pdpg_gap_check(
 
 
 def feasibility_fraction(trace_or_points, nonsmooth) -> float:
-    """Fraction of recorded iterates inside dom(G)."""
+    """Fraction of recorded iterates inside dom(G).  A trace that run_chain
+    recorded against this same nonsmooth object reuses its feasible_flags."""
     pts = getattr(trace_or_points, "primal", trace_or_points)
     if len(pts) == 0:
         raise ValueError("empty trace; feasibility fraction undefined")
-    return float(np.mean([1.0 if nonsmooth.in_domain(x) else 0.0 for x in pts]))
+    if getattr(trace_or_points, "nonsmooth", None) is nonsmooth:
+        flags = trace_or_points.feasible_flags
+    else:
+        flags = [nonsmooth.in_domain(x) for x in pts]
+    return float(np.mean([1.0 if f else 0.0 for f in flags]))
 
 
 def bootstrap_w2_se(

@@ -52,7 +52,8 @@ def prox_box(gamma, x, lo, hi):
 def prox_psd(gamma, m):
     """Projection onto the positive semidefinite cone (eigenvalue clipping)."""
     _check_gamma(gamma)
-    return spectral_apply(lambda t: max(t, 0.0), m)
+    # Not np.maximum: clipping keeps a -0.0 eigenvalue as -0.0, like max(t, 0.0).
+    return spectral_apply(lambda w: np.where(w < 0, 0.0, w), m)
 
 
 def prox_logbarrier_scalar(gamma, s, alpha, beta):
@@ -82,9 +83,7 @@ def prox_logdet(gamma, m, alpha, beta):
     _check_gamma(gamma)
     if alpha < 0:
         raise ValueError(f"log-barrier weight alpha must be >= 0, got {alpha}")
-    return spectral_apply(
-        lambda t: float(prox_logbarrier_scalar(gamma, t, alpha, beta)), m
-    )
+    return spectral_apply(lambda w: prox_logbarrier_scalar(gamma, w, alpha, beta), m)
 
 
 def dual_from_primal(gamma, x, g):
@@ -325,9 +324,10 @@ class SpectralLogBarrier(NonsmoothPotential):
 
     def subgradient_min(self, x):
         """Gradient -alpha x^{-1} + beta I on the PD interior."""
-        if self._eigs(x)[0] <= 0:
+        eig = sym_eigendecomposition(x)
+        if eig.eigenvalues[0] <= 0:
             raise ValueError("matrix log-barrier gradient is defined only on PD matrices")
-        return spectral_apply(lambda t: -self.alpha / t + self.beta, x)
+        return eig.apply(lambda w: -self.alpha / w + self.beta)
 
 
 class AbsoluteValue(NonsmoothPotential):

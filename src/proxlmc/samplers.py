@@ -52,16 +52,17 @@ class SamplerConfig:
     record_duals: bool = False
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be a finite number > 0, got {self.gamma}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
         if self.burn_in < 0 or self.burn_in >= self.num_steps:
             raise ValueError(
                 f"burn_in must satisfy 0 <= burn_in < num_steps, got {self.burn_in}"
             )
-        if self.minibatch != "full" and (not isinstance(self.minibatch, int) or self.minibatch < 1):
-            raise ValueError(f"minibatch must be 'full' or an int >= 1, got {self.minibatch!r}")
+        mb = self.minibatch
+        if mb != "full" and (isinstance(mb, bool) or not isinstance(mb, int) or mb < 1):
+            raise ValueError(f"minibatch must be 'full' or an int >= 1, got {mb!r}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -77,6 +78,7 @@ class ChainTrace:
     feasible_flags: list = field(default_factory=list)
     mean_checkpoints: list = field(default_factory=list)  # (step, mean of post-burn-in iterates)
     wall_time: float = 0.0
+    nonsmooth: object = None  # the G that feasible_flags were checked against
 
     def __len__(self):
         return len(self.primal)
@@ -221,10 +223,10 @@ def run_chain(
 
     Iterates x^1 .. x^num_steps; step k is recorded when k > burn_in and
     (k - burn_in) is a multiple of record_every.  mean_checkpoints is an
-    ascending list of step indices (> burn_in) at which the running mean of
-    the post-burn-in iterates is stored, so long runs can track ergodic
-    averages without keeping every iterate.  Aborts with ChainDivergence on
-    the first non-finite iterate.
+    ascending list of step indices in (burn_in, num_steps] at which the
+    running mean of the post-burn-in iterates is stored, so long runs can
+    track ergodic averages without keeping every iterate.  Aborts with
+    ChainDivergence on the first non-finite iterate.
     """
     if sampler not in SAMPLER_IDS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_IDS}")
@@ -238,10 +240,10 @@ def run_chain(
             stacklevel=2,
         )
     checkpoints = sorted(int(s) for s in mean_checkpoints)
-    if checkpoints and checkpoints[0] <= cfg.burn_in:
-        raise ValueError("mean checkpoints must lie strictly after burn_in")
+    if checkpoints and not cfg.burn_in < checkpoints[0] <= checkpoints[-1] <= cfg.num_steps:
+        raise ValueError(f"mean checkpoints must lie in (burn_in, num_steps], got {checkpoints}")
     rng = RngStream(cfg.seed, stream_id)
-    trace = ChainTrace(sampler=sampler, config=cfg)
+    trace = ChainTrace(sampler=sampler, config=cfg, nonsmooth=nonsmooth)
     running_sum = None
     tally = 0
     next_cp = 0
@@ -301,6 +303,8 @@ def run_ensemble(
         raise ValueError("snapshot_steps must be non-empty")
     if steps[0] < 0 or steps[-1] > cfg.num_steps:
         raise ValueError("snapshot steps must lie in [0, num_steps]")
+    if len(set(steps)) != len(steps):
+        raise ValueError(f"snapshot steps must be distinct, got {steps}")
     if step_size_warning(smooth, cfg.gamma):
         warnings.warn(
             f"gamma = {cfg.gamma} exceeds 1/L = {1.0 / smooth.L}",

@@ -142,9 +142,14 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     basis: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        m = (self.basis * self.eigenvalues) @ self.basis.T
+    def apply(self, fn) -> np.ndarray:
+        """Q fn(Lambda) Q^T for fn elementwise on the eigenvalue array; exactly
+        symmetric (symmetrized after reconstruction to kill matmul roundoff)."""
+        m = (self.basis * fn(self.eigenvalues)) @ self.basis.T
         return (m + m.T) / 2.0
+
+    def reconstruct(self) -> np.ndarray:
+        return self.apply(lambda w: w)
 
 
 class EigenFailure(RuntimeError):
@@ -169,13 +174,11 @@ def sym_eigendecomposition(m: np.ndarray) -> EigenDecomposition:
 def spectral_apply(fn, m: np.ndarray) -> np.ndarray:
     """Apply a scalar function to the spectrum: Q f(Lambda) Q^T.
 
-    Output is exactly symmetric (symmetrized after reconstruction to kill
-    matmul roundoff).
+    fn receives the whole ascending eigenvalue array in one call and must
+    act elementwise on it, returning a float array of the same shape (numpy
+    ufuncs such as np.sqrt qualify).  Output is exactly symmetric.
     """
-    eig = sym_eigendecomposition(m)
-    vals = np.array([fn(t) for t in eig.eigenvalues], dtype=float)
-    out = (eig.basis * vals) @ eig.basis.T
-    return (out + out.T) / 2.0
+    return sym_eigendecomposition(m).apply(fn)
 
 
 def _upper_indices(d: int):

@@ -101,6 +101,15 @@ def test_snapshot_steps_validation():
     assert cfg.snapshot_steps == [10, 30]
 
 
+def test_duplicate_snapshot_steps_are_a_config_error(tmp_path, capsys):
+    body = {"experiment": "trunc-gauss", "num_steps": 50, "snapshot_steps": [5, 5, 10]}
+    with pytest.raises(ConfigError, match="distinct"):
+        resolve_config(body)
+    cfg = write_config(tmp_path, body)
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "distinct" in capsys.readouterr().err
+
+
 def test_type_checking_of_fields():
     with pytest.raises(ConfigError, match="gamma"):
         resolve_config({"experiment": "trunc-gauss", "gamma": "0.1"})
@@ -112,6 +121,8 @@ def test_type_checking_of_fields():
         resolve_config({"experiment": "trunc-gauss", "record_duals": 1})
     with pytest.raises(ConfigError, match="lo < hi"):
         resolve_config({"experiment": "trunc-gauss", "lo": 1.0, "hi": -1.0})
+    with pytest.raises(ConfigError, match="gamma"):
+        resolve_config({"experiment": "wishart-precision", "gamma": float("inf")})
 
 
 def test_overrides_beat_config_values():

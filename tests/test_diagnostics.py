@@ -19,6 +19,8 @@ from proxlmc import (
     pdpg_gap_check,
     run_chain,
     SamplerConfig,
+    TruncGaussSpec,
+    assemble_experiment,
     sliced_wasserstein2,
     wasserstein2_1d,
 )
@@ -151,6 +153,42 @@ def test_feasibility_fraction_counts_in_domain_points():
     assert feasibility_fraction(pts, box) == 0.5
     with pytest.raises(ValueError):
         feasibility_fraction([], box)
+
+
+class _CountingBox(BoxIndicator):
+    """BoxIndicator that counts its in_domain calls."""
+
+    def __init__(self, lo, hi):
+        super().__init__(lo, hi)
+        self.calls = 0
+
+    def in_domain(self, x):
+        self.calls += 1
+        return super().in_domain(x)
+
+
+@pytest.mark.parametrize("sampler, extra", [("psgla", {}), ("myula", {"myula_lambda": 0.05})])
+def test_feasibility_fraction_reuses_the_recorded_flags(sampler, extra):
+    asm = assemble_experiment(TruncGaussSpec())
+    box = _CountingBox(asm.nonsmooth.lo, asm.nonsmooth.hi)
+    cfg = SamplerConfig(gamma=0.1, num_steps=2000, seed=3, **extra)
+    trace = run_chain(sampler, asm.smooth, box, cfg, asm.default_x0(cfg.gamma))
+    assert box.calls == len(trace)
+    frac = feasibility_fraction(trace, box)
+    assert box.calls == len(trace)  # no in_domain call: the flags were reused
+    recomputed = feasibility_fraction(list(trace.primal), box)
+    assert frac == recomputed
+    # PSGLA stays in the box; MYULA leaves it on some steps.
+    assert frac == 1.0 if sampler == "psgla" else 0.0 < frac < 1.0
+
+    # A different potential object, even an equal one, is checked afresh.
+    other = _CountingBox(asm.nonsmooth.lo, asm.nonsmooth.hi)
+    assert feasibility_fraction(trace, other) == recomputed
+    assert other.calls == len(trace)
+    narrower = BoxIndicator(np.array([-0.5]), np.array([0.5]))
+    inside = feasibility_fraction(trace, narrower)
+    assert inside == feasibility_fraction(list(trace.primal), narrower)
+    assert inside < frac
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,49 @@ def test_prox_logdet_matches_scalar_prox_on_eigenvalues():
         assert np.max(np.abs(p - (expected + expected.T) / 2.0)) < 1e-10
 
 
+def _per_eigenvalue_reference(scalar_fn, m):
+    """Q f(Lambda) Q^T with f called once per eigenvalue, as a Python scalar map."""
+    eig = sym_eigendecomposition(m)
+    vals = np.array([scalar_fn(t) for t in eig.eigenvalues], dtype=float)
+    out = (eig.basis * vals) @ eig.basis.T
+    return (out + out.T) / 2.0
+
+
+def _assert_bitwise(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _spectral_cases(d, seed):
+    """A random symmetric matrix, a PD one, the zero matrix, and a diagonal
+    matrix whose spectrum holds -0.0."""
+    m = random_sym(RngStream(seed, 0), d, scale=3.0)
+    diag = np.linspace(-1.0, 2.0, d)
+    diag[0] = -0.0
+    return [m, m @ m + 0.1 * np.eye(d), np.zeros((d, d)), np.diag(diag)]
+
+
+@given(st.sampled_from([1, 2, 5, 10]), st.integers(min_value=0, max_value=2**32 - 1))
+def test_spectral_proxes_match_per_eigenvalue_reference_bitwise(d, seed):
+    gamma, alpha, beta = 0.3, 1.7, 0.5
+    cases = _spectral_cases(d, seed)
+    assert np.signbit(sym_eigendecomposition(cases[-1]).eigenvalues[0])
+    for m in cases:
+        _assert_bitwise(prox_psd(gamma, m), _per_eigenvalue_reference(lambda t: max(t, 0.0), m))
+        for a in (alpha, 0.0):
+            ref = _per_eigenvalue_reference(
+                lambda t: float(prox_logbarrier_scalar(gamma, t, a, beta)), m
+            )
+            _assert_bitwise(prox_logdet(gamma, m, a, beta), ref)
+        g = SpectralLogBarrier(alpha, beta, d)
+        if sym_eigendecomposition(m).eigenvalues[0] > 0:
+            ref = _per_eigenvalue_reference(lambda t: -alpha / t + beta, m)
+            _assert_bitwise(g.subgradient_min(m), ref)
+        else:
+            with pytest.raises(ValueError):
+                g.subgradient_min(m)
+
+
 def test_prox_logdet_alpha_zero_reduces_to_psd_projection():
     m = random_sym(RngStream(8, 0), 4, scale=2.0)
     assert np.allclose(prox_logdet(0.3, m, 0.0, 0.0), prox_psd(0.3, m), atol=1e-12)

@@ -40,6 +40,9 @@ from proxlmc.space import FLAT
         dict(gamma=0.1, num_steps=10, minibatch=0),
         dict(gamma=0.1, num_steps=10, minibatch="half"),
         dict(gamma=0.1, num_steps=10, record_every=0),
+        dict(gamma=0.1, num_steps=10, minibatch=True),
+        dict(gamma=float("inf"), num_steps=10),
+        dict(gamma=float("nan"), num_steps=10),
     ],
 )
 def test_config_validation(kwargs):
@@ -181,6 +184,13 @@ def test_checkpoint_before_burn_in_rejected(box_quadratic):
         run_chain("psgla", smooth, box, cfg, np.zeros(2), mean_checkpoints=[5])
 
 
+def test_checkpoint_after_the_last_step_rejected(box_quadratic):
+    smooth, box = box_quadratic
+    cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
+    with pytest.raises(ValueError, match="num_steps"):
+        run_chain("psgla", smooth, box, cfg, np.zeros(2), mean_checkpoints=[5, 50])
+
+
 def test_duals_recorded_only_on_request(box_quadratic):
     smooth, box = box_quadratic
     x0 = np.zeros(2)
@@ -255,6 +265,13 @@ def test_ensemble_validation(box_quadratic):
         run_ensemble("psgla", smooth, box, cfg, 4, [], np.zeros(2))
     with pytest.raises(ValueError):
         run_ensemble("psgla", smooth, box, cfg, 4, [11], np.zeros(2))
+
+
+def test_ensemble_rejects_duplicate_snapshot_steps(box_quadratic):
+    smooth, box = box_quadratic
+    cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
+    with pytest.raises(ValueError, match="distinct"):
+        run_ensemble("psgla", smooth, box, cfg, 4, [5, 5, 10], np.zeros(2))
 
 
 def test_ensemble_snapshot_zero_is_the_start(box_quadratic):

@@ -189,6 +189,22 @@ def test_spectral_apply_known_values():
     assert np.max(np.abs(ident - m)) < 1e-12
     assert np.array_equal(ident, ident.T)
 
+    # fn sees the whole ascending spectrum once; apply and reconstruct agree
+    # with spectral_apply bit for bit.
+    seen = []
+
+    def square(w):
+        seen.append(w.copy())
+        return w * w
+
+    eig = sym_eigendecomposition(m)
+    squared = eig.apply(square)
+    assert len(seen) == 1 and np.array_equal(seen[0], eig.eigenvalues)
+    assert np.array_equal(squared, spectral_apply(np.square, m))
+    assert np.max(np.abs(squared - m @ m)) < 1e-12
+    assert np.array_equal(eig.reconstruct(), ident)
+    assert np.array_equal(sym_eigendecomposition(np.diag([0.0, 1.0, 4.0])).apply(np.sqrt), r)
+
 
 # ---------------------------------------------------------------------------
 # flat coordinates
