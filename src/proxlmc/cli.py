@@ -150,7 +150,9 @@ def _require(condition, message):
 
 
 def _as_number(raw, key):
+    """A finite number; json.load parses NaN and Infinity, which no field accepts."""
     _require(isinstance(raw, (int, float)) and not isinstance(raw, bool), f"{key} must be a number")
+    _require(math.isfinite(raw), f"{key} must be a finite number, got {raw}")
     return float(raw)
 
 
@@ -190,7 +192,7 @@ def resolve_config(raw: dict, seed_override=None, chains_override=None) -> RunCo
 
     default_gamma = {"trunc-gauss": 0.1, "wishart-mean-1d": 0.01, "wishart-precision": 0.1}
     gamma = _as_number(raw.get("gamma", default_gamma[experiment]), "gamma")
-    _require(gamma > 0 and math.isfinite(gamma), "gamma must be a finite number > 0")
+    _require(gamma > 0, "gamma must be a finite number > 0")
 
     if "num_steps" in raw:
         num_steps = _as_int(raw["num_steps"], "num_steps")

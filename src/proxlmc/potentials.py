@@ -227,6 +227,8 @@ class PsdIndicator(NonsmoothPotential):
     def prox(self, gamma, x):
         return prox_psd(gamma, x)
 
+    prox_batch = prox  # one stacked eigendecomposition
+
     def in_domain(self, x):
         x = np.asarray(x, dtype=float)
         tol = _PSD_TOL * max(1.0, float(np.linalg.norm(x)))
@@ -314,6 +316,8 @@ class SpectralLogBarrier(NonsmoothPotential):
 
     def prox(self, gamma, x):
         return prox_logdet(gamma, x, self.alpha, self.beta)
+
+    prox_batch = prox  # one stacked eigendecomposition
 
     def in_domain(self, x):
         w = self._eigs(x)

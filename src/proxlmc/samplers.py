@@ -32,12 +32,14 @@ SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
 
 
 class ChainDivergence(RuntimeError):
-    """A chain produced a non-finite iterate."""
+    """A chain produced a non-finite iterate; chain is its ensemble index, if any."""
 
-    def __init__(self, step: int, sampler: str):
+    def __init__(self, step: int, sampler: str, chain: int | None = None):
         self.step = step
         self.sampler = sampler
-        super().__init__(f"{sampler} produced a non-finite iterate at step {step}")
+        self.chain = chain
+        where = "" if chain is None else f" in chain {chain}"
+        super().__init__(f"{sampler} produced a non-finite iterate at step {step}{where}")
 
 
 @dataclass
@@ -187,6 +189,25 @@ def step_spla(x, smooth, nonsmooth, cfg, rng, lipschitz_term=None, space=None):
     return x_half, x_new, y_new
 
 
+def _check_sampler(sampler, nonsmooth, cfg):
+    """Reject what a kernel would reject at its first step, before any step."""
+    if sampler not in SAMPLER_IDS:
+        raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_IDS}")
+    if sampler == "projected" and not nonsmooth.is_indicator:
+        raise ValueError("projected Langevin requires an indicator nonsmooth term")
+    if sampler == "myula" and not (cfg.myula_lambda or 0) > 0:
+        raise ValueError("myula requires myula_lambda > 0 in the sampler config")
+
+
+def _start(x0):
+    """(space, point) of a start x0, which must be finite."""
+    space = _space_of(x0)
+    x = space.check_point(x0)
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
+    return space, x
+
+
 def _advance(sampler, x, smooth, nonsmooth, cfg, rng, lipschitz_term, space):
     """Uniform kernel dispatch: returns (x_new, x_half, y_new)."""
     if sampler == "ula":
@@ -222,16 +243,14 @@ def run_chain(
     """Run one chain and record its trace.
 
     Iterates x^1 .. x^num_steps; step k is recorded when k > burn_in and
-    (k - burn_in) is a multiple of record_every.  mean_checkpoints is an
-    ascending list of step indices in (burn_in, num_steps] at which the
+    (k - burn_in) is a multiple of record_every.  mean_checkpoints is a
+    list of distinct step indices in (burn_in, num_steps] at which the
     running mean of the post-burn-in iterates is stored, so long runs can
     track ergodic averages without keeping every iterate.  Aborts with
     ChainDivergence on the first non-finite iterate.
     """
-    if sampler not in SAMPLER_IDS:
-        raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_IDS}")
-    space = _space_of(x0)
-    x = space.check_point(x0)
+    _check_sampler(sampler, nonsmooth, cfg)
+    space, x = _start(x0)
     if step_size_warning(smooth, cfg.gamma):
         warnings.warn(
             f"gamma = {cfg.gamma} exceeds 1/L = {1.0 / smooth.L}; "
@@ -242,6 +261,8 @@ def run_chain(
     checkpoints = sorted(int(s) for s in mean_checkpoints)
     if checkpoints and not cfg.burn_in < checkpoints[0] <= checkpoints[-1] <= cfg.num_steps:
         raise ValueError(f"mean checkpoints must lie in (burn_in, num_steps], got {checkpoints}")
+    if len(set(checkpoints)) != len(checkpoints):
+        raise ValueError(f"mean checkpoints must be distinct, got {checkpoints}")
     rng = RngStream(cfg.seed, stream_id)
     trace = ChainTrace(sampler=sampler, config=cfg, nonsmooth=nonsmooth)
     running_sum = None
@@ -272,9 +293,6 @@ def run_chain(
     return trace
 
 
-_FAST_SAMPLERS = ("ula", "psgla", "projected", "myula")
-
-
 def run_ensemble(
     sampler: str,
     smooth,
@@ -287,17 +305,23 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run num_chains independent chains, keeping only snapshot cross-sections.
 
-    Chain c runs on stream (cfg.seed, c).  Memory is O(num_chains) per
-    snapshot, not O(num_chains * num_steps).  Snapshot step 0 stores the
-    shared initial point.  Flat-space, full-gradient configurations run a
-    vectorized path that is bitwise identical to the per-chain loop.
+    Chain c runs on stream (cfg.seed, c) and equals run_chain(..., stream_id=c)
+    bit for bit.  Memory is O(num_chains) per snapshot, not O(num_chains *
+    num_steps).  Snapshot step 0 stores the shared initial point.
+
+    One driver advances every sampler and space over a leading chain axis;
+    each step makes one gradient batch and one prox_batch (one stacked
+    eigendecomposition for matrices).  Only the draw schedule varies.  With a
+    full gradient and no SPLA index draw, each chain's noise is pre-drawn in
+    chunks of at most 1024 numbers; otherwise each chain draws per step in
+    kernel order (minibatch indices, noise, SPLA index) and the R-prox runs
+    per chain.  A divergence reports the earliest step at which any chain went
+    non-finite and the lowest such chain.
     """
     if num_chains < 2:
         raise ValueError(f"an ensemble needs num_chains >= 2, got {num_chains}")
-    if sampler not in SAMPLER_IDS:
-        raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_IDS}")
-    space = _space_of(x0)
-    x0 = space.check_point(x0)
+    _check_sampler(sampler, nonsmooth, cfg)
+    space, x0 = _start(x0)
     steps = sorted(int(s) for s in snapshot_steps)
     if not steps:
         raise ValueError("snapshot_steps must be non-empty")
@@ -311,19 +335,42 @@ def run_ensemble(
             RuntimeWarning,
             stacklevel=2,
         )
-
-    fast = (
-        space.kind == FLAT
-        and cfg.minibatch == "full"
-        and sampler in _FAST_SAMPLERS
-        and (sampler != "myula" or (cfg.myula_lambda or 0) > 0)
-    )
-    if fast:
-        snaps = _ensemble_vectorized(sampler, smooth, nonsmooth, cfg, num_chains, steps, x0, space)
-    else:
-        snaps = _ensemble_loop(
-            sampler, smooth, nonsmooth, cfg, num_chains, steps, x0, space, lipschitz_term
-        )
+    gens = [RngStream(cfg.seed, c) for c in range(num_chains)]
+    xs = np.repeat(x0[None], num_chains, axis=0)
+    wanted = set(steps)
+    snaps = {0: xs.copy()} if 0 in wanted else {}
+    gamma, noise_scale = cfg.gamma, math.sqrt(2.0 * cfg.gamma)
+    r_term = lipschitz_term if sampler == "spla" else None
+    per_step = cfg.minibatch != "full" or (r_term is not None and len(r_term.components) > 1)
+    size = x0.size
+    chunk = max(1, min(1024 // size, int(5e6 / (num_chains * size))))
+    for k in range(1, steps[-1] + 1):
+        if per_step:
+            draws = [
+                (smooth.stochastic_gradient(x, g, cfg.minibatch), space.gaussian(g))
+                for x, g in zip(xs, gens)
+            ]
+            grads, noise = (np.stack(a) for a in zip(*draws))
+        else:
+            if (k - 1) % chunk == 0:
+                m = min(chunk, steps[-1] - k + 1)
+                block = np.empty((num_chains, m) + x0.shape)
+                for c, g in enumerate(gens):
+                    block[c] = space.gaussian(g, size=m)
+            grads, noise = smooth.full_gradient_batch(xs), block[:, (k - 1) % chunk]
+        if sampler == "myula":
+            lam = cfg.myula_lambda
+            grads = grads + (xs - nonsmooth.prox_batch(lam, xs)) / lam
+        xs = xs - gamma * grads + noise_scale * noise
+        if r_term is not None:
+            xs = np.stack([r_term.prox_sample(gamma, x, g) for x, g in zip(xs, gens)])
+        if sampler not in ("ula", "myula"):
+            xs = nonsmooth.prox_batch(gamma, xs)
+        if not np.isfinite(xs).all():
+            bad = ~np.isfinite(xs.reshape(num_chains, -1)).all(axis=1)
+            raise ChainDivergence(step=k, sampler=sampler, chain=int(np.argmax(bad)))
+        if k in wanted:
+            snaps[k] = xs.copy()
     return EnsembleResult(
         sampler=sampler,
         num_chains=num_chains,
@@ -331,62 +378,6 @@ def run_ensemble(
         snapshot_steps=steps,
         snapshots=snaps,
     )
-
-
-def _ensemble_loop(sampler, smooth, nonsmooth, cfg, num_chains, steps, x0, space, lipschitz_term):
-    wanted = set(steps)
-    snaps = {s: np.empty((num_chains,) + x0.shape) for s in steps}
-    for c in range(num_chains):
-        rng = RngStream(cfg.seed, c)
-        x = x0.copy()
-        if 0 in wanted:
-            snaps[0][c] = x
-        for k in range(1, max(steps) + 1):
-            x, _, _ = _advance(sampler, x, smooth, nonsmooth, cfg, rng, lipschitz_term, space)
-            if not np.all(np.isfinite(x)):
-                raise ChainDivergence(step=k, sampler=sampler)
-            if k in wanted:
-                snaps[k][c] = x
-    return snaps
-
-
-def _ensemble_vectorized(sampler, smooth, nonsmooth, cfg, num_chains, steps, x0, space):
-    """Vectorized across chains; per-chain streams, noise pre-drawn in step
-    chunks (chunked draws replay identically to one-at-a-time draws)."""
-    d = space.d
-    gens = [RngStream(cfg.seed, c) for c in range(num_chains)]
-    xs = np.tile(x0, (num_chains, 1))
-    wanted = set(steps)
-    snaps = {}
-    if 0 in wanted:
-        snaps[0] = xs.copy()
-    last = max(steps)
-    gamma = cfg.gamma
-    noise_scale = math.sqrt(2.0 * gamma)
-    chunk = max(1, min(1024, int(5e6 / max(1, num_chains * d))))
-    k = 0
-    while k < last:
-        m = min(chunk, last - k)
-        block = np.empty((num_chains, m, d))
-        for c, g in enumerate(gens):
-            block[c] = g.standard_normal((m, d))
-        for j in range(m):
-            k += 1
-            grads = smooth.full_gradient_batch(xs)
-            pre = xs - gamma * grads + noise_scale * block[:, j, :]
-            if sampler == "ula":
-                xs = pre
-            elif sampler in ("psgla", "projected"):
-                xs = nonsmooth.prox_batch(gamma, pre)
-            else:  # myula
-                lam = cfg.myula_lambda
-                smoothed = (xs - nonsmooth.prox_batch(lam, xs)) / lam
-                xs = xs - gamma * (grads + smoothed) + noise_scale * block[:, j, :]
-            if not np.all(np.isfinite(xs)):
-                raise ChainDivergence(step=k, sampler=sampler)
-            if k in wanted:
-                snaps[k] = xs.copy()
-    return snaps
 
 
 def tune_for_epsilon(eps: float, L: float, lambda_f: float, C: float, w0_sq: float):

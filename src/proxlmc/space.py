@@ -136,17 +136,19 @@ def norm(a: np.ndarray) -> float:
 class EigenDecomposition:
     """Spectral factorization M = basis @ diag(eigenvalues) @ basis.T.
 
-    Eigenvalues are ascending; basis columns are orthonormal.
+    Eigenvalues are ascending; basis columns are orthonormal.  For a stack
+    of matrices both fields carry the stack's leading axes.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
 
     def apply(self, fn) -> np.ndarray:
-        """Q fn(Lambda) Q^T for fn elementwise on the eigenvalue array; exactly
-        symmetric (symmetrized after reconstruction to kill matmul roundoff)."""
-        m = (self.basis * fn(self.eigenvalues)) @ self.basis.T
-        return (m + m.T) / 2.0
+        """Q fn(Lambda) Q^T for fn elementwise on the eigenvalue array, per
+        matrix of a (..., d, d) stack; exactly symmetric (symmetrized after
+        reconstruction to kill matmul roundoff)."""
+        m = (self.basis * fn(self.eigenvalues)[..., None, :]) @ self.basis.mT
+        return (m + m.mT) / 2.0
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(lambda w: w)
@@ -157,15 +159,21 @@ class EigenFailure(RuntimeError):
 
 
 def sym_eigendecomposition(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+    """Eigendecomposition of a symmetric matrix, or of each matrix of a
+    (..., d, d) stack in one LAPACK call; eigenvalues ascending.
+
+    Each matrix must be symmetric to a relative tolerance; exactly symmetric
+    input, such as every chain iterate, skips that check.
+    """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if np.max(np.abs(m - m.T)) > 1e-8 * scale:
-        raise ValueError("matrix is not symmetric")
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not (m == m.mT).all():
+        scale = np.fmax(1.0, np.linalg.norm(m, axis=(-2, -1)))  # max(1.0, nan) is 1.0
+        if (np.max(np.abs(m - m.mT), axis=(-2, -1)) > 1e-8 * scale).any():
+            raise ValueError("matrix is not symmetric")
     try:
-        w, v = np.linalg.eigh((m + m.T) / 2.0)
+        w, v = np.linalg.eigh((m + m.mT) / 2.0)
     except np.linalg.LinAlgError as err:
         raise EigenFailure(f"eigendecomposition failed to converge: {err}") from err
     return EigenDecomposition(eigenvalues=w, basis=v)
@@ -174,9 +182,11 @@ def sym_eigendecomposition(m: np.ndarray) -> EigenDecomposition:
 def spectral_apply(fn, m: np.ndarray) -> np.ndarray:
     """Apply a scalar function to the spectrum: Q f(Lambda) Q^T.
 
-    fn receives the whole ascending eigenvalue array in one call and must
-    act elementwise on it, returning a float array of the same shape (numpy
-    ufuncs such as np.sqrt qualify).  Output is exactly symmetric.
+    m is one symmetric matrix or a (..., d, d) stack of them, mapped with
+    one eigendecomposition call.  fn receives the whole ascending eigenvalue
+    array (shape (..., d)) in one call and must act elementwise on it,
+    returning a float array of the same shape (numpy ufuncs such as np.sqrt
+    qualify).  Output is exactly symmetric.
     """
     return sym_eigendecomposition(m).apply(fn)
 

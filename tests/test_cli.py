@@ -125,6 +125,28 @@ def test_type_checking_of_fields():
         resolve_config({"experiment": "wishart-precision", "gamma": float("inf")})
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"experiment": "wishart-precision", "d": 2, "nu": float("nan")},
+        {"experiment": "trunc-gauss", "mean": float("nan")},
+        {"experiment": "trunc-gauss", "x0": float("inf")},
+        {"experiment": "trunc-gauss", "sampler": "myula", "myula_lambda": float("inf")},
+        {"experiment": "trunc-gauss", "sampler": "spla", "spla_r_weight": float("nan")},
+        # an infinite truncation bound breaks the quantile oracle, so lo/hi are finite too
+        {"experiment": "trunc-gauss", "lo": float("-inf")},
+    ],
+    ids=["nu", "mean", "x0", "myula_lambda", "spla_r_weight", "lo"],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, body):
+    key = [k for k in body if k not in ("experiment", "d", "sampler")][0]
+    with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+        resolve_config(body)
+    cfg = write_config(tmp_path, body)  # json writes NaN / Infinity literals
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_overrides_beat_config_values():
     raw = {"experiment": "trunc-gauss", "seed": 3, "num_chains": 4}
     cfg = resolve_config(raw, seed_override=9, chains_override=16)

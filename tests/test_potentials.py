@@ -164,6 +164,24 @@ def test_spectral_proxes_match_per_eigenvalue_reference_bitwise(d, seed):
                 g.subgradient_min(m)
 
 
+@given(st.sampled_from([1, 2, 5, 10]), st.integers(min_value=0, max_value=2**32 - 1))
+def test_stacked_spectral_layer_matches_per_matrix_bitwise(d, seed):
+    """One eigendecomposition over a (k, d, d) stack equals k separate ones
+    bit for bit.  LAPACK does not promise this, so this test is the guard
+    for the ensemble's stacked prox."""
+    stack = np.stack(_spectral_cases(d, seed))
+    eig = sym_eigendecomposition(stack)
+    psd, slb = PsdIndicator(d), SpectralLogBarrier(1.7, 0.5, d)
+    batched = [eig.apply(np.square), psd.prox_batch(0.3, stack), slb.prox_batch(0.3, stack)]
+    for i, m in enumerate(stack):
+        one = sym_eigendecomposition(m)
+        _assert_bitwise(eig.eigenvalues[i], one.eigenvalues)
+        _assert_bitwise(eig.basis[i], one.basis)
+        singles = [one.apply(np.square), psd.prox(0.3, m), slb.prox(0.3, m)]
+        for b, single in zip(batched, singles):
+            _assert_bitwise(b[i], single)
+
+
 def test_prox_logdet_alpha_zero_reduces_to_psd_projection():
     m = random_sym(RngStream(8, 0), 4, scale=2.0)
     assert np.allclose(prox_logdet(0.3, m, 0.0, 0.0), prox_psd(0.3, m), atol=1e-12)

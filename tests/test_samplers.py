@@ -6,14 +6,18 @@ from proxlmc import (
     ChainDivergence,
     LipschitzProxTerm,
     LogBarrier,
+    PrecisionLikelihood,
+    PsdIndicator,
     Quadratic,
     QuadraticSum,
     RngStream,
     SamplerConfig,
     Space,
+    SpectralLogBarrier,
     ZeroPotential,
     ZeroSmooth,
     coordinate_absolute_term,
+    diagonal_absolute_term,
     run_chain,
     run_ensemble,
     step_psgla,
@@ -191,6 +195,27 @@ def test_checkpoint_after_the_last_step_rejected(box_quadratic):
         run_chain("psgla", smooth, box, cfg, np.zeros(2), mean_checkpoints=[5, 50])
 
 
+def test_duplicate_checkpoints_rejected(box_quadratic):
+    smooth, box = box_quadratic
+    cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
+    with pytest.raises(ValueError, match="distinct"):
+        run_chain("psgla", smooth, box, cfg, np.zeros(2), mean_checkpoints=[5, 5])
+
+
+@pytest.mark.parametrize("driver", ["chain", "ensemble"])
+@pytest.mark.parametrize(
+    "x0", [np.array([0.0, np.nan]), np.diag([1.0, np.inf])], ids=["flat", "sym"]
+)
+def test_non_finite_start_rejected(driver, x0):
+    g = BoxIndicator(-np.ones(2), np.ones(2)) if x0.ndim == 1 else PsdIndicator(2)
+    cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
+    with pytest.raises(ValueError, match="x0"):
+        if driver == "chain":
+            run_chain("psgla", ZeroSmooth(), g, cfg, x0)
+        else:
+            run_ensemble("psgla", ZeroSmooth(), g, cfg, 3, [10], x0)
+
+
 def test_duals_recorded_only_on_request(box_quadratic):
     smooth, box = box_quadratic
     x0 = np.zeros(2)
@@ -217,6 +242,24 @@ def test_divergence_aborts_with_step_index():
     assert err.value.sampler == "ula"
     assert 0 < err.value.step <= 1000
     assert str(err.value.step) in str(err.value)
+    assert err.value.chain is None
+
+
+def test_ensemble_divergence_names_the_earliest_chain():
+    """(step, chain) is the minimum over the chains run one by one: the
+    earliest divergence step, and the lowest chain index among ties."""
+    f = Quadratic(np.array([[1.0]]), np.zeros(1))
+    cfg = SamplerConfig(gamma=2.5, num_steps=5000, seed=0)
+    firsts = []
+    with pytest.warns(RuntimeWarning):
+        for c in range(6):
+            with pytest.raises(ChainDivergence) as err:
+                run_chain("ula", f, ZeroPotential(), cfg, np.zeros(1), stream_id=c)
+            firsts.append((err.value.step, c))
+        with pytest.raises(ChainDivergence) as err:
+            run_ensemble("ula", f, ZeroPotential(), cfg, 6, [5000], np.zeros(1))
+    assert (err.value.step, err.value.chain) == min(firsts)
+    assert f"chain {err.value.chain}" in str(err.value)
 
 
 def test_step_size_warning_emitted_once_per_run(box_quadratic):
@@ -285,7 +328,7 @@ def test_ensemble_snapshot_zero_is_the_start(box_quadratic):
 
 
 def test_vectorized_ensemble_matches_per_chain_runs(box_quadratic):
-    """The flat-space fast path must be bitwise identical to per-chain loops."""
+    """A flat-space ensemble must be bitwise identical to per-chain runs."""
     smooth, box = box_quadratic
     cfg = SamplerConfig(gamma=0.15, num_steps=37, seed=15)
     x0 = np.array([0.1, 0.6])
@@ -307,7 +350,6 @@ def test_vectorized_ensemble_matches_for_myula(box_quadratic):
 
 
 def test_loop_ensemble_matches_per_chain_runs():
-    # matrix-space configurations take the per-chain path; same contract
     from proxlmc import PsdIndicator
 
     smooth = ZeroSmooth()
@@ -318,6 +360,46 @@ def test_loop_ensemble_matches_per_chain_runs():
     for c in range(3):
         trace = run_chain("psgla", smooth, psd, cfg, x0, stream_id=c)
         assert np.array_equal(res.snapshot(15)[c], trace.primal[-1])
+
+
+def _matrix_problem(d):
+    data = RngStream(19, d).standard_normal((30, d))
+    return PrecisionLikelihood(data, d), SpectralLogBarrier(15.0, 0.5, d), np.eye(d)
+
+
+def _flat_problem():
+    data = RngStream(20, 0).standard_normal((8, 2))
+    return QuadraticSum(data), BoxIndicator(-np.ones(2), np.ones(2)), np.full(2, 0.3)
+
+
+@pytest.mark.parametrize(
+    "sampler, space, minibatch, term",
+    [
+        ("ula", "sym", "full", None),
+        ("psgla", "sym", "full", None),
+        ("projected", "sym", "full", None),
+        ("myula", "sym", "full", None),
+        ("psgla", "sym", 3, None),
+        ("myula", "flat", 2, None),
+        ("spla", "sym", "full", diagonal_absolute_term),
+        ("spla", "flat", 2, coordinate_absolute_term),
+    ],
+)
+def test_batched_ensemble_matches_per_chain_runs(sampler, space, minibatch, term):
+    """Every draw schedule of the batched driver (noise pre-drawn in chunks,
+    or per-step draws for minibatches and multi-component R) replays the
+    chains run one by one, bit for bit, on both spaces."""
+    smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
+    if sampler == "projected":
+        g = PsdIndicator(3)
+    r = term(0.4, x0.shape[0]) if term else None
+    cfg = SamplerConfig(0.02, 25, seed=21, minibatch=minibatch, myula_lambda=0.3)
+    res = run_ensemble(sampler, smooth, g, cfg, 4, [0, 7, 25], x0, lipschitz_term=r)
+    for c in range(4):
+        trace = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, stream_id=c)
+        assert np.array_equal(res.snapshot(0)[c], x0)
+        assert np.array_equal(res.snapshot(7)[c], trace.primal[6])
+        assert np.array_equal(res.snapshot(25)[c], trace.primal[24])
 
 
 def test_ula_ensemble_reaches_the_biased_stationary_variance():

@@ -171,6 +171,17 @@ def test_eigendecomposition_rejects_bad_input():
         sym_eigendecomposition(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         sym_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # stacks are checked per matrix: one asymmetric matrix fails the stack,
+    # asymmetry within the relative tolerance passes
+    asym = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eigendecomposition(np.stack([np.eye(2), asym, np.eye(2)]))
+    with pytest.raises(ValueError, match="not symmetric"):  # tolerance scales per matrix
+        sym_eigendecomposition(np.stack([1e6 * np.eye(2), np.eye(2) + 1e-6 * asym]))
+    with pytest.raises(ValueError):
+        sym_eigendecomposition(np.zeros(3))
+    near = np.stack([np.eye(2), np.eye(2) + 1e-10 * asym])
+    assert sym_eigendecomposition(near).eigenvalues.shape == (2, 2)
 
 
 def test_eigen_failure_is_a_runtime_error():
