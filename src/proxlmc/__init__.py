@@ -1,8 +1,8 @@
 """Proximal Langevin sampling for composite log-concave targets exp(-F - G).
 
-The packages splits along the math: state spaces and deterministic RNG
+The package splits along the math: state spaces and deterministic RNG
 streams (:mod:`proxlmc.space`), the potential and prox catalog
-(:mod:`proxlmc.potentials`), step kernels and chain drivers
+(:mod:`proxlmc.potentials`), the step kernel and its chain drivers
 (:mod:`proxlmc.samplers`), Wasserstein and primal-dual diagnostics
 (:mod:`proxlmc.diagnostics`), analytically checkable experiments
 (:mod:`proxlmc.experiments`), and the CLI (:mod:`proxlmc.cli`).
@@ -45,8 +45,6 @@ from .potentials import (
     coordinate_absolute_term,
     diagonal_absolute_term,
     dual_from_primal,
-    moreau_gradient,
-    prox_box,
     prox_logbarrier_scalar,
     prox_logdet,
     prox_psd,
@@ -59,12 +57,8 @@ from .samplers import (
     SamplerConfig,
     run_chain,
     run_ensemble,
-    step_myula,
-    step_projected_langevin,
     step_psgla,
     step_size_warning,
-    step_spla,
-    step_ula,
     tune_for_epsilon,
 )
 from .diagnostics import (

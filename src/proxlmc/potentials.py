@@ -38,17 +38,6 @@ def _check_gamma(gamma):
 # prox catalog (free functions)
 # ---------------------------------------------------------------------------
 
-def prox_box(gamma, x, lo, hi):
-    """Projection onto the box [lo, hi] (the prox of its indicator)."""
-    _check_gamma(gamma)
-    x = np.asarray(x, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), x.shape)
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), x.shape)
-    if np.any(lo > hi):
-        raise ValueError("box has lo > hi in some coordinate")
-    return np.clip(x, lo, hi)
-
-
 def prox_psd(gamma, m):
     """Projection onto the positive semidefinite cone (eigenvalue clipping)."""
     _check_gamma(gamma)
@@ -89,20 +78,14 @@ def prox_logdet(gamma, m, alpha, beta):
 def dual_from_primal(gamma, x, g):
     """Dual point of the forward-backward pair: (x - prox_{gamma G}(x)) / gamma.
 
-    By the Moreau identity this equals prox_{G*/gamma}(x / gamma).
+    By the Moreau identity this equals prox_{G*/gamma}(x / gamma).  With
+    gamma = lam it is also the gradient of the Moreau envelope G^lam, which
+    is (1/lam)-Lipschitz and bounded by the minimal subgradient norm of G
+    wherever that exists.
     """
     _check_gamma(gamma)
     x = np.asarray(x, dtype=float)
     return (x - g.prox(gamma, x)) / gamma
-
-
-def moreau_gradient(lam, x, g):
-    """Gradient of the Moreau envelope G^lam: (x - prox_{lam G}(x)) / lam.
-
-    (1/lam)-Lipschitz, and bounded by the minimal subgradient norm of G
-    wherever that exists.
-    """
-    return dual_from_primal(lam, x, g)
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +97,14 @@ class NonsmoothPotential:
 
     lambda_gstar is a strong-convexity modulus of the conjugate G* (0 is
     always sound).  is_indicator marks set indicators, for which the
-    projected-Langevin alias is defined.
+    projected-Langevin alias is defined.  point_shape is the shape of the
+    points G is defined on, or None when any shape will do.
     """
 
     lambda_gstar: float = 0.0
     is_indicator: bool = False
     has_conjugate: bool = False
+    point_shape: tuple | None = None
 
     def evaluate(self, x) -> float:
         raise NotImplementedError
@@ -182,16 +167,16 @@ class BoxIndicator(NonsmoothPotential):
             raise ValueError("box has lo > hi in some coordinate")
         self.lo = lo
         self.hi = hi
+        self.point_shape = np.broadcast_shapes(lo.shape, hi.shape) or None  # scalar bounds fit any
 
     def evaluate(self, x):
         return 0.0 if self.in_domain(x) else np.inf
 
     def prox(self, gamma, x):
-        return prox_box(gamma, x, self.lo, self.hi)
-
-    def prox_batch(self, gamma, xs):
         _check_gamma(gamma)
-        return np.clip(np.asarray(xs, dtype=float), self.lo, self.hi)
+        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+
+    prox_batch = prox  # the clamp is elementwise
 
     def in_domain(self, x):
         x = np.asarray(x, dtype=float)
@@ -217,6 +202,7 @@ class PsdIndicator(NonsmoothPotential):
 
     def __init__(self, d: int):
         self.d = d
+        self.point_shape = (d, d)
 
     def _min_eig(self, x):
         return float(sym_eigendecomposition(x).eigenvalues[0])
@@ -300,6 +286,7 @@ class SpectralLogBarrier(NonsmoothPotential):
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.d = d
+        self.point_shape = (d, d)
 
     def _eigs(self, x):
         return sym_eigendecomposition(x).eigenvalues
@@ -474,10 +461,13 @@ class SmoothPotential:
     the step-size guard is vacuous); lambda_f a strong-convexity modulus
     (0 for merely convex).  Stochastic gradients are unbiased single-index
     estimators, averaged over a minibatch drawn uniformly with replacement.
+    point_shape is the shape of the points F is defined on, or None when
+    any shape will do.
     """
 
     L: float = 0.0
     lambda_f: float = 0.0
+    point_shape: tuple | None = None
 
     def evaluate(self, x) -> float:
         raise NotImplementedError
@@ -534,6 +524,7 @@ class Quadratic(SmoothPotential):
             raise ValueError("H must be positive semidefinite")
         self.h = (h + h.T) / 2.0
         self.c = c
+        self.point_shape = (h.shape[0],)
         self.L = float(max(w[-1], 0.0))
         self.lambda_f = float(max(w[0], 0.0))
 
@@ -542,10 +533,12 @@ class Quadratic(SmoothPotential):
         return float(r @ self.h @ r / 2.0)
 
     def full_gradient(self, x):
-        return self.h @ (np.asarray(x, dtype=float) - self.c)
+        return self.full_gradient_batch(x)
 
     def full_gradient_batch(self, xs):
-        return (np.asarray(xs, dtype=float) - self.c) @ self.h
+        # einsum, not a BLAS matmul: a row's sum runs the same whatever the
+        # batch size, so an ensemble chain equals the chain run alone.
+        return np.einsum("ij,...j->...i", self.h, np.asarray(xs, dtype=float) - self.c)
 
     def stochastic_gradient(self, x, rng, minibatch=1):
         return self.full_gradient(x)
@@ -566,6 +559,7 @@ class QuadraticSum(SmoothPotential):
             raise ValueError("quadratic sum needs at least one data point")
         self.data = data
         self.n = data.shape[0]
+        self.point_shape = (data.shape[1],)
         self.L = float(self.n)
         self.lambda_f = float(self.n)
         self._data_sum = data.sum(axis=0)
@@ -620,6 +614,7 @@ class PrecisionLikelihood(SmoothPotential):
         self.data = data
         self.d = d
         self.n = data.shape[0]
+        self.point_shape = (1,) if d == 1 else (d, d)
         scatter = data.T @ data
         self.scatter = (scatter + scatter.T) / 2.0
         if d == 1:
@@ -637,8 +632,9 @@ class PrecisionLikelihood(SmoothPotential):
         return self._grad.copy()
 
     def full_gradient_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.broadcast_to(self._grad, xs.shape).copy()
+        out = np.empty(np.shape(xs))
+        out[...] = self._grad
+        return out
 
     def stochastic_gradient(self, x, rng, minibatch=1):
         if minibatch == "full":

@@ -1,19 +1,25 @@
-"""Langevin step kernels and chain drivers.
+"""The Langevin step kernel and its chain drivers.
 
-All kernels discretize the overdamped Langevin dynamics for the composite
+Every sampler discretizes the overdamped Langevin dynamics for the composite
 target exp(-F - G) with step size gamma and noise sqrt(2 gamma) W:
 
 * ula        x' = x - gamma g + sqrt(2 gamma) W          (ignores G)
 * psgla      x' = prox_{gamma G}(x - gamma g + sqrt(2 gamma) W)
 * projected  psgla restricted to indicator G (projection onto the support)
-* myula      ula on F + G^lam, the Moreau-smoothed potential
+* myula      ula on F + G^lam, the Moreau-smoothed potential: g gains
+             the Moreau term (x - prox_{lam G}(x)) / lam
 * spla       psgla with an extra Lipschitz term R handled by its own prox
-             between the noise and the G-prox
+             between the noise and the G-prox:
+             x_half = prox_{gamma r(., xi)}(x - gamma g + sqrt(2 gamma) W),
+             x' = prox_{gamma G}(x_half)
 
-g is the full or stochastic gradient of F at x.  Per step, draws happen in a
-fixed order on the chain's stream: minibatch indices first, then the Gaussian,
-then (for spla) the R component index.  Kernels that prox through G keep the
-iterates inside dom(G); ula and myula do not.
+g is the full or stochastic gradient of F at x, and a prox step has the dual
+point y' = (x_half - x') / gamma.  One private kernel writes these updates
+once over a leading chain axis: run_ensemble drives it on many chains,
+run_chain on a stack of one, and step_psgla is one of its steps.  Per step,
+draws happen in a fixed order on each chain's stream: minibatch indices
+first, then the Gaussian, then (for spla) the R component index.  Samplers
+that prox through G keep the iterates inside dom(G); ula and myula do not.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import LipschitzProxTerm, dual_from_primal, moreau_gradient
+from .potentials import LipschitzProxTerm
 from .space import FLAT, RngStream, Space
 
 SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
@@ -103,20 +109,6 @@ def step_size_warning(smooth, gamma: float) -> bool:
     return smooth.L > 0 and gamma > 1.0 / smooth.L
 
 
-# ---------------------------------------------------------------------------
-# step kernels
-# ---------------------------------------------------------------------------
-
-def _forward(x, smooth, cfg, rng, space):
-    """Shared forward piece: x - gamma g + sqrt(2 gamma) W.
-
-    Draw order: minibatch indices (inside stochastic_gradient), then noise.
-    """
-    g = smooth.stochastic_gradient(x, rng, cfg.minibatch)
-    w = space.gaussian(rng)
-    return x - cfg.gamma * g + math.sqrt(2.0 * cfg.gamma) * w
-
-
 def _space_of(x) -> Space:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -126,104 +118,101 @@ def _space_of(x) -> Space:
     raise ValueError(f"cannot infer state space from point of shape {x.shape}")
 
 
-def step_ula(x, smooth, cfg, rng, space=None):
-    """Unadjusted Langevin step; the nonsmooth term is ignored entirely."""
-    space = space or _space_of(x)
-    return _forward(np.asarray(x, dtype=float), smooth, cfg, rng, space)
-
-
-def step_psgla(x, smooth, nonsmooth, cfg, rng, space=None):
-    """Proximal stochastic gradient Langevin step.
-
-    Returns (x_half, x_new, y_new): the pre-prox point, the next iterate
-    prox_{gamma G}(x_half), and the dual point (x_half - x_new) / gamma.
-    """
-    space = space or _space_of(x)
-    x_half = _forward(np.asarray(x, dtype=float), smooth, cfg, rng, space)
-    x_new = nonsmooth.prox(cfg.gamma, x_half)
-    y_new = (x_half - x_new) / cfg.gamma
-    return x_half, x_new, y_new
-
-
-def step_projected_langevin(x, smooth, nonsmooth, cfg, rng, space=None):
-    """step_psgla specialized to indicator G: prox is the projection."""
-    if not nonsmooth.is_indicator:
-        raise ValueError("projected Langevin requires an indicator nonsmooth term")
-    return step_psgla(x, smooth, nonsmooth, cfg, rng, space)
-
-
-def step_myula(x, smooth, nonsmooth, cfg, rng, space=None):
-    """Moreau-Yosida smoothed ULA step.
-
-    Langevin on F + G^lam, whose gradient adds (x - prox_{lam G}(x)) / lam.
-    Iterates may leave dom(G).
-    """
-    if cfg.myula_lambda is None or not cfg.myula_lambda > 0:
-        raise ValueError("myula requires myula_lambda > 0 in the sampler config")
-    space = space or _space_of(x)
-    x = np.asarray(x, dtype=float)
-    g = smooth.stochastic_gradient(x, rng, cfg.minibatch)
-    g = g + moreau_gradient(cfg.myula_lambda, x, nonsmooth)
-    w = space.gaussian(rng)
-    return x - cfg.gamma * g + math.sqrt(2.0 * cfg.gamma) * w
-
-
-def step_spla(x, smooth, nonsmooth, cfg, rng, lipschitz_term=None, space=None):
-    """Split proximal Langevin step with an extra Lipschitz term R.
-
-    x_half = prox_{gamma r(., xi)}(x - gamma g + sqrt(2 gamma) W)
-    x_new  = prox_{gamma G}(x_half)
-
-    The R component index is drawn from the same stream, after the noise.
-    With no R (or a single zero component) this consumes exactly the draws
-    of step_psgla and reproduces it bitwise.
-    """
-    space = space or _space_of(x)
-    pre = _forward(np.asarray(x, dtype=float), smooth, cfg, rng, space)
-    if lipschitz_term is not None:
-        x_half = lipschitz_term.prox_sample(cfg.gamma, pre, rng)
-    else:
-        x_half = pre
-    x_new = nonsmooth.prox(cfg.gamma, x_half)
-    y_new = (x_half - x_new) / cfg.gamma
-    return x_half, x_new, y_new
-
-
-def _check_sampler(sampler, nonsmooth, cfg):
-    """Reject what a kernel would reject at its first step, before any step."""
+def _prepare(sampler, smooth, nonsmooth, cfg, x0):
+    """Start-up checks of both drivers, before any step; returns the
+    (space, point) of the start x0, which must be finite and of the shape
+    the potentials act on."""
     if sampler not in SAMPLER_IDS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_IDS}")
     if sampler == "projected" and not nonsmooth.is_indicator:
         raise ValueError("projected Langevin requires an indicator nonsmooth term")
     if sampler == "myula" and not (cfg.myula_lambda or 0) > 0:
         raise ValueError("myula requires myula_lambda > 0 in the sampler config")
-
-
-def _start(x0):
-    """(space, point) of a start x0, which must be finite."""
     space = _space_of(x0)
     x = space.check_point(x0)
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
+    for term in (smooth, nonsmooth):
+        if term.point_shape is not None and term.point_shape != x.shape:
+            raise ValueError(
+                f"{type(term).__name__} acts on points of shape {term.point_shape}, "
+                f"but x0 has shape {x.shape}"
+            )
+    if step_size_warning(smooth, cfg.gamma):
+        warnings.warn(
+            f"gamma = {cfg.gamma} exceeds 1/L = {1.0 / smooth.L}; "
+            "step-size conditions for the bias bounds are violated",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     return space, x
 
 
-def _advance(sampler, x, smooth, nonsmooth, cfg, rng, lipschitz_term, space):
-    """Uniform kernel dispatch: returns (x_new, x_half, y_new)."""
-    if sampler == "ula":
-        return step_ula(x, smooth, cfg, rng, space), None, None
-    if sampler == "psgla":
-        x_half, x_new, y_new = step_psgla(x, smooth, nonsmooth, cfg, rng, space)
-        return x_new, x_half, y_new
-    if sampler == "projected":
-        x_half, x_new, y_new = step_projected_langevin(x, smooth, nonsmooth, cfg, rng, space)
-        return x_new, x_half, y_new
-    if sampler == "myula":
-        return step_myula(x, smooth, nonsmooth, cfg, rng, space), None, None
-    if sampler == "spla":
-        x_half, x_new, y_new = step_spla(x, smooth, nonsmooth, cfg, rng, lipschitz_term, space)
-        return x_new, x_half, y_new
-    raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_IDS}")
+# ---------------------------------------------------------------------------
+# the step kernel
+# ---------------------------------------------------------------------------
+
+def _kernel(sampler, smooth, nonsmooth, cfg, space, xs, gens, lipschitz_term, num_steps):
+    """Advance the stack xs (leading chain axis; chain c draws from gens[c])
+    by num_steps steps, yielding (k, x_half, xs) after step k.
+
+    x_half is the stack handed to the G-prox, or None for ula and myula.
+    Each step makes one gradient batch and one prox_batch (one stacked
+    eigendecomposition for matrices).  Only the draw schedule varies.  With a
+    full gradient and no SPLA index draw, each chain's noise is pre-drawn in
+    chunks of at most 1024 numbers; otherwise each chain draws per step in
+    kernel order (minibatch indices, noise, SPLA index) into preallocated
+    buffers and the R-prox runs per chain.  A non-finite iterate raises
+    ChainDivergence, naming the lowest such chain of a stack of several.
+    """
+    n = len(gens)
+    gamma, noise_scale = cfg.gamma, math.sqrt(2.0 * cfg.gamma)
+    r_term = lipschitz_term if sampler == "spla" else None
+    per_step = cfg.minibatch != "full" or (r_term is not None and len(r_term.components) > 1)
+    if per_step:
+        grads, noise = np.empty_like(xs), np.empty_like(xs)
+    size = xs[0].size
+    chunk = max(1, min(1024 // size, int(5e6 / (n * size))))
+    x_half = None
+    for k in range(1, num_steps + 1):
+        if per_step:
+            for c, g in enumerate(gens):
+                grads[c] = smooth.stochastic_gradient(xs[c], g, cfg.minibatch)
+                noise[c] = space.gaussian(g)
+        else:
+            if (k - 1) % chunk == 0:
+                m = min(chunk, num_steps - k + 1)
+                block = np.empty((n, m) + xs.shape[1:])
+                for c, g in enumerate(gens):
+                    block[c] = space.gaussian(g, size=m)
+            grads, noise = smooth.full_gradient_batch(xs), block[:, (k - 1) % chunk]
+        if sampler == "myula":
+            lam = cfg.myula_lambda
+            grads = grads + (xs - nonsmooth.prox_batch(lam, xs)) / lam
+        xs = xs - gamma * grads + noise_scale * noise
+        if r_term is not None:
+            for c, g in enumerate(gens):
+                xs[c] = r_term.prox_sample(gamma, xs[c], g)
+        if sampler not in ("ula", "myula"):
+            x_half, xs = xs, nonsmooth.prox_batch(gamma, xs)
+        if not np.isfinite(xs).all():
+            bad = ~np.isfinite(xs.reshape(n, -1)).all(axis=1)
+            chain = int(np.argmax(bad)) if n > 1 else None
+            raise ChainDivergence(step=k, sampler=sampler, chain=chain)
+        yield k, x_half, xs
+
+
+def step_psgla(x, smooth, nonsmooth, cfg, rng):
+    """One proximal stochastic gradient Langevin step: the kernel on a stack
+    of one chain.
+
+    Returns (x_half, x_new, y_new): the pre-prox point, the next iterate
+    prox_{gamma G}(x_half), and the dual point (x_half - x_new) / gamma.
+    """
+    x = np.asarray(x, dtype=float)
+    steps = _kernel("psgla", smooth, nonsmooth, cfg, _space_of(x), x[None], [rng], None, 1)
+    _, x_half, xs = next(steps)
+    return x_half[0], xs[0], (x_half[0] - xs[0]) / cfg.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +229,7 @@ def run_chain(
     stream_id: int = 0,
     mean_checkpoints=(),
 ) -> ChainTrace:
-    """Run one chain and record its trace.
+    """Run one chain, the kernel on a stack of one, and record its trace.
 
     Iterates x^1 .. x^num_steps; step k is recorded when k > burn_in and
     (k - burn_in) is a multiple of record_every.  mean_checkpoints is a
@@ -249,43 +238,34 @@ def run_chain(
     track ergodic averages without keeping every iterate.  Aborts with
     ChainDivergence on the first non-finite iterate.
     """
-    _check_sampler(sampler, nonsmooth, cfg)
-    space, x = _start(x0)
-    if step_size_warning(smooth, cfg.gamma):
-        warnings.warn(
-            f"gamma = {cfg.gamma} exceeds 1/L = {1.0 / smooth.L}; "
-            "step-size conditions for the bias bounds are violated",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    space, x = _prepare(sampler, smooth, nonsmooth, cfg, x0)
     checkpoints = sorted(int(s) for s in mean_checkpoints)
     if checkpoints and not cfg.burn_in < checkpoints[0] <= checkpoints[-1] <= cfg.num_steps:
         raise ValueError(f"mean checkpoints must lie in (burn_in, num_steps], got {checkpoints}")
     if len(set(checkpoints)) != len(checkpoints):
         raise ValueError(f"mean checkpoints must be distinct, got {checkpoints}")
-    rng = RngStream(cfg.seed, stream_id)
+    gens = [RngStream(cfg.seed, stream_id)]
     trace = ChainTrace(sampler=sampler, config=cfg, nonsmooth=nonsmooth)
-    running_sum = None
+    running_sum = np.zeros_like(x)
     tally = 0
     next_cp = 0
     t0 = time.perf_counter()
-    for k in range(1, cfg.num_steps + 1):
-        x, x_half, y = _advance(sampler, x, smooth, nonsmooth, cfg, rng, lipschitz_term, space)
-        if not np.all(np.isfinite(x)):
-            raise ChainDivergence(step=k, sampler=sampler)
-        if k > cfg.burn_in:
-            if running_sum is None:
-                running_sum = np.zeros_like(x)
-            running_sum += x
-            tally += 1
-            if (k - cfg.burn_in) % cfg.record_every == 0:
-                trace.steps.append(k)
-                trace.primal.append(x.copy())
-                if x_half is not None:
-                    trace.half_steps.append(x_half.copy())
-                if cfg.record_duals and y is not None:
-                    trace.duals.append(y.copy())
-                trace.feasible_flags.append(bool(nonsmooth.in_domain(x)))
+    steps = _kernel(sampler, smooth, nonsmooth, cfg, space, x[None], gens, lipschitz_term,
+                    cfg.num_steps)
+    for k, x_half, xs in steps:
+        if k <= cfg.burn_in:
+            continue
+        x = xs[0]
+        running_sum += x
+        tally += 1
+        if (k - cfg.burn_in) % cfg.record_every == 0:
+            trace.steps.append(k)
+            trace.primal.append(x.copy())
+            if x_half is not None:
+                trace.half_steps.append(x_half[0].copy())
+                if cfg.record_duals:
+                    trace.duals.append((x_half[0] - x) / cfg.gamma)
+            trace.feasible_flags.append(bool(nonsmooth.in_domain(x)))
         while next_cp < len(checkpoints) and checkpoints[next_cp] == k:
             trace.mean_checkpoints.append((k, running_sum / tally))
             next_cp += 1
@@ -306,22 +286,14 @@ def run_ensemble(
     """Run num_chains independent chains, keeping only snapshot cross-sections.
 
     Chain c runs on stream (cfg.seed, c) and equals run_chain(..., stream_id=c)
-    bit for bit.  Memory is O(num_chains) per snapshot, not O(num_chains *
-    num_steps).  Snapshot step 0 stores the shared initial point.
-
-    One driver advances every sampler and space over a leading chain axis;
-    each step makes one gradient batch and one prox_batch (one stacked
-    eigendecomposition for matrices).  Only the draw schedule varies.  With a
-    full gradient and no SPLA index draw, each chain's noise is pre-drawn in
-    chunks of at most 1024 numbers; otherwise each chain draws per step in
-    kernel order (minibatch indices, noise, SPLA index) and the R-prox runs
-    per chain.  A divergence reports the earliest step at which any chain went
-    non-finite and the lowest such chain.
+    bit for bit: both drive the same kernel.  Memory is O(num_chains) per
+    snapshot, not O(num_chains * num_steps).  Snapshot step 0 stores the
+    shared initial point.  A divergence reports the earliest step at which
+    any chain went non-finite and the lowest such chain.
     """
     if num_chains < 2:
         raise ValueError(f"an ensemble needs num_chains >= 2, got {num_chains}")
-    _check_sampler(sampler, nonsmooth, cfg)
-    space, x0 = _start(x0)
+    space, x0 = _prepare(sampler, smooth, nonsmooth, cfg, x0)
     steps = sorted(int(s) for s in snapshot_steps)
     if not steps:
         raise ValueError("snapshot_steps must be non-empty")
@@ -329,48 +301,14 @@ def run_ensemble(
         raise ValueError("snapshot steps must lie in [0, num_steps]")
     if len(set(steps)) != len(steps):
         raise ValueError(f"snapshot steps must be distinct, got {steps}")
-    if step_size_warning(smooth, cfg.gamma):
-        warnings.warn(
-            f"gamma = {cfg.gamma} exceeds 1/L = {1.0 / smooth.L}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     gens = [RngStream(cfg.seed, c) for c in range(num_chains)]
     xs = np.repeat(x0[None], num_chains, axis=0)
     wanted = set(steps)
-    snaps = {0: xs.copy()} if 0 in wanted else {}
-    gamma, noise_scale = cfg.gamma, math.sqrt(2.0 * cfg.gamma)
-    r_term = lipschitz_term if sampler == "spla" else None
-    per_step = cfg.minibatch != "full" or (r_term is not None and len(r_term.components) > 1)
-    size = x0.size
-    chunk = max(1, min(1024 // size, int(5e6 / (num_chains * size))))
-    for k in range(1, steps[-1] + 1):
-        if per_step:
-            draws = [
-                (smooth.stochastic_gradient(x, g, cfg.minibatch), space.gaussian(g))
-                for x, g in zip(xs, gens)
-            ]
-            grads, noise = (np.stack(a) for a in zip(*draws))
-        else:
-            if (k - 1) % chunk == 0:
-                m = min(chunk, steps[-1] - k + 1)
-                block = np.empty((num_chains, m) + x0.shape)
-                for c, g in enumerate(gens):
-                    block[c] = space.gaussian(g, size=m)
-            grads, noise = smooth.full_gradient_batch(xs), block[:, (k - 1) % chunk]
-        if sampler == "myula":
-            lam = cfg.myula_lambda
-            grads = grads + (xs - nonsmooth.prox_batch(lam, xs)) / lam
-        xs = xs - gamma * grads + noise_scale * noise
-        if r_term is not None:
-            xs = np.stack([r_term.prox_sample(gamma, x, g) for x, g in zip(xs, gens)])
-        if sampler not in ("ula", "myula"):
-            xs = nonsmooth.prox_batch(gamma, xs)
-        if not np.isfinite(xs).all():
-            bad = ~np.isfinite(xs.reshape(num_chains, -1)).all(axis=1)
-            raise ChainDivergence(step=k, sampler=sampler, chain=int(np.argmax(bad)))
+    snaps = {0: xs} if 0 in wanted else {}
+    for k, _, xs in _kernel(sampler, smooth, nonsmooth, cfg, space, xs, gens, lipschitz_term,
+                            steps[-1]):
         if k in wanted:
-            snaps[k] = xs.copy()
+            snaps[k] = xs
     return EnsembleResult(
         sampler=sampler,
         num_chains=num_chains,

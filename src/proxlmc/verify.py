@@ -25,7 +25,7 @@ from .potentials import (
     dual_from_primal,
     prox_logdet,
 )
-from .samplers import SamplerConfig, step_psgla, step_projected_langevin, step_spla, step_ula
+from .samplers import SamplerConfig, run_chain
 from .space import FLAT, SYMMETRIC, RngStream, Space, norm, sym_eigendecomposition
 
 
@@ -236,39 +236,17 @@ def suite_reductions(trials: int = 1000, seed: int = 23) -> SuiteResult:
     cfg = SamplerConfig(gamma=0.1, num_steps=steps, seed=seed)
     smooth = Quadratic(np.eye(3) * 0.8, np.zeros(3))
     box = BoxIndicator(-np.ones(3), np.ones(3))
-    zero = ZeroPotential()
     x0 = np.array([0.5, -0.2, 0.3])
-    bad = []
 
-    r1, r2 = RngStream(seed, 0), RngStream(seed, 0)
-    xa, xb = x0.copy(), x0.copy()
-    ok = True
-    for _ in range(steps):
-        xa = step_ula(xa, smooth, cfg, r1)
-        _, xb, _ = step_psgla(xb, smooth, zero, cfg, r2)
-        ok = ok and np.array_equal(xa, xb)
-    if not ok:
-        bad.append("psgla(G=0) != ula")
+    def primal(sampler, g, stream_id):
+        return np.array(run_chain(sampler, smooth, g, cfg, x0, stream_id=stream_id).primal)
 
-    r1, r2 = RngStream(seed, 1), RngStream(seed, 1)
-    xa, xb = x0.copy(), x0.copy()
-    ok = True
-    for _ in range(steps):
-        _, xa, _ = step_psgla(xa, smooth, box, cfg, r1)
-        _, xb, _ = step_projected_langevin(xb, smooth, box, cfg, r2)
-        ok = ok and np.array_equal(xa, xb)
-    if not ok:
-        bad.append("projected != psgla on indicator")
-
-    r1, r2 = RngStream(seed, 2), RngStream(seed, 2)
-    xa, xb = x0.copy(), x0.copy()
-    ok = True
-    for _ in range(steps):
-        _, xa, _ = step_psgla(xa, smooth, box, cfg, r1)
-        _, xb, _ = step_spla(xb, smooth, box, cfg, r2, lipschitz_term=None)
-        ok = ok and np.array_equal(xa, xb)
-    if not ok:
-        bad.append("spla(R=0) != psgla")
+    reductions = [
+        ("psgla(G=0) != ula", ("ula", ZeroPotential(), 0), ("psgla", ZeroPotential(), 0)),
+        ("projected != psgla on indicator", ("psgla", box, 1), ("projected", box, 1)),
+        ("spla(R=0) != psgla", ("psgla", box, 2), ("spla", box, 2)),
+    ]
+    bad = [msg for msg, a, b in reductions if not np.array_equal(primal(*a), primal(*b))]
 
     passed = not bad
     return SuiteResult(

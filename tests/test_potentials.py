@@ -23,9 +23,7 @@ from proxlmc import (
     coordinate_absolute_term,
     diagonal_absolute_term,
     dual_from_primal,
-    moreau_gradient,
     norm,
-    prox_box,
     prox_logbarrier_scalar,
     prox_logdet,
     prox_psd,
@@ -51,9 +49,9 @@ def test_prox_box_values():
     lo = np.array([-1.0, 0.0, -np.inf])
     hi = np.array([1.0, np.inf, 0.0])
     x = np.array([3.0, -2.0, 5.0])
-    assert np.array_equal(prox_box(0.5, x, lo, hi), [1.0, 0.0, 0.0])
+    assert np.array_equal(BoxIndicator(lo, hi).prox(0.5, x), [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        prox_box(0.5, x, np.array([1.0]), np.array([0.0]))
+        BoxIndicator(np.array([1.0]), np.array([0.0])).prox(0.5, x)
 
 
 def test_prox_psd_clips_negative_eigenvalues():
@@ -394,8 +392,8 @@ def test_absolute_value_prox_and_subgradient():
 def test_moreau_gradient_of_box():
     g = BoxIndicator(np.array([-1.0]), np.array([1.0]))
     x = np.array([3.0])
-    assert np.allclose(moreau_gradient(0.5, x, g), (x - 1.0) / 0.5)
-    assert np.array_equal(moreau_gradient(0.5, np.array([0.2]), g), [0.0])
+    assert np.allclose(dual_from_primal(0.5, x, g), (x - 1.0) / 0.5)
+    assert np.array_equal(dual_from_primal(0.5, np.array([0.2]), g), [0.0])
 
 
 @given(
@@ -406,7 +404,7 @@ def test_moreau_gradient_of_box():
 def test_moreau_gradient_is_lipschitz(xs, ys, lam):
     g = AbsoluteValue(1.0)
     a, b = np.array(xs), np.array(ys)
-    ga, gb = moreau_gradient(lam, a, g), moreau_gradient(lam, b, g)
+    ga, gb = dual_from_primal(lam, a, g), dual_from_primal(lam, b, g)
     assert norm(ga - gb) <= (1.0 / lam) * norm(a - b) + 1e-9
 
 
@@ -580,6 +578,40 @@ def test_precision_likelihood_stochastic_gradient():
 def test_precision_likelihood_validates_dimensions():
     with pytest.raises(ValueError):
         PrecisionLikelihood(np.zeros((3, 2)), 3)
+
+
+def _smooth_catalog(d, rng):
+    """Every smooth potential with a d-dimensional point, and that point's shape."""
+    b = rng.standard_normal((d, d))
+    data = rng.standard_normal((7, d))
+    out = [
+        (ZeroSmooth(), (d,)),
+        (Quadratic(b @ b.T, rng.standard_normal(d)), (d,)),
+        (QuadraticSum(data), (d,)),
+        (PrecisionLikelihood(data, d), (1,) if d == 1 else (d, d)),
+    ]
+    if d > 1:
+        out.append((ZeroSmooth(), (d, d)))
+    return out
+
+
+@given(
+    st.sampled_from([1, 2, 3, 5, 10]),
+    st.integers(min_value=1, max_value=70),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gradient_batch_rows_equal_single_gradients_bitwise(d, n, seed):
+    """Chain c of an ensemble sees exactly the gradient the chain run alone
+    sees: full_gradient_batch(xs)[c] == full_gradient(xs[c]), bit for bit,
+    whatever the batch size."""
+    rng = RngStream(seed, d)
+    for f, shape in _smooth_catalog(d, rng):
+        xs = rng.standard_normal((n,) + shape) * 10.0 ** (6.0 * rng.uniform() - 3.0)
+        if len(shape) == 2:
+            xs = (xs + np.swapaxes(xs, -1, -2)) / 2.0
+        batch = f.full_gradient_batch(xs)
+        for c in range(n):
+            assert np.array_equal(batch[c], f.full_gradient(xs[c])), type(f).__name__
 
 
 # ---------------------------------------------------------------------------

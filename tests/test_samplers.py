@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -22,11 +25,9 @@ from proxlmc import (
     run_ensemble,
     step_psgla,
     step_size_warning,
-    step_spla,
-    step_ula,
     tune_for_epsilon,
 )
-from proxlmc.space import FLAT
+from proxlmc.space import FLAT, SYMMETRIC
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +82,15 @@ def test_psgla_step_reproduces_its_formula(box_quadratic):
 
 def test_dual_consistency_of_prox_steps(box_quadratic):
     smooth, box = box_quadratic
-    cfg = SamplerConfig(gamma=0.35, num_steps=1, seed=4)
+    cfg = SamplerConfig(gamma=0.35, num_steps=50, seed=4, record_duals=True)
     term = coordinate_absolute_term(0.5, 2)
-    rng_a, rng_b = RngStream(4, 0), RngStream(4, 1)
-    x = np.array([0.1, 0.2])
-    for _ in range(50):
-        x_half, x_new, y_new = step_psgla(x, smooth, box, cfg, rng_a)
-        assert np.allclose(x_half, x_new + cfg.gamma * y_new, atol=1e-14)
-        x_half, x_new, y_new = step_spla(x, smooth, box, cfg, rng_b, lipschitz_term=term)
-        assert np.allclose(x_half, x_new + cfg.gamma * y_new, atol=1e-14)
-        x = x_new
+    x0 = np.array([0.1, 0.2])
+    psgla = run_chain("psgla", smooth, box, cfg, x0, stream_id=0)
+    spla = run_chain("spla", smooth, box, cfg, x0, lipschitz_term=term, stream_id=1)
+    for trace in (psgla, spla):
+        assert len(trace.duals) == 50
+        for x_half, x_new, y_new in zip(trace.half_steps, trace.primal, trace.duals):
+            assert np.allclose(x_half, x_new + cfg.gamma * y_new, atol=1e-14)
 
 
 def test_reduction_chains_are_bitwise(box_quadratic):
@@ -214,6 +214,41 @@ def test_non_finite_start_rejected(driver, x0):
             run_chain("psgla", ZeroSmooth(), g, cfg, x0)
         else:
             run_ensemble("psgla", ZeroSmooth(), g, cfg, 3, [10], x0)
+
+
+_MISMATCHES = {  # (F, G, x0, the shape the mismatched term acts on)
+    "3d-box-on-flat-2": (
+        ZeroSmooth(), BoxIndicator(-np.ones(3), np.ones(3)), np.zeros(2), (3,)
+    ),
+    "3d-quadratic-on-flat-2": (
+        Quadratic(np.eye(3), np.zeros(3)), BoxIndicator(-np.ones(2), np.ones(2)), np.zeros(2),
+        (3,),
+    ),
+    "2d-box-on-sym-2": (ZeroSmooth(), BoxIndicator(-np.ones(2), np.ones(2)), np.eye(2), (2,)),
+    "psd-3-on-sym-2": (ZeroSmooth(), PsdIndicator(3), np.eye(2), (3, 3)),
+    "log-barrier-3-on-sym-2": (
+        ZeroSmooth(), SpectralLogBarrier(2.0, 0.5, 3), np.eye(2), (3, 3)
+    ),
+    "3d-data-on-flat-2": (QuadraticSum(np.zeros((4, 3))), ZeroPotential(), np.zeros(2), (3,)),
+    "precision-3-on-sym-2": (
+        PrecisionLikelihood(np.ones((4, 3)), 3), PsdIndicator(2), np.eye(2), (3, 3)
+    ),
+}
+
+
+@pytest.mark.parametrize("driver", ["chain", "ensemble"])
+@pytest.mark.parametrize("case", sorted(_MISMATCHES))
+def test_dimension_mismatch_rejected_before_step_1(case, driver):
+    """A potential of another dimension than the chain fails at start-up with
+    both shapes named, not with a broadcast error or a silent clamp by column."""
+    smooth, g, x0, shape = _MISMATCHES[case]
+    cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
+    named = re.escape(f"{shape}") + ".*" + re.escape(f"x0 has shape {x0.shape}")
+    with pytest.raises(ValueError, match=named):
+        if driver == "chain":
+            run_chain("psgla", smooth, g, cfg, x0)
+        else:
+            run_ensemble("psgla", smooth, g, cfg, 3, [10], x0)
 
 
 def test_duals_recorded_only_on_request(box_quadratic):
@@ -375,6 +410,11 @@ def _flat_problem():
 @pytest.mark.parametrize(
     "sampler, space, minibatch, term",
     [
+        ("ula", "flat", "full", None),
+        ("psgla", "flat", "full", None),
+        ("projected", "flat", "full", None),
+        ("myula", "flat", "full", None),
+        ("spla", "flat", "full", coordinate_absolute_term),
         ("ula", "sym", "full", None),
         ("psgla", "sym", "full", None),
         ("projected", "sym", "full", None),
@@ -390,7 +430,7 @@ def test_batched_ensemble_matches_per_chain_runs(sampler, space, minibatch, term
     or per-step draws for minibatches and multi-component R) replays the
     chains run one by one, bit for bit, on both spaces."""
     smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
-    if sampler == "projected":
+    if sampler == "projected" and space == "sym":
         g = PsdIndicator(3)
     r = term(0.4, x0.shape[0]) if term else None
     cfg = SamplerConfig(0.02, 25, seed=21, minibatch=minibatch, myula_lambda=0.3)
@@ -400,6 +440,68 @@ def test_batched_ensemble_matches_per_chain_runs(sampler, space, minibatch, term
         assert np.array_equal(res.snapshot(0)[c], x0)
         assert np.array_equal(res.snapshot(7)[c], trace.primal[6])
         assert np.array_equal(res.snapshot(25)[c], trace.primal[24])
+
+
+@pytest.mark.parametrize("d", [2, 5, 10])
+@pytest.mark.parametrize("sampler", ["ula", "psgla", "projected", "myula", "spla"])
+def test_ensemble_matches_chains_on_a_non_diagonal_quadratic(sampler, d):
+    """A dense H puts a d-term sum in every gradient coordinate; the batch
+    and the lone chain must still form it the same way."""
+    rng = RngStream(22, d)
+    b = rng.standard_normal((d, d))
+    f = Quadratic(b @ b.T / d + 0.5 * np.eye(d), rng.standard_normal(d))
+    g = BoxIndicator(-5.0 * np.ones(d), 5.0 * np.ones(d))
+    r = coordinate_absolute_term(0.3, d) if sampler == "spla" else None
+    cfg = SamplerConfig(0.5 / f.L, 50, seed=23, myula_lambda=0.3)
+    x0 = np.full(d, 0.1)
+    res = run_ensemble(sampler, f, g, cfg, 4, [50], x0, lipschitz_term=r)
+    for c in range(4):
+        trace = run_chain(sampler, f, g, cfg, x0, lipschitz_term=r, stream_id=c)
+        assert np.array_equal(res.snapshot(50)[c], trace.primal[-1])
+
+
+def _reference_chain(sampler, smooth, g, cfg, x0, r_term):
+    """The update equations of the samplers module docstring, one step at a
+    time on one point: [(x_half, x_new)] per step, x_half None for ula and
+    myula.  Draw order per step: minibatch indices, noise, R index."""
+    rng = RngStream(cfg.seed, 0)
+    space = Space(FLAT if x0.ndim == 1 else SYMMETRIC, x0.shape[0])
+    lam, x, out = cfg.myula_lambda, x0, []
+    for _ in range(cfg.num_steps):
+        grad = smooth.stochastic_gradient(x, rng, cfg.minibatch)
+        if sampler == "myula":
+            grad = grad + (x - g.prox(lam, x)) / lam
+        x_half = x - cfg.gamma * grad + math.sqrt(2.0 * cfg.gamma) * space.gaussian(rng)
+        if sampler == "spla":
+            x_half = r_term.prox_sample(cfg.gamma, x_half, rng)
+        if sampler in ("ula", "myula"):
+            x, x_half = x_half, None
+        else:
+            x = g.prox(cfg.gamma, x_half)
+        out.append((x_half, x))
+    return out
+
+
+@pytest.mark.parametrize("minibatch", ["full", 2])
+@pytest.mark.parametrize("space", ["flat", "sym"])
+@pytest.mark.parametrize("sampler", ["ula", "psgla", "projected", "myula", "spla"])
+def test_run_chain_matches_the_reference_update_bitwise(sampler, space, minibatch):
+    """run_chain, which shares its kernel with run_ensemble, against the
+    per-step updates written out independently."""
+    smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
+    if sampler == "projected" and space == "sym":
+        g = PsdIndicator(3)
+    term = diagonal_absolute_term if space == "sym" else coordinate_absolute_term
+    r = term(0.4, x0.shape[0])
+    cfg = SamplerConfig(0.02, 30, seed=24, minibatch=minibatch, myula_lambda=0.3)
+    trace = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r)
+    ref = _reference_chain(sampler, smooth, g, cfg, x0, r)
+    assert len(trace.primal) == len(ref) == 30
+    for k, (x_half, x_new) in enumerate(ref):
+        assert np.array_equal(trace.primal[k], x_new)
+        if x_half is not None:
+            assert np.array_equal(trace.half_steps[k], x_half)
+    assert len(trace.half_steps) == (0 if sampler in ("ula", "myula") else 30)
 
 
 def test_ula_ensemble_reaches_the_biased_stationary_variance():
