@@ -26,8 +26,7 @@ from .potentials import (
     AbsoluteValue,
     BoxIndicator,
     ConjugateUnavailable,
-    CoordinateAbsolute,
-    DiagonalAbsolute,
+    EntryAbsolute,
     LipschitzProxTerm,
     LogBarrier,
     NonsmoothPotential,
@@ -40,8 +39,6 @@ from .potentials import (
     ZeroPotential,
     ZeroSmooth,
     build_gamma_potential,
-    build_precision_likelihood,
-    build_quadratic_sum,
     coordinate_absolute_term,
     diagonal_absolute_term,
     dual_from_primal,

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .experiments import (
 from .potentials import coordinate_absolute_term, diagonal_absolute_term
 from .samplers import (
     SAMPLER_IDS,
-    ChainDivergence,
     SamplerConfig,
     run_chain,
     run_ensemble,
@@ -69,84 +68,83 @@ class ConfigError(ValueError):
     """Invalid run configuration; maps to exit code 2."""
 
 
-_COMMON_KEYS = {
-    "experiment", "sampler", "gamma", "num_steps", "burn_in", "minibatch",
-    "myula_lambda", "seed", "record_every", "record_duals", "num_chains",
-    "snapshot_steps", "out", "x0", "spla_r_weight",
-}
+def _require(condition, message):
+    if not condition:
+        raise ConfigError(message)
+
+
+@dataclass(kw_only=True)
+class RunConfig(SamplerConfig):
+    """A CLI run: the sampler config plus the experiment, ensemble and output
+    fields.  Construction checks every range and raises ConfigError."""
+
+    experiment: str
+    sampler: str = "psgla"
+    num_chains: int = 1  # >= 2 adds ensemble snapshots
+    snapshot_steps: list
+    out: str | None = None
+    x0: float | None = None  # fills a vector or scales the identity
+    spla_r_weight: float | None = None
+    # the experiment's own fields; _EXPERIMENT_KEYS says which apply
+    d: int = 1
+    nu: float
+    n: int = 50
+    data_seed: int = 1
+    mean: float = 0.0
+    lo: float = -1.0
+    hi: float = 1.0
+
+    def __post_init__(self):
+        try:
+            super().__post_init__()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        _require(self.experiment in EXPERIMENT_IDS,
+                 f"experiment must be one of {EXPERIMENT_IDS}, got {self.experiment!r}")
+        _require(self.sampler in SAMPLER_IDS,
+                 f"sampler must be one of {SAMPLER_IDS}, got {self.sampler!r}")
+        if self.sampler == "myula":
+            _require(self.myula_lambda is not None,
+                     "sampler 'myula' requires the config field myula_lambda")
+            _require(self.myula_lambda > 0, "myula_lambda must be > 0")
+        else:
+            _require(self.myula_lambda is None,
+                     "myula_lambda is only meaningful for sampler 'myula'")
+        if self.spla_r_weight is not None:
+            _require(self.sampler == "spla", "spla_r_weight is only meaningful for sampler 'spla'")
+            _require(self.spla_r_weight >= 0, "spla_r_weight must be >= 0")
+        _require(self.num_chains >= 1, "num_chains must be >= 1")
+
+        self.snapshot_steps = steps = sorted(self.snapshot_steps)
+        _require(steps, "snapshot_steps must be a non-empty list of step indices")
+        _require(steps[0] >= 1 and steps[-1] <= self.num_steps,
+                 "snapshot steps must lie in [1, num_steps]")
+        _require(steps[0] > self.burn_in, "snapshot steps must lie strictly after burn_in")
+        _require(len(set(steps)) == len(steps), "snapshot steps must be distinct")
+
+        _require(self.d >= 1, "d must be >= 1")
+        _require(self.n >= 1, "n must be >= 1")
+        if self.experiment == "trunc-gauss":
+            _require(self.lo < self.hi, "trunc-gauss needs lo < hi")
+            return
+        # The Wishart prior needs nu > d - 1, and the target's log-barrier
+        # weight alpha = ((nu + n) - d - 1)/2 must be >= 0 for it to be
+        # normalizable; wishart-mean-1d's barrier is the prior's, so n is 0.
+        _require(self.nu > self.d - 1,
+                 f"{self.experiment} needs nu > d - 1 = {self.d - 1}, got nu = {self.nu}")
+        n = self.n if self.experiment == "wishart-precision" else 0
+        alpha = ((self.nu + n) - self.d - 1) / 2.0
+        _require(alpha >= 0, f"{self.experiment} needs nu >= {self.d + 1 - n}, got nu = "
+                 f"{self.nu}: the log-barrier weight alpha would be {alpha} < 0")
+
+
 _EXPERIMENT_KEYS = {
     "trunc-gauss": {"mean", "lo", "hi"},
     "wishart-mean-1d": {"nu", "n", "data_seed"},
     "wishart-precision": {"d", "nu", "n", "data_seed"},
 }
-
-
-@dataclass
-class RunConfig:
-    experiment: str
-    sampler: str
-    gamma: float
-    num_steps: int
-    burn_in: int
-    minibatch: object
-    myula_lambda: float | None
-    seed: int
-    record_every: int
-    record_duals: bool
-    num_chains: int
-    snapshot_steps: list
-    out: str | None
-    x0: float | None
-    spla_r_weight: float | None
-    d: int
-    nu: float
-    n: int
-    data_seed: int
-    mean: float
-    lo: float
-    hi: float
-
-    def sampler_config(self) -> SamplerConfig:
-        return SamplerConfig(
-            gamma=self.gamma,
-            num_steps=self.num_steps,
-            burn_in=self.burn_in,
-            minibatch=self.minibatch,
-            myula_lambda=self.myula_lambda,
-            seed=self.seed,
-            record_every=self.record_every,
-            record_duals=self.record_duals,
-        )
-
-    def echo(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "sampler": self.sampler,
-            "gamma": self.gamma,
-            "num_steps": self.num_steps,
-            "burn_in": self.burn_in,
-            "minibatch": self.minibatch,
-            "myula_lambda": self.myula_lambda,
-            "seed": self.seed,
-            "record_every": self.record_every,
-            "record_duals": self.record_duals,
-            "num_chains": self.num_chains,
-            "snapshot_steps": list(self.snapshot_steps),
-            "x0": self.x0,
-            "spla_r_weight": self.spla_r_weight,
-            "d": self.d,
-            "nu": self.nu,
-            "n": self.n,
-            "data_seed": self.data_seed,
-            "mean": self.mean,
-            "lo": self.lo,
-            "hi": self.hi,
-        }
-
-
-def _require(condition, message):
-    if not condition:
-        raise ConfigError(message)
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_COMMON_KEYS = set(_FIELD_TYPES).difference(*_EXPERIMENT_KEYS.values())
 
 
 def _as_number(raw, key):
@@ -159,6 +157,35 @@ def _as_number(raw, key):
 def _as_int(raw, key):
     _require(isinstance(raw, int) and not isinstance(raw, bool), f"{key} must be an integer")
     return int(raw)
+
+
+def _as_bool(raw, key):
+    _require(isinstance(raw, bool), f"{key} must be a boolean")
+    return raw
+
+
+def _as_steps(raw, key):
+    _require(isinstance(raw, list), f"{key} must be a non-empty list of step indices")
+    return [_as_int(s, f"{key} entry") for s in raw]
+
+
+def _as_path(raw, key):
+    _require(raw is None or isinstance(raw, str), f"{key} must be a string path")
+    return raw
+
+
+# JSON type checks by declared field type.  experiment and sampler pass as
+# they are: RunConfig checks them against their ids.
+_COERCE = {
+    "int": _as_int,
+    "float": _as_number,
+    "float | None": lambda raw, key: None if raw is None else _as_number(raw, key),
+    "int | str": lambda raw, key: raw if raw == "full" else _as_int(raw, key),
+    "bool": _as_bool,
+    "list": _as_steps,
+    "str": lambda raw, key: raw,
+    "str | None": _as_path,
+}
 
 
 def load_config(path: str) -> dict:
@@ -175,104 +202,29 @@ def load_config(path: str) -> dict:
 
 
 def resolve_config(raw: dict, seed_override=None, chains_override=None) -> RunConfig:
-    """Validate a raw config dict and fill defaults.  Unknown keys error."""
+    """Type-check a raw config dict and fill its experiment-dependent defaults;
+    RunConfig fills the rest and checks the ranges.  Unknown keys error."""
     experiment = raw.get("experiment")
     _require(experiment in EXPERIMENT_IDS,
              f"experiment must be one of {EXPERIMENT_IDS}, got {experiment!r}")
-    allowed = _COMMON_KEYS | _EXPERIMENT_KEYS[experiment]
-    unknown = set(raw) - allowed
+    unknown = set(raw) - _COMMON_KEYS - _EXPERIMENT_KEYS[experiment]
     _require(not unknown,
              f"unknown config keys for {experiment}: {sorted(unknown)}")
-
-    sampler = raw.get("sampler", "psgla")
-    _require(sampler in SAMPLER_IDS, f"sampler must be one of {SAMPLER_IDS}, got {sampler!r}")
-
-    d = _as_int(raw.get("d", 1), "d") if "d" in raw else 1
-    _require(d >= 1, "d must be >= 1")
+    overrides = {"seed": seed_override, "num_chains": chains_override}
+    kw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+    kw = {key: _COERCE[_FIELD_TYPES[key]](value, key) for key, value in kw.items()}
 
     default_gamma = {"trunc-gauss": 0.1, "wishart-mean-1d": 0.01, "wishart-precision": 0.1}
-    gamma = _as_number(raw.get("gamma", default_gamma[experiment]), "gamma")
-    _require(gamma > 0, "gamma must be a finite number > 0")
-
-    if "num_steps" in raw:
-        num_steps = _as_int(raw["num_steps"], "num_steps")
-    elif experiment == "trunc-gauss":
-        num_steps = int(math.ceil(10.0 / gamma))
-    else:
-        num_steps = 10000
-    _require(num_steps >= 1, "num_steps must be >= 1")
-
-    burn_in = _as_int(raw.get("burn_in", 0), "burn_in")
-    _require(0 <= burn_in < num_steps, "burn_in must satisfy 0 <= burn_in < num_steps")
-
-    minibatch = raw.get("minibatch", "full")
-    if minibatch != "full":
-        minibatch = _as_int(minibatch, "minibatch")
-        _require(minibatch >= 1, "minibatch must be 'full' or an integer >= 1")
-
-    myula_lambda = raw.get("myula_lambda")
-    if sampler == "myula":
-        _require(myula_lambda is not None,
-                 "sampler 'myula' requires the config field myula_lambda")
-        myula_lambda = _as_number(myula_lambda, "myula_lambda")
-        _require(myula_lambda > 0, "myula_lambda must be > 0")
-    elif myula_lambda is not None:
-        raise ConfigError("myula_lambda is only meaningful for sampler 'myula'")
-
-    spla_r_weight = raw.get("spla_r_weight")
-    if spla_r_weight is not None:
-        _require(sampler == "spla", "spla_r_weight is only meaningful for sampler 'spla'")
-        spla_r_weight = _as_number(spla_r_weight, "spla_r_weight")
-        _require(spla_r_weight >= 0, "spla_r_weight must be >= 0")
-
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    seed = _as_int(seed, "seed")
-    num_chains = chains_override if chains_override is not None else raw.get("num_chains", 1)
-    num_chains = _as_int(num_chains, "num_chains")
-    _require(num_chains >= 1, "num_chains must be >= 1")
-
-    record_every = _as_int(raw.get("record_every", 1), "record_every")
-    _require(record_every >= 1, "record_every must be >= 1")
-    record_duals = raw.get("record_duals", False)
-    _require(isinstance(record_duals, bool), "record_duals must be a boolean")
-
-    snapshot_steps = raw.get("snapshot_steps", [num_steps])
-    _require(isinstance(snapshot_steps, list) and snapshot_steps,
-             "snapshot_steps must be a non-empty list of step indices")
-    snapshot_steps = sorted(_as_int(s, "snapshot_steps entry") for s in snapshot_steps)
-    _require(snapshot_steps[0] >= 1 and snapshot_steps[-1] <= num_steps,
-             "snapshot steps must lie in [1, num_steps]")
-    _require(snapshot_steps[0] > burn_in,
-             "snapshot steps must lie strictly after burn_in")
-    _require(len(set(snapshot_steps)) == len(snapshot_steps), "snapshot steps must be distinct")
-
-    out = raw.get("out")
-    if out is not None:
-        _require(isinstance(out, str), "out must be a string path")
-
-    x0 = raw.get("x0")
-    if x0 is not None:
-        x0 = _as_number(x0, "x0")
-
-    nu_default = {"trunc-gauss": 4.0, "wishart-mean-1d": 3.0, "wishart-precision": d + 4.0}
-    nu = _as_number(raw.get("nu", nu_default[experiment]), "nu")
-    n = _as_int(raw.get("n", 50), "n")
-    _require(n >= 1, "n must be >= 1")
-    data_seed = _as_int(raw.get("data_seed", 1), "data_seed")
-
-    mean = _as_number(raw.get("mean", 0.0), "mean")
-    lo = _as_number(raw.get("lo", -1.0), "lo")
-    hi = _as_number(raw.get("hi", 1.0), "hi")
-    if experiment == "trunc-gauss":
-        _require(lo < hi, "trunc-gauss needs lo < hi")
-
-    return RunConfig(
-        experiment=experiment, sampler=sampler, gamma=gamma, num_steps=num_steps,
-        burn_in=burn_in, minibatch=minibatch, myula_lambda=myula_lambda, seed=seed,
-        record_every=record_every, record_duals=record_duals, num_chains=num_chains,
-        snapshot_steps=snapshot_steps, out=out, x0=x0, spla_r_weight=spla_r_weight,
-        d=d, nu=nu, n=n, data_seed=data_seed, mean=mean, lo=lo, hi=hi,
-    )
+    gamma = kw.setdefault("gamma", default_gamma[experiment])
+    if "num_steps" not in kw and experiment == "trunc-gauss":
+        _require(gamma > 0, "gamma must be a finite number > 0")
+        kw["num_steps"] = int(math.ceil(10.0 / gamma))
+    kw.setdefault("num_steps", 10000)
+    kw.setdefault("snapshot_steps", [kw["num_steps"]])
+    nu_default = {"trunc-gauss": 4.0, "wishart-mean-1d": 3.0,
+                  "wishart-precision": kw.get("d", 1) + 4.0}
+    kw.setdefault("nu", nu_default[experiment])
+    return RunConfig(**kw)
 
 
 def _build(cfg: RunConfig):
@@ -385,7 +337,7 @@ def _write_manifest(out_dir, command, cfg, warn_flag, wall_time, filenames):
     manifest = {
         "command": command,
         "artifact_version": _artifact_version(),
-        "config": cfg.echo(),
+        "config": {k: v for k, v in asdict(cfg).items() if k != "out"},
         "step_size_warning": bool(warn_flag),
         "wall_time_s": wall_time,
         "outputs": {name: _digest(os.path.join(out_dir, name)) for name in filenames},
@@ -416,7 +368,7 @@ def cmd_sample(cfg: RunConfig, out_dir: str) -> int:
     assembled, lipschitz, x0 = _build(cfg)
     t0 = time.perf_counter()
     trace = run_chain(
-        cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg.sampler_config(),
+        cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg,
         x0, lipschitz_term=lipschitz, stream_id=0,
     )
     include_duals = cfg.record_duals and len(trace.duals) == len(trace.primal) and len(trace.duals) > 0
@@ -446,7 +398,7 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
     assembled, lipschitz, x0 = _build(cfg)
     t0 = time.perf_counter()
     trace = run_chain(
-        cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg.sampler_config(),
+        cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg,
         x0, lipschitz_term=lipschitz, stream_id=0,
         mean_checkpoints=cfg.snapshot_steps,
     )
@@ -502,7 +454,7 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
 
     if assembled.quantile_oracle is not None and cfg.num_chains >= 2:
         ensemble = run_ensemble(
-            cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg.sampler_config(),
+            cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg,
             cfg.num_chains, cfg.snapshot_steps, x0, lipschitz_term=lipschitz,
         )
         report["snapshots"] = [
@@ -579,9 +531,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except ChainDivergence as err:
-        print(f"runtime error: {err}", file=sys.stderr)
-        return 1
     except (RuntimeError, OSError, ValueError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 1

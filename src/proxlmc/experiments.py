@@ -30,12 +30,11 @@ from scipy import special
 
 from .potentials import (
     BoxIndicator,
-    LipschitzProxTerm,
     NonsmoothPotential,
+    PrecisionLikelihood,
+    QuadraticSum,
     SmoothPotential,
     build_gamma_potential,
-    build_precision_likelihood,
-    build_quadratic_sum,
 )
 from .diagnostics import QuantileOracle
 from .space import FLAT, SYMMETRIC, RngStream, Space
@@ -191,7 +190,6 @@ class AssembledExperiment:
     space: Space
     smooth: SmoothPotential
     nonsmooth: NonsmoothPotential
-    lipschitz_term: Optional[LipschitzProxTerm] = None
     quantile_oracle: Optional[QuantileOracle] = None
     ground_truth: Optional[GroundTruth] = None
 
@@ -206,7 +204,7 @@ class AssembledExperiment:
 def assemble_experiment(spec) -> AssembledExperiment:
     """Wire a spec into (space, F, G, references)."""
     if isinstance(spec, TruncGaussSpec):
-        smooth = build_quadratic_sum(np.array([[spec.mean]]))
+        smooth = QuadraticSum(np.array([[spec.mean]]))
         nonsmooth = BoxIndicator(np.array([spec.lo]), np.array([spec.hi]))
         oracle = QuantileOracle(
             quantile=lambda u: trunc_gauss_quantile(spec, u),
@@ -225,14 +223,14 @@ def assemble_experiment(spec) -> AssembledExperiment:
             stacklevel=2,
         )
     if spec.kind == "mean-1d":
-        smooth = build_quadratic_sum(spec.data)
+        smooth = QuadraticSum(spec.data)
         nonsmooth = build_gamma_potential(spec.nu, 0, 1)
         return AssembledExperiment(
             space=Space(FLAT, 1), smooth=smooth, nonsmooth=nonsmooth
         )
     # precision
     truth = posterior_ground_truth(spec)
-    smooth = build_precision_likelihood(spec.data, spec.d)
+    smooth = PrecisionLikelihood(spec.data, spec.d)
     nonsmooth = build_gamma_potential(spec.nu, spec.n, spec.d)
     oracle = None
     if spec.d == 1:

@@ -354,12 +354,22 @@ class AbsoluteValue(NonsmoothPotential):
         return 0.0 if np.max(np.abs(y), initial=0.0) <= self.weight + 1e-12 else np.inf
 
 
-class CoordinateAbsolute(NonsmoothPotential):
-    """w * |x_j| for a single flat coordinate j; prox soft-thresholds it."""
+class EntryAbsolute(NonsmoothPotential):
+    """w * |x[index]| for one entry of a point; the prox soft-thresholds it.
 
-    def __init__(self, weight: float, index: int):
+    index is a tuple: (j,) names a flat coordinate, (j, j) a diagonal entry
+    of a symmetric matrix, which the prox keeps symmetric.
+    """
+
+    def __init__(self, weight: float, index):
         self.weight = float(weight)
-        self.index = int(index)
+        self.index = tuple(int(j) for j in index)
+
+    def fits(self, shape) -> bool:
+        """True when index names an entry of points of this shape."""
+        return len(self.index) == len(shape) and all(
+            0 <= j < n for j, n in zip(self.index, shape)
+        )
 
     def evaluate(self, x):
         return float(self.weight * abs(np.asarray(x, dtype=float)[self.index]))
@@ -375,36 +385,9 @@ class CoordinateAbsolute(NonsmoothPotential):
         return True
 
     def subgradient_min(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
         out[self.index] = self.weight * np.sign(x[self.index])
-        return out
-
-
-class DiagonalAbsolute(NonsmoothPotential):
-    """w * |x[j,j]| for a symmetric-matrix point; prox soft-thresholds that entry."""
-
-    def __init__(self, weight: float, index: int):
-        self.weight = float(weight)
-        self.index = int(index)
-
-    def evaluate(self, x):
-        return float(self.weight * abs(np.asarray(x, dtype=float)[self.index, self.index]))
-
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        out = np.asarray(x, dtype=float).copy()
-        j = self.index
-        s = out[j, j]
-        out[j, j] = np.sign(s) * max(abs(s) - gamma * self.weight, 0.0)
-        return out
-
-    def in_domain(self, x):
-        return True
-
-    def subgradient_min(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        j = self.index
-        out[j, j] = self.weight * np.sign(x[j, j])
         return out
 
 
@@ -440,13 +423,13 @@ class LipschitzProxTerm:
 
 def diagonal_absolute_term(weight: float, d: int) -> LipschitzProxTerm:
     """R(x) = (w/d) sum_j |x_jj| as a stochastic prox term on d x d matrices."""
-    comps = [DiagonalAbsolute(weight, j) for j in range(d)]
+    comps = [EntryAbsolute(weight, (j, j)) for j in range(d)]
     return LipschitzProxTerm(comps, M=weight)
 
 
 def coordinate_absolute_term(weight: float, d: int) -> LipschitzProxTerm:
     """Flat-space analogue of :func:`diagonal_absolute_term`."""
-    comps = [CoordinateAbsolute(weight, j) for j in range(d)]
+    comps = [EntryAbsolute(weight, (j,)) for j in range(d)]
     return LipschitzProxTerm(comps, M=weight)
 
 
@@ -522,6 +505,8 @@ class Quadratic(SmoothPotential):
         w = np.linalg.eigvalsh(h)
         if w[0] < -1e-12 * max(1.0, abs(w[-1])):
             raise ValueError("H must be positive semidefinite")
+        if c.shape != (h.shape[0],):
+            raise ValueError(f"c has shape {c.shape}, but H is {h.shape[0]} x {h.shape[0]}")
         self.h = (h + h.T) / 2.0
         self.c = c
         self.point_shape = (h.shape[0],)
@@ -682,12 +667,3 @@ def build_gamma_potential(nu: float, n: int, d: int):
         return LogBarrier(alpha=alpha, beta=0.5)
     return SpectralLogBarrier(alpha=alpha, beta=0.5, d=d)
 
-
-def build_quadratic_sum(data) -> QuadraticSum:
-    """F(x) = sum_i ||x - D_i||^2 / 2 with L = lambda_f = n."""
-    return QuadraticSum(data)
-
-
-def build_precision_likelihood(data, d: int) -> PrecisionLikelihood:
-    """Linear precision-matrix likelihood F(x) = sum_i tr(D_i D_i^T x) / 2."""
-    return PrecisionLikelihood(data, d)

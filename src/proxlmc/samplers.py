@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import LipschitzProxTerm
+from .potentials import EntryAbsolute, LipschitzProxTerm
 from .space import FLAT, RngStream, Space
 
 SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
@@ -53,7 +53,7 @@ class SamplerConfig:
     gamma: float
     num_steps: int
     burn_in: int = 0
-    minibatch: object = "full"  # int >= 1 or "full"
+    minibatch: int | str = "full"  # int >= 1 or "full"
     myula_lambda: float | None = None
     seed: int = 0
     record_every: int = 1
@@ -118,10 +118,10 @@ def _space_of(x) -> Space:
     raise ValueError(f"cannot infer state space from point of shape {x.shape}")
 
 
-def _prepare(sampler, smooth, nonsmooth, cfg, x0):
+def _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
     """Start-up checks of both drivers, before any step; returns the
     (space, point) of the start x0, which must be finite and of the shape
-    the potentials act on."""
+    the potentials, and for spla the components of the R term, act on."""
     if sampler not in SAMPLER_IDS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_IDS}")
     if sampler == "projected" and not nonsmooth.is_indicator:
@@ -132,11 +132,17 @@ def _prepare(sampler, smooth, nonsmooth, cfg, x0):
     x = space.check_point(x0)
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
-    for term in (smooth, nonsmooth):
+    spla_r = sampler == "spla" and lipschitz_term is not None
+    components = lipschitz_term.components if spla_r else []
+    for term in (smooth, nonsmooth, *components):
         if term.point_shape is not None and term.point_shape != x.shape:
             raise ValueError(
                 f"{type(term).__name__} acts on points of shape {term.point_shape}, "
                 f"but x0 has shape {x.shape}"
+            )
+        if isinstance(term, EntryAbsolute) and not term.fits(x.shape):
+            raise ValueError(
+                f"{type(term).__name__} index {term.index} does not fit x0 of shape {x.shape}"
             )
     if step_size_warning(smooth, cfg.gamma):
         warnings.warn(
@@ -238,7 +244,7 @@ def run_chain(
     track ergodic averages without keeping every iterate.  Aborts with
     ChainDivergence on the first non-finite iterate.
     """
-    space, x = _prepare(sampler, smooth, nonsmooth, cfg, x0)
+    space, x = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
     checkpoints = sorted(int(s) for s in mean_checkpoints)
     if checkpoints and not cfg.burn_in < checkpoints[0] <= checkpoints[-1] <= cfg.num_steps:
         raise ValueError(f"mean checkpoints must lie in (burn_in, num_steps], got {checkpoints}")
@@ -293,7 +299,7 @@ def run_ensemble(
     """
     if num_chains < 2:
         raise ValueError(f"an ensemble needs num_chains >= 2, got {num_chains}")
-    space, x0 = _prepare(sampler, smooth, nonsmooth, cfg, x0)
+    space, x0 = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
     steps = sorted(int(s) for s in snapshot_steps)
     if not steps:
         raise ValueError("snapshot_steps must be non-empty")

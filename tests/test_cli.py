@@ -147,6 +147,25 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, body):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"experiment": "wishart-precision", "d": 3, "nu": 1.5},
+        {"experiment": "wishart-precision", "d": 3, "n": 1, "nu": 2.5},
+        {"experiment": "wishart-mean-1d", "nu": 1.0},
+    ],
+    ids=["nu-below-d-1", "negative-alpha", "mean-1d-negative-alpha"],
+)
+def test_unnormalizable_wishart_nu_is_a_config_error(tmp_path, capsys, body):
+    """nu > d - 1 and a log-barrier weight alpha = ((nu + n) - d - 1)/2 >= 0
+    (n = 0 for the prior-only mean-1d barrier) are checked at the boundary."""
+    with pytest.raises(ConfigError, match="nu"):
+        resolve_config(body)
+    cfg = write_config(tmp_path, body)
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_overrides_beat_config_values():
     raw = {"experiment": "trunc-gauss", "seed": 3, "num_chains": 4}
     cfg = resolve_config(raw, seed_override=9, chains_override=16)
@@ -224,6 +243,26 @@ def test_sample_writes_trace_and_manifest(tmp_path):
     assert manifest["outputs"]["trace.csv"] == sha256(out / "trace.csv")
     assert manifest["step_size_warning"] is False
     assert manifest["wall_time_s"] > 0
+
+
+def test_manifest_echoes_every_config_field_but_out(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {"experiment": "wishart-precision", "d": 2, "sampler": "spla", "spla_r_weight": 0.2,
+         "minibatch": 4, "num_steps": 30, "snapshot_steps": [30, 10], "nu": 5,
+         "out": str(tmp_path / "ignored")},
+    )
+    out = tmp_path / "run"
+    assert main(["sample", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {
+        "experiment": "wishart-precision", "sampler": "spla", "gamma": 0.1, "num_steps": 30,
+        "burn_in": 0, "minibatch": 4, "myula_lambda": None, "seed": 3, "record_every": 1,
+        "record_duals": False, "num_chains": 1, "snapshot_steps": [10, 30], "x0": None,
+        "spla_r_weight": 0.2, "d": 2, "nu": 5.0, "n": 50, "data_seed": 1, "mean": 0.0,
+        "lo": -1.0, "hi": 1.0,
+    }
+    assert isinstance(manifest["config"]["nu"], float)
 
 
 def test_sample_matrix_trace_has_flat_coordinates(tmp_path):

@@ -7,8 +7,7 @@ from proxlmc import (
     AbsoluteValue,
     BoxIndicator,
     ConjugateUnavailable,
-    CoordinateAbsolute,
-    DiagonalAbsolute,
+    EntryAbsolute,
     LipschitzProxTerm,
     LogBarrier,
     PrecisionLikelihood,
@@ -413,7 +412,7 @@ def test_moreau_gradient_is_lipschitz(xs, ys, lam):
 # ---------------------------------------------------------------------------
 
 def test_coordinate_absolute_prox_touches_one_coordinate():
-    g = CoordinateAbsolute(2.0, 1)
+    g = EntryAbsolute(2.0, (1,))
     x = np.array([5.0, 5.0, -5.0])
     assert np.allclose(g.prox(1.0, x), [5.0, 3.0, -5.0])
     assert g.evaluate(x) == pytest.approx(10.0)
@@ -421,7 +420,7 @@ def test_coordinate_absolute_prox_touches_one_coordinate():
 
 
 def test_diagonal_absolute_prox_touches_one_diagonal_entry():
-    g = DiagonalAbsolute(2.0, 0)
+    g = EntryAbsolute(2.0, (0, 0))
     m = np.array([[5.0, 1.0], [1.0, -5.0]])
     p = g.prox(1.0, m)
     assert np.allclose(p, [[3.0, 1.0], [1.0, -5.0]])
@@ -483,6 +482,8 @@ def test_quadratic_validation_and_constants():
         Quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
     with pytest.raises(ValueError):
         Quadratic(np.array([[-1.0]]), np.zeros(1))
+    with pytest.raises(ValueError, match=r"c has shape \(2,\), but H is 3 x 3"):
+        Quadratic(np.eye(3), np.zeros(2))
     h = np.array([[2.0, 0.5], [0.5, 1.0]])
     f = Quadratic(h, np.array([1.0, -1.0]))
     w = np.linalg.eigvalsh(h)

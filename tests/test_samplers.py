@@ -251,6 +251,27 @@ def test_dimension_mismatch_rejected_before_step_1(case, driver):
             run_ensemble("psgla", smooth, g, cfg, 3, [10], x0)
 
 
+@pytest.mark.parametrize("driver", ["chain", "ensemble"])
+@pytest.mark.parametrize(
+    "term, index",
+    [(coordinate_absolute_term(0.3, 3), (2,)), (diagonal_absolute_term(0.3, 2), (0, 0))],
+    ids=["3-coordinates-on-flat-2", "diagonal-on-flat-2"],
+)
+def test_r_term_index_mismatch_rejected_before_step_1(term, index, driver):
+    """An R-term component indexing an entry the chain's points lack fails at
+    start-up, naming the index and the shape, not with an IndexError once
+    that component is drawn."""
+    box = BoxIndicator(-np.ones(2), np.ones(2))
+    cfg = SamplerConfig(gamma=0.1, num_steps=50, seed=0)
+    named = re.escape(f"index {index} does not fit x0 of shape (2,)")
+    with pytest.raises(ValueError, match=named):
+        if driver == "chain":
+            run_chain("spla", ZeroSmooth(), box, cfg, np.zeros(2), lipschitz_term=term)
+        else:
+            run_ensemble("spla", ZeroSmooth(), box, cfg, 3, [50], np.zeros(2),
+                         lipschitz_term=term)
+
+
 def test_duals_recorded_only_on_request(box_quadratic):
     smooth, box = box_quadratic
     x0 = np.zeros(2)
