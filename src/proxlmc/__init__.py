@@ -15,12 +15,10 @@ from .space import (
     EigenFailure,
     RngStream,
     Space,
-    flatten_point,
     inner,
     norm,
     spectral_apply,
     sym_eigendecomposition,
-    unflatten_point,
 )
 from .potentials import (
     AbsoluteValue,
@@ -35,6 +33,7 @@ from .potentials import (
     Quadratic,
     QuadraticSum,
     SmoothPotential,
+    Spectral,
     SpectralLogBarrier,
     ZeroPotential,
     ZeroSmooth,
@@ -85,16 +84,6 @@ from .experiments import (
     sample_wishart,
     trunc_gauss_quantile,
 )
-from .verify import (
-    SUITES,
-    SuiteResult,
-    golden_section_min,
-    run_suites,
-    suite_lemma2,
-    suite_moreau,
-    suite_pdpg,
-    suite_reductions,
-    suite_spectral_prox,
-)
+from .verify import SUITES, SuiteResult, run_suites
 
 __all__ = [name for name in dir() if not name.startswith("_")]

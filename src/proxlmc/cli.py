@@ -103,6 +103,12 @@ class RunConfig(SamplerConfig):
                  f"experiment must be one of {EXPERIMENT_IDS}, got {self.experiment!r}")
         _require(self.sampler in SAMPLER_IDS,
                  f"sampler must be one of {SAMPLER_IDS}, got {self.sampler!r}")
+        _require(self.sampler != "projected" or self.experiment == "trunc-gauss",
+                 f"sampler 'projected' needs an indicator G, but {self.experiment}'s G "
+                 "is a log barrier")
+        _require(self.record_every <= self.num_steps - self.burn_in,
+                 f"record_every = {self.record_every} exceeds num_steps - burn_in = "
+                 f"{self.num_steps - self.burn_in}, so no step would be recorded")
         if self.sampler == "myula":
             _require(self.myula_lambda is not None,
                      "sampler 'myula' requires the config field myula_lambda")
@@ -124,6 +130,11 @@ class RunConfig(SamplerConfig):
 
         _require(self.d >= 1, "d must be >= 1")
         _require(self.n >= 1, "n must be >= 1")
+        # Ensemble snapshots are scored against an exact quantile oracle.
+        _require(self.num_chains == 1 or self.experiment == "trunc-gauss"
+                 or (self.experiment == "wishart-precision" and self.d == 1),
+                 f"num_chains >= 2 needs an exact quantile oracle (trunc-gauss or "
+                 f"wishart-precision with d = 1), which {self.experiment} lacks here")
         if self.experiment == "trunc-gauss":
             _require(self.lo < self.hi, "trunc-gauss needs lo < hi")
             return
@@ -452,7 +463,7 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
         _write_convergence_csv(os.path.join(out_dir, "convergence.csv"), conv)
         filenames.append("convergence.csv")
 
-    if assembled.quantile_oracle is not None and cfg.num_chains >= 2:
+    if cfg.num_chains >= 2:  # RunConfig allows chains only with a quantile oracle
         ensemble = run_ensemble(
             cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg,
             cfg.num_chains, cfg.snapshot_steps, x0, lipschitz_term=lipschitz,

@@ -11,15 +11,16 @@ The Moreau identity couples the prox with a dual point,
     y' = (x - prox_{gamma G}(x)) / gamma = prox_{G*/gamma}(x / gamma),
 
 which is what the primal-dual diagnostics consume.  Conjugates G* are
-implemented only where a cheap exact formula exists; log-barrier conjugates
-are flagged unavailable.
+implemented where a cheap exact formula exists; only log barriers with
+alpha > 0 lack one.  Matrix potentials are spectral lifts of scalar ones
+(:class:`Spectral`): a separable scalar term applied to the eigenvalues.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .space import inner, norm, spectral_apply, sym_eigendecomposition
+from .space import norm, spectral_apply, sym_eigendecomposition
 
 _PSD_TOL = 1e-10
 _CONJ_TOL = 1e-8
@@ -38,13 +39,6 @@ def _check_gamma(gamma):
 # prox catalog (free functions)
 # ---------------------------------------------------------------------------
 
-def prox_psd(gamma, m):
-    """Projection onto the positive semidefinite cone (eigenvalue clipping)."""
-    _check_gamma(gamma)
-    # Not np.maximum: clipping keeps a -0.0 eigenvalue as -0.0, like max(t, 0.0).
-    return spectral_apply(lambda w: np.where(w < 0, 0.0, w), m)
-
-
 def prox_logbarrier_scalar(gamma, s, alpha, beta):
     """Prox of g(t) = -alpha log t + beta t on (0, inf), elementwise in s.
 
@@ -58,7 +52,8 @@ def prox_logbarrier_scalar(gamma, s, alpha, beta):
     s = np.asarray(s, dtype=float)
     u = s - gamma * beta
     if alpha == 0:
-        return np.maximum(u, 0.0)
+        # Not np.maximum: clipping keeps a -0.0 input as -0.0, like max(t, 0.0).
+        return np.where(u < 0, 0.0, u)
     root = np.sqrt(u * u + 4.0 * gamma * alpha)
     # Stable in both tails: avoid cancellation when u is very negative.
     return np.where(u > 0, (u + root) / 2.0, 2.0 * gamma * alpha / (root - u))
@@ -69,10 +64,12 @@ def prox_logdet(gamma, m, alpha, beta):
 
     Spectral: apply the scalar log-barrier prox to each eigenvalue.
     """
-    _check_gamma(gamma)
-    if alpha < 0:
-        raise ValueError(f"log-barrier weight alpha must be >= 0, got {alpha}")
     return spectral_apply(lambda w: prox_logbarrier_scalar(gamma, w, alpha, beta), m)
+
+
+def prox_psd(gamma, m):
+    """Projection onto the positive semidefinite cone (eigenvalue clipping)."""
+    return prox_logdet(gamma, m, 0.0, 0.0)
 
 
 def dual_from_primal(gamma, x, g):
@@ -103,7 +100,6 @@ class NonsmoothPotential:
 
     lambda_gstar: float = 0.0
     is_indicator: bool = False
-    has_conjugate: bool = False
     point_shape: tuple | None = None
 
     def evaluate(self, x) -> float:
@@ -111,10 +107,6 @@ class NonsmoothPotential:
 
     def prox(self, gamma, x):
         raise NotImplementedError
-
-    def prox_batch(self, gamma, xs):
-        """Prox applied along the leading axis.  Subclasses vectorize."""
-        return np.stack([self.prox(gamma, x) for x in xs])
 
     def in_domain(self, x) -> bool:
         raise NotImplementedError
@@ -131,7 +123,6 @@ class ZeroPotential(NonsmoothPotential):
     """G identically zero.  prox is the identity; G* is the indicator of 0."""
 
     is_indicator = True
-    has_conjugate = True
 
     def evaluate(self, x):
         return 0.0
@@ -140,9 +131,7 @@ class ZeroPotential(NonsmoothPotential):
         _check_gamma(gamma)
         return np.asarray(x, dtype=float).copy()
 
-    def prox_batch(self, gamma, xs):
-        _check_gamma(gamma)
-        return np.asarray(xs, dtype=float).copy()
+    prox_batch = prox
 
     def in_domain(self, x):
         return True
@@ -158,7 +147,6 @@ class BoxIndicator(NonsmoothPotential):
     """Indicator of the box [lo, hi]; prox is the clamp."""
 
     is_indicator = True
-    has_conjugate = True
 
     def __init__(self, lo, hi):
         lo = np.asarray(lo, dtype=float)
@@ -194,45 +182,6 @@ class BoxIndicator(NonsmoothPotential):
         return float(np.sum(np.maximum(self.lo * y, self.hi * y)))
 
 
-class PsdIndicator(NonsmoothPotential):
-    """Indicator of the positive semidefinite cone."""
-
-    is_indicator = True
-    has_conjugate = True
-
-    def __init__(self, d: int):
-        self.d = d
-        self.point_shape = (d, d)
-
-    def _min_eig(self, x):
-        return float(sym_eigendecomposition(x).eigenvalues[0])
-
-    def evaluate(self, x):
-        return 0.0 if self.in_domain(x) else np.inf
-
-    def prox(self, gamma, x):
-        return prox_psd(gamma, x)
-
-    prox_batch = prox  # one stacked eigendecomposition
-
-    def in_domain(self, x):
-        x = np.asarray(x, dtype=float)
-        tol = _PSD_TOL * max(1.0, float(np.linalg.norm(x)))
-        return self._min_eig(x) >= -tol
-
-    def subgradient_min(self, x):
-        if self._min_eig(x) <= 0:
-            raise ValueError("subgradient of the PSD indicator is defined only on PD interior")
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def conjugate(self, y):
-        """Indicator of the negative semidefinite cone."""
-        y = np.asarray(y, dtype=float)
-        tol = _CONJ_TOL * max(1.0, float(np.linalg.norm(y)))
-        top = float(sym_eigendecomposition(y).eigenvalues[-1])
-        return 0.0 if top <= tol else np.inf
-
-
 class LogBarrier(NonsmoothPotential):
     """Separable log-barrier on the positive orthant:
 
@@ -245,6 +194,7 @@ class LogBarrier(NonsmoothPotential):
             raise ValueError(f"log-barrier weight alpha must be >= 0, got {alpha}")
         self.alpha = float(alpha)
         self.beta = float(beta)
+        self.is_indicator = self.alpha == 0 and self.beta == 0  # of the orthant
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -273,58 +223,86 @@ class LogBarrier(NonsmoothPotential):
             raise ValueError("log-barrier gradient is defined only for x > 0")
         return -self.alpha / x + self.beta
 
+    def conjugate(self, y):
+        """For alpha = 0, the indicator of y <= beta in every coordinate."""
+        if self.alpha > 0:
+            return super().conjugate(y)
+        y = np.asarray(y, dtype=float)
+        tol = _CONJ_TOL * max(1.0, norm(y))
+        return 0.0 if np.all(y <= self.beta + tol) else np.inf
 
-class SpectralLogBarrier(NonsmoothPotential):
-    """Matrix log-barrier on the PD cone:
+
+class Spectral(NonsmoothPotential):
+    """Spectral lift of a scalar log barrier f to symmetric d x d matrices,
+    G(x) = sum_i f(lambda_i(x)).  With x = Q Lambda Q^T (Lewis, "Convex
+    analysis on the Hermitian matrices", 1996),
+
+        prox_{gamma G}(x) = Q prox_{gamma f}(Lambda) Q^T,
+        grad G(x) = Q f'(Lambda) Q^T,    G*(y) = sum_i f*(lambda_i(y)),
+
+    so each method makes one eigendecomposition.  A closed domain (alpha = 0)
+    admits a minimum eigenvalue down to -1e-10 max(1, max |lambda|); a
+    subclass may scale that tolerance by another norm of x.
+    """
+
+    def __init__(self, scalar: LogBarrier, d: int):
+        self.scalar = scalar
+        self.is_indicator = scalar.is_indicator
+        self.d = d
+        self.point_shape = (d, d)
+
+    def _tol(self, x, w):
+        return _PSD_TOL * max(1.0, float(np.abs(w).max(initial=1.0)))
+
+    def _feasible(self, x, w):
+        if self.scalar.alpha > 0:
+            return bool(w[0] > 0)
+        return bool(w[0] >= -self._tol(x, w))
+
+    def evaluate(self, x):
+        w = sym_eigendecomposition(x).eigenvalues
+        return self.scalar.evaluate(np.maximum(w, 0.0)) if self._feasible(x, w) else np.inf
+
+    def prox(self, gamma, x):
+        return spectral_apply(lambda w: self.scalar.prox(gamma, w), x)
+
+    prox_batch = prox  # one stacked eigendecomposition
+
+    def in_domain(self, x):
+        return self._feasible(x, sym_eigendecomposition(x).eigenvalues)
+
+    def subgradient_min(self, x):
+        """Q f'(Lambda) Q^T; a ValueError unless x is positive definite."""
+        return spectral_apply(self.scalar.subgradient_min, x)
+
+    def conjugate(self, y):
+        return self.scalar.conjugate(sym_eigendecomposition(y).eigenvalues)
+
+
+class PsdIndicator(Spectral):
+    """Indicator of the positive semidefinite cone, the lift of LogBarrier(0, 0).
+    Its domain tolerance scales with ||x||_F."""
+
+    def __init__(self, d: int):
+        super().__init__(LogBarrier(0.0, 0.0), d)
+
+    def _tol(self, x, w):
+        return _PSD_TOL * max(1.0, float(np.linalg.norm(x)))
+
+
+class SpectralLogBarrier(Spectral):
+    """Matrix log-barrier on the PD cone, the lift of LogBarrier(alpha, beta):
 
     G(x) = -alpha log det x + beta tr x,  dom G = positive definite matrices.
     """
 
     def __init__(self, alpha: float, beta: float, d: int):
-        if alpha < 0:
-            raise ValueError(f"log-barrier weight alpha must be >= 0, got {alpha}")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.d = d
-        self.point_shape = (d, d)
-
-    def _eigs(self, x):
-        return sym_eigendecomposition(x).eigenvalues
-
-    def evaluate(self, x):
-        w = self._eigs(x)
-        if self.alpha > 0:
-            if w[0] <= 0:
-                return np.inf
-            return float(-self.alpha * np.sum(np.log(w)) + self.beta * np.sum(w))
-        if w[0] < -_PSD_TOL * max(1.0, float(np.abs(w).max(initial=1.0))):
-            return np.inf
-        return float(self.beta * np.sum(np.maximum(w, 0.0)))
-
-    def prox(self, gamma, x):
-        return prox_logdet(gamma, x, self.alpha, self.beta)
-
-    prox_batch = prox  # one stacked eigendecomposition
-
-    def in_domain(self, x):
-        w = self._eigs(x)
-        if self.alpha > 0:
-            return bool(w[0] > 0)
-        tol = _PSD_TOL * max(1.0, float(np.abs(w).max(initial=1.0)))
-        return bool(w[0] >= -tol)
-
-    def subgradient_min(self, x):
-        """Gradient -alpha x^{-1} + beta I on the PD interior."""
-        eig = sym_eigendecomposition(x)
-        if eig.eigenvalues[0] <= 0:
-            raise ValueError("matrix log-barrier gradient is defined only on PD matrices")
-        return eig.apply(lambda w: -self.alpha / w + self.beta)
+        super().__init__(LogBarrier(alpha, beta), d)
+        self.alpha, self.beta = self.scalar.alpha, self.scalar.beta
 
 
 class AbsoluteValue(NonsmoothPotential):
     """Weighted l1 term w * sum_i |x_i|; prox is the soft threshold."""
-
-    has_conjugate = True
 
     def __init__(self, weight: float = 1.0):
         if weight < 0:
@@ -377,9 +355,11 @@ class EntryAbsolute(NonsmoothPotential):
     def prox(self, gamma, x):
         _check_gamma(gamma)
         out = np.asarray(x, dtype=float).copy()
-        s = out[self.index]
-        out[self.index] = np.sign(s) * max(abs(s) - gamma * self.weight, 0.0)
+        at = (..., *self.index)  # the entry of a point or of each point of a stack
+        out[at] = np.sign(out[at]) * np.maximum(np.abs(out[at]) - gamma * self.weight, 0.0)
         return out
+
+    prox_batch = prox
 
     def in_domain(self, x):
         return True
@@ -456,10 +436,8 @@ class SmoothPotential:
         raise NotImplementedError
 
     def full_gradient(self, x):
+        """Gradient at x, or at each point of a stack along the leading axis."""
         raise NotImplementedError
-
-    def full_gradient_batch(self, xs):
-        return np.stack([self.full_gradient(x) for x in xs])
 
     def stochastic_gradient(self, x, rng, minibatch=1):
         if minibatch == "full":
@@ -482,9 +460,6 @@ class ZeroSmooth(SmoothPotential):
 
     def full_gradient(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
-
-    def full_gradient_batch(self, xs):
-        return np.zeros_like(np.asarray(xs, dtype=float))
 
     def stochastic_gradient(self, x, rng, minibatch=1):
         return self.full_gradient(x)
@@ -518,12 +493,9 @@ class Quadratic(SmoothPotential):
         return float(r @ self.h @ r / 2.0)
 
     def full_gradient(self, x):
-        return self.full_gradient_batch(x)
-
-    def full_gradient_batch(self, xs):
         # einsum, not a BLAS matmul: a row's sum runs the same whatever the
         # batch size, so an ensemble chain equals the chain run alone.
-        return np.einsum("ij,...j->...i", self.h, np.asarray(xs, dtype=float) - self.c)
+        return np.einsum("ij,...j->...i", self.h, np.asarray(x, dtype=float) - self.c)
 
     def stochastic_gradient(self, x, rng, minibatch=1):
         return self.full_gradient(x)
@@ -558,9 +530,6 @@ class QuadraticSum(SmoothPotential):
 
     def full_gradient(self, x):
         return self.n * np.asarray(x, dtype=float) - self._data_sum
-
-    def full_gradient_batch(self, xs):
-        return self.n * np.asarray(xs, dtype=float) - self._data_sum
 
     def stochastic_gradient(self, x, rng, minibatch=1):
         if minibatch == "full":
@@ -614,10 +583,7 @@ class PrecisionLikelihood(SmoothPotential):
         return float(np.vdot(self.scatter, x) / 2.0)
 
     def full_gradient(self, x):
-        return self._grad.copy()
-
-    def full_gradient_batch(self, xs):
-        out = np.empty(np.shape(xs))
+        out = np.empty(np.shape(x))
         out[...] = self._grad
         return out
 

@@ -191,7 +191,7 @@ def _kernel(sampler, smooth, nonsmooth, cfg, space, xs, gens, lipschitz_term, nu
                 block = np.empty((n, m) + xs.shape[1:])
                 for c, g in enumerate(gens):
                     block[c] = space.gaussian(g, size=m)
-            grads, noise = smooth.full_gradient_batch(xs), block[:, (k - 1) % chunk]
+            grads, noise = smooth.full_gradient(xs), block[:, (k - 1) % chunk]
         if sampler == "myula":
             lam = cfg.myula_lambda
             grads = grads + (xs - nonsmooth.prox_batch(lam, xs)) / lam

@@ -24,14 +24,16 @@ from proxlmc import (
     posterior_ground_truth,
     run_chain,
     run_ensemble,
+    wasserstein2_1d,
+)
+from proxlmc.cli import main
+from proxlmc.verify import (
     suite_lemma2,
     suite_moreau,
     suite_pdpg,
     suite_reductions,
     suite_spectral_prox,
-    wasserstein2_1d,
 )
-from proxlmc.cli import main
 
 
 # ---------------------------------------------------------------------------

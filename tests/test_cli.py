@@ -166,6 +166,40 @@ def test_unnormalizable_wishart_nu_is_a_config_error(tmp_path, capsys, body):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sample", "experiment"])
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ({"experiment": "wishart-precision", "sampler": "projected"}, "indicator G"),
+        ({"experiment": "wishart-mean-1d", "sampler": "projected"}, "indicator G"),
+        (
+            {"experiment": "trunc-gauss", "num_steps": 50, "burn_in": 10, "record_every": 41},
+            "no step would be recorded",
+        ),
+        ({"experiment": "wishart-mean-1d", "num_chains": 4}, "quantile oracle"),
+        ({"experiment": "wishart-precision", "d": 2, "num_chains": 4}, "quantile oracle"),
+    ],
+    ids=["projected-precision", "projected-mean-1d", "record-every", "chains-mean-1d",
+         "chains-precision-d2"],
+)
+def test_runs_that_cannot_do_what_they_ask_are_config_errors(tmp_path, capsys, body, message,
+                                                             command):
+    """Each of these used to exit 1 mid-run, write a header-only trace, or
+    drop the ensemble without a word."""
+    with pytest.raises(ConfigError, match=message):
+        resolve_config(body)
+    cfg = write_config(tmp_path, body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_record_every_may_record_exactly_one_step():
+    cfg = resolve_config(
+        {"experiment": "trunc-gauss", "num_steps": 50, "burn_in": 10, "record_every": 40}
+    )
+    assert cfg.record_every == 40
+
+
 def test_overrides_beat_config_values():
     raw = {"experiment": "trunc-gauss", "seed": 3, "num_chains": 4}
     cfg = resolve_config(raw, seed_override=9, chains_override=16)

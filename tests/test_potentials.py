@@ -145,6 +145,11 @@ def test_spectral_proxes_match_per_eigenvalue_reference_bitwise(d, seed):
     gamma, alpha, beta = 0.3, 1.7, 0.5
     cases = _spectral_cases(d, seed)
     assert np.signbit(sym_eigendecomposition(cases[-1]).eigenvalues[0])
+    # each spectral lift against its scalar LogBarrier applied per eigenvalue
+    lifts = [
+        (PsdIndicator(d), LogBarrier(0.0, 0.0)),
+        (SpectralLogBarrier(alpha, beta, d), LogBarrier(alpha, beta)),
+    ]
     for m in cases:
         _assert_bitwise(prox_psd(gamma, m), _per_eigenvalue_reference(lambda t: max(t, 0.0), m))
         for a in (alpha, 0.0):
@@ -152,13 +157,17 @@ def test_spectral_proxes_match_per_eigenvalue_reference_bitwise(d, seed):
                 lambda t: float(prox_logbarrier_scalar(gamma, t, a, beta)), m
             )
             _assert_bitwise(prox_logdet(gamma, m, a, beta), ref)
-        g = SpectralLogBarrier(alpha, beta, d)
-        if sym_eigendecomposition(m).eigenvalues[0] > 0:
-            ref = _per_eigenvalue_reference(lambda t: -alpha / t + beta, m)
-            _assert_bitwise(g.subgradient_min(m), ref)
-        else:
-            with pytest.raises(ValueError):
-                g.subgradient_min(m)
+        w = sym_eigendecomposition(m).eigenvalues
+        for g, f in lifts:
+            ref = _per_eigenvalue_reference(lambda t: float(f.prox(gamma, t)), m)
+            _assert_bitwise(g.prox(gamma, m), ref)
+            assert g.evaluate(m) == f.evaluate(w)
+            if w[0] > 0:
+                ref = _per_eigenvalue_reference(lambda t: float(f.subgradient_min(t)), m)
+                _assert_bitwise(g.subgradient_min(m), ref)
+            else:
+                with pytest.raises(ValueError):
+                    g.subgradient_min(m)
 
 
 @given(st.sampled_from([1, 2, 5, 10]), st.integers(min_value=0, max_value=2**32 - 1))
@@ -196,6 +205,8 @@ def catalog():
         (BoxIndicator(lo, hi), 3),
         (AbsoluteValue(0.7), 3),
         (LogBarrier(1.3, 0.5), 3),
+        (LogBarrier(0.0, 0.5), 3),
+        (EntryAbsolute(0.7, (1,)), 3),
         (PsdIndicator(3), (3, 3)),
         (SpectralLogBarrier(0.8, 0.5, 3), (3, 3)),
     ]
@@ -291,7 +302,7 @@ def test_fenchel_young_equality_at_prox_pairs():
     rng = RngStream(13, 0)
     lo = np.array([-1.0, 0.0])
     hi = np.array([1.0, 2.0])
-    for g in (BoxIndicator(lo, hi), AbsoluteValue(0.7), ZeroPotential()):
+    for g in (BoxIndicator(lo, hi), AbsoluteValue(0.7), ZeroPotential(), LogBarrier(0.0, 0.5)):
         for _ in range(50):
             x = 3.0 * rng.standard_normal(2)
             gamma = float(10.0 ** (-1 + 2 * rng.uniform()))
@@ -512,7 +523,7 @@ def test_quadratic_sum_gradients():
     assert np.allclose(f.full_gradient(x), 6.0 * x - data.sum(axis=0))
     direct = 0.5 * sum(float(np.dot(x - row, x - row)) for row in data)
     assert f.evaluate(x) == pytest.approx(direct)
-    batch = f.full_gradient_batch(np.stack([x, 2 * x]))
+    batch = f.full_gradient(np.stack([x, 2 * x]))
     assert np.allclose(batch[0], f.full_gradient(x))
 
 
@@ -603,14 +614,14 @@ def _smooth_catalog(d, rng):
 )
 def test_gradient_batch_rows_equal_single_gradients_bitwise(d, n, seed):
     """Chain c of an ensemble sees exactly the gradient the chain run alone
-    sees: full_gradient_batch(xs)[c] == full_gradient(xs[c]), bit for bit,
+    sees: full_gradient(xs)[c] == full_gradient(xs[c]), bit for bit,
     whatever the batch size."""
     rng = RngStream(seed, d)
     for f, shape in _smooth_catalog(d, rng):
         xs = rng.standard_normal((n,) + shape) * 10.0 ** (6.0 * rng.uniform() - 3.0)
         if len(shape) == 2:
             xs = (xs + np.swapaxes(xs, -1, -2)) / 2.0
-        batch = f.full_gradient_batch(xs)
+        batch = f.full_gradient(xs)
         for c in range(n):
             assert np.array_equal(batch[c], f.full_gradient(xs[c])), type(f).__name__
 

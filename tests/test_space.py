@@ -9,13 +9,12 @@ from proxlmc import (
     EigenFailure,
     RngStream,
     Space,
-    flatten_point,
     inner,
     norm,
     spectral_apply,
     sym_eigendecomposition,
-    unflatten_point,
 )
+from proxlmc.space import flatten_point, unflatten_point
 
 
 # ---------------------------------------------------------------------------
