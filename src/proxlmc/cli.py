@@ -53,7 +53,7 @@ from .samplers import (
     run_ensemble,
     step_size_warning,
 )
-from .space import FLAT, RngStream, Space, flatten_point
+from .space import FLAT, RngStream, Space, flatten_points
 from .verify import run_suites
 
 EXPERIMENT_IDS = ("trunc-gauss", "wishart-mean-1d", "wishart-precision")
@@ -307,19 +307,17 @@ def _digest(path) -> str:
 def _write_trace_csv(path, space: Space, trace, include_duals: bool):
     m = space.ambient_dim
     header = ["step"] + [f"x{i}" for i in range(m)]
+    columns = [flatten_points(space, trace.primal)]
     if include_duals:
         header += [f"y{i}" for i in range(m)]
+        columns.append(flatten_points(space, trace.duals))
     header.append("feasible")
+    values = np.concatenate(columns, axis=1).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, step in enumerate(trace.steps):
-            row = [str(step)]
-            row += [_fmt(v) for v in flatten_point(space, trace.primal[i])]
-            if include_duals:
-                row += [_fmt(v) for v in flatten_point(space, trace.duals[i])]
-            row.append(str(int(trace.feasible_flags[i])))
-            writer.writerow(row)
+        for step, row, flag in zip(trace.steps, values, trace.feasible_flags.tolist()):
+            writer.writerow([str(step), *map(repr, row), str(int(flag))])
 
 
 def _write_histogram_csv(path, samples: np.ndarray):
@@ -402,7 +400,7 @@ def _c_estimate_samples(cfg: RunConfig, assembled, trace):
             truth.nu_post, truth.v_post_inv, RngStream(_WISHART_SAMPLE_SEED, 0), size=400
         )
         return EmpiricalMeasure(draws)
-    return EmpiricalMeasure(np.asarray(trace.primal, dtype=float))
+    return EmpiricalMeasure(trace.primal)
 
 
 def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
@@ -479,7 +477,7 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
         ]
 
     if assembled.space.kind == FLAT and assembled.space.d == 1:
-        samples = np.asarray([p[0] for p in trace.primal])
+        samples = trace.primal[:, 0]
         _write_histogram_csv(os.path.join(out_dir, "histogram.csv"), samples)
         filenames.append("histogram.csv")
 

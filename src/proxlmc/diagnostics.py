@@ -143,15 +143,19 @@ def estimate_C(samples, nonsmooth, L: float, ambient_dim: int, sigma_f_sq: float
     Averages ||subgradient_min||^2 over the samples where G is differentiable
     (boundary or out-of-domain points are skipped and counted) and adds
     2 (L * ambient_dim + sigma_f_sq).  Errors if every sample is skipped.
+    The subgradients come from one call on the whole sample stack; only when
+    that call raises is each sample tried on its own.
     """
     pts = samples.points if isinstance(samples, EmpiricalMeasure) else np.asarray(samples, dtype=float)
+    try:
+        grads = nonsmooth.subgradient_min(pts)
+    except ValueError:
+        grads = [_subgradient_or_none(nonsmooth, x) for x in pts]
     total = 0.0
     kept = 0
     skipped = 0
-    for x in pts:
-        try:
-            g = nonsmooth.subgradient_min(x)
-        except ValueError:
+    for g in grads:
+        if g is None:
             skipped += 1
             continue
         total += float(np.vdot(g, g))
@@ -164,6 +168,13 @@ def estimate_C(samples, nonsmooth, L: float, ambient_dim: int, sigma_f_sq: float
         grad_sq_mean=grad_sq,
         num_skipped=skipped,
     )
+
+
+def _subgradient_or_none(nonsmooth, x):
+    try:
+        return nonsmooth.subgradient_min(x)
+    except ValueError:
+        return None
 
 
 def lemma2_residual(gamma: float, x, x_star, y_star, nonsmooth) -> float:
@@ -298,8 +309,8 @@ def feasibility_fraction(trace_or_points, nonsmooth) -> float:
     if getattr(trace_or_points, "nonsmooth", None) is nonsmooth:
         flags = trace_or_points.feasible_flags
     else:
-        flags = [nonsmooth.in_domain(x) for x in pts]
-    return float(np.mean([1.0 if f else 0.0 for f in flags]))
+        flags = nonsmooth.domain_mask(np.asarray(pts, dtype=float))
+    return float(np.mean(flags))
 
 
 def bootstrap_w2_se(

@@ -24,6 +24,7 @@ from .space import norm, spectral_apply, sym_eigendecomposition
 
 _PSD_TOL = 1e-10
 _CONJ_TOL = 1e-8
+_DOMAIN_BLOCK = 512  # matrices per stacked eigendecomposition of a domain check
 
 
 class ConjugateUnavailable(NotImplementedError):
@@ -33,6 +34,11 @@ class ConjugateUnavailable(NotImplementedError):
 def _check_gamma(gamma):
     if not gamma > 0:
         raise ValueError(f"prox step size must be > 0, got {gamma}")
+
+
+def _each(cond):
+    """Reduce an elementwise condition on a stack to one flag per point."""
+    return np.all(cond, axis=tuple(range(1, cond.ndim)))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +101,9 @@ class NonsmoothPotential:
     lambda_gstar is a strong-convexity modulus of the conjugate G* (0 is
     always sound).  is_indicator marks set indicators, for which the
     projected-Langevin alias is defined.  point_shape is the shape of the
-    points G is defined on, or None when any shape will do.
+    points G is defined on, or None when any shape will do.  A subclass
+    states its domain once, in domain_mask over a stack of points; the
+    default domain is the whole space.
     """
 
     lambda_gstar: float = 0.0
@@ -108,11 +116,16 @@ class NonsmoothPotential:
     def prox(self, gamma, x):
         raise NotImplementedError
 
+    def domain_mask(self, xs) -> np.ndarray:
+        """One flag per point of the stack xs (leading axis): is it in dom(G)?"""
+        return np.ones(len(xs), dtype=bool)
+
     def in_domain(self, x) -> bool:
-        raise NotImplementedError
+        return bool(self.domain_mask(np.asarray(x, dtype=float)[None])[0])
 
     def subgradient_min(self, x):
-        """Minimal-norm subgradient; errors where undefined."""
+        """Minimal-norm subgradient at a point or each point of a stack;
+        errors where undefined."""
         raise NotImplementedError
 
     def conjugate(self, y) -> float:
@@ -132,9 +145,6 @@ class ZeroPotential(NonsmoothPotential):
         return np.asarray(x, dtype=float).copy()
 
     prox_batch = prox
-
-    def in_domain(self, x):
-        return True
 
     def subgradient_min(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -166,9 +176,9 @@ class BoxIndicator(NonsmoothPotential):
 
     prox_batch = prox  # the clamp is elementwise
 
-    def in_domain(self, x):
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
+    def domain_mask(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        return _each((xs >= self.lo) & (xs <= self.hi))
 
     def subgradient_min(self, x):
         x = np.asarray(x, dtype=float)
@@ -198,12 +208,10 @@ class LogBarrier(NonsmoothPotential):
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        if self.alpha > 0:
-            if np.any(x <= 0):
-                return np.inf
-            return float(-self.alpha * np.sum(np.log(x)) + self.beta * np.sum(x))
-        if np.any(x < 0):
+        if not self.in_domain(x):
             return np.inf
+        if self.alpha > 0:
+            return float(-self.alpha * np.sum(np.log(x)) + self.beta * np.sum(x))
         return float(self.beta * np.sum(x))
 
     def prox(self, gamma, x):
@@ -211,11 +219,9 @@ class LogBarrier(NonsmoothPotential):
 
     prox_batch = prox  # elementwise closed form, already vectorized
 
-    def in_domain(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.alpha > 0:
-            return bool(np.all(x > 0))
-        return bool(np.all(x >= 0))
+    def domain_mask(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        return _each(xs > 0 if self.alpha > 0 else xs >= 0)
 
     def subgradient_min(self, x):
         x = np.asarray(x, dtype=float)
@@ -240,9 +246,10 @@ class Spectral(NonsmoothPotential):
         prox_{gamma G}(x) = Q prox_{gamma f}(Lambda) Q^T,
         grad G(x) = Q f'(Lambda) Q^T,    G*(y) = sum_i f*(lambda_i(y)),
 
-    so each method makes one eigendecomposition.  A closed domain (alpha = 0)
-    admits a minimum eigenvalue down to -1e-10 max(1, max |lambda|); a
-    subclass may scale that tolerance by another norm of x.
+    so each method makes one eigendecomposition (the domain check one per
+    block of _DOMAIN_BLOCK matrices).  A closed domain (alpha = 0) admits a
+    minimum eigenvalue down to -1e-10 max(1, max |lambda|); a subclass may
+    scale that tolerance by another norm of x.
     """
 
     def __init__(self, scalar: LogBarrier, d: int):
@@ -252,12 +259,14 @@ class Spectral(NonsmoothPotential):
         self.point_shape = (d, d)
 
     def _tol(self, x, w):
-        return _PSD_TOL * max(1.0, float(np.abs(w).max(initial=1.0)))
+        """Domain tolerance of a matrix, or of each matrix of a stack, x with
+        ascending eigenvalues w."""
+        return _PSD_TOL * np.fmax(1.0, np.abs(w).max(axis=-1))
 
     def _feasible(self, x, w):
         if self.scalar.alpha > 0:
-            return bool(w[0] > 0)
-        return bool(w[0] >= -self._tol(x, w))
+            return w[..., 0] > 0
+        return w[..., 0] >= -self._tol(x, w)
 
     def evaluate(self, x):
         w = sym_eigendecomposition(x).eigenvalues
@@ -268,8 +277,15 @@ class Spectral(NonsmoothPotential):
 
     prox_batch = prox  # one stacked eigendecomposition
 
-    def in_domain(self, x):
-        return self._feasible(x, sym_eigendecomposition(x).eigenvalues)
+    def domain_mask(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty(len(xs), dtype=bool)
+        for i in range(0, len(xs), _DOMAIN_BLOCK):
+            block = xs[i : i + _DOMAIN_BLOCK]
+            out[i : i + _DOMAIN_BLOCK] = self._feasible(
+                block, sym_eigendecomposition(block).eigenvalues
+            )
+        return out
 
     def subgradient_min(self, x):
         """Q f'(Lambda) Q^T; a ValueError unless x is positive definite."""
@@ -287,7 +303,9 @@ class PsdIndicator(Spectral):
         super().__init__(LogBarrier(0.0, 0.0), d)
 
     def _tol(self, x, w):
-        return _PSD_TOL * max(1.0, float(np.linalg.norm(x)))
+        flat = x.reshape(*x.shape[:-2], -1)
+        # ||x||_F as np.linalg.norm(x) computes it, a dot product per matrix
+        return _PSD_TOL * np.fmax(1.0, np.sqrt(np.vecdot(flat, flat)))
 
 
 class SpectralLogBarrier(Spectral):
@@ -319,9 +337,6 @@ class AbsoluteValue(NonsmoothPotential):
         return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
     prox_batch = prox
-
-    def in_domain(self, x):
-        return True
 
     def subgradient_min(self, x):
         return self.weight * np.sign(np.asarray(x, dtype=float))
@@ -361,13 +376,11 @@ class EntryAbsolute(NonsmoothPotential):
 
     prox_batch = prox
 
-    def in_domain(self, x):
-        return True
-
     def subgradient_min(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        out[self.index] = self.weight * np.sign(x[self.index])
+        at = (..., *self.index)
+        out[at] = self.weight * np.sign(x[at])
         return out
 
 

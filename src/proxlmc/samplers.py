@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,14 +77,21 @@ class SamplerConfig:
 
 @dataclass
 class ChainTrace:
+    """The R recorded steps of one chain.
+
+    primal, half_steps and duals are (R, *shape) arrays, row i belonging to
+    steps[i]; half_steps has no rows for ula and myula, duals none unless
+    record_duals asked for them.  feasible_flags is a length-R bool array.
+    """
+
     sampler: str
     config: SamplerConfig
-    steps: list = field(default_factory=list)
-    primal: list = field(default_factory=list)
-    half_steps: list = field(default_factory=list)
-    duals: list = field(default_factory=list)
-    feasible_flags: list = field(default_factory=list)
-    mean_checkpoints: list = field(default_factory=list)  # (step, mean of post-burn-in iterates)
+    steps: list
+    primal: np.ndarray
+    half_steps: np.ndarray
+    duals: np.ndarray
+    feasible_flags: np.ndarray
+    mean_checkpoints: list  # (step, mean of post-burn-in iterates)
     wall_time: float = 0.0
     nonsmooth: object = None  # the G that feasible_flags were checked against
 
@@ -238,11 +245,14 @@ def run_chain(
     """Run one chain, the kernel on a stack of one, and record its trace.
 
     Iterates x^1 .. x^num_steps; step k is recorded when k > burn_in and
-    (k - burn_in) is a multiple of record_every.  mean_checkpoints is a
-    list of distinct step indices in (burn_in, num_steps] at which the
-    running mean of the post-burn-in iterates is stored, so long runs can
-    track ergodic averages without keeping every iterate.  Aborts with
-    ChainDivergence on the first non-finite iterate.
+    (k - burn_in) is a multiple of record_every, into arrays preallocated
+    for the R = (num_steps - burn_in) // record_every recorded steps.  The
+    feasibility flags come from one domain check of G over the recorded
+    stack after the chain.  mean_checkpoints is a list of distinct step
+    indices in (burn_in, num_steps] at which the running mean of the
+    post-burn-in iterates is stored, so long runs can track ergodic averages
+    without keeping every iterate.  Aborts with ChainDivergence on the first
+    non-finite iterate.
     """
     space, x = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
     checkpoints = sorted(int(s) for s in mean_checkpoints)
@@ -251,7 +261,11 @@ def run_chain(
     if len(set(checkpoints)) != len(checkpoints):
         raise ValueError(f"mean checkpoints must be distinct, got {checkpoints}")
     gens = [RngStream(cfg.seed, stream_id)]
-    trace = ChainTrace(sampler=sampler, config=cfg, nonsmooth=nonsmooth)
+    burn_in, every = cfg.burn_in, cfg.record_every
+    num_recorded = (cfg.num_steps - burn_in) // every
+    primal = np.empty((num_recorded, *x.shape))
+    half = np.empty((0 if sampler in ("ula", "myula") else num_recorded, *x.shape))
+    means = []
     running_sum = np.zeros_like(x)
     tally = 0
     next_cp = 0
@@ -259,22 +273,30 @@ def run_chain(
     steps = _kernel(sampler, smooth, nonsmooth, cfg, space, x[None], gens, lipschitz_term,
                     cfg.num_steps)
     for k, x_half, xs in steps:
-        if k <= cfg.burn_in:
+        if k <= burn_in:
             continue
-        x = xs[0]
-        running_sum += x
+        running_sum += xs[0]
         tally += 1
-        if (k - cfg.burn_in) % cfg.record_every == 0:
-            trace.steps.append(k)
-            trace.primal.append(x.copy())
-            if x_half is not None:
-                trace.half_steps.append(x_half[0].copy())
-                if cfg.record_duals:
-                    trace.duals.append((x_half[0] - x) / cfg.gamma)
-            trace.feasible_flags.append(bool(nonsmooth.in_domain(x)))
+        i, off = divmod(k - burn_in, every)
+        if off == 0:
+            primal[i - 1] = xs[0]
+            if len(half):
+                half[i - 1] = x_half[0]
         while next_cp < len(checkpoints) and checkpoints[next_cp] == k:
-            trace.mean_checkpoints.append((k, running_sum / tally))
+            means.append((k, running_sum / tally))
             next_cp += 1
+    duals = (half - primal) / cfg.gamma if cfg.record_duals and len(half) else half[:0]
+    trace = ChainTrace(
+        sampler=sampler,
+        config=cfg,
+        steps=list(range(burn_in + every, cfg.num_steps + 1, every)),
+        primal=primal,
+        half_steps=half,
+        duals=duals,
+        feasible_flags=nonsmooth.domain_mask(primal),
+        mean_checkpoints=means,
+        nonsmooth=nonsmooth,
+    )
     trace.wall_time = time.perf_counter() - t0
     return trace
 

@@ -162,8 +162,9 @@ def sym_eigendecomposition(m: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, or of each matrix of a
     (..., d, d) stack in one LAPACK call; eigenvalues ascending.
 
-    Each matrix must be symmetric to a relative tolerance; exactly symmetric
-    input, such as every chain iterate, skips that check.
+    Each matrix must be symmetric to a relative tolerance and is then
+    symmetrized; exactly symmetric input, such as every chain iterate, skips
+    both and reaches eigh as it is.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
@@ -172,8 +173,9 @@ def sym_eigendecomposition(m: np.ndarray) -> EigenDecomposition:
         scale = np.fmax(1.0, np.linalg.norm(m, axis=(-2, -1)))  # max(1.0, nan) is 1.0
         if (np.max(np.abs(m - m.mT), axis=(-2, -1)) > 1e-8 * scale).any():
             raise ValueError("matrix is not symmetric")
+        m = (m + m.mT) / 2.0
     try:
-        w, v = np.linalg.eigh((m + m.mT) / 2.0)
+        w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as err:
         raise EigenFailure(f"eigendecomposition failed to converge: {err}") from err
     return EigenDecomposition(eigenvalues=w, basis=v)
@@ -198,11 +200,16 @@ def _upper_indices(d: int):
 def flatten_point(space: Space, x: np.ndarray) -> np.ndarray:
     """Free coordinates of a point: the vector itself, or the upper triangle
     of a symmetric matrix in row-major order (diagonal included)."""
-    x = space.check_point(x)
+    return flatten_points(space, space.check_point(x)[None])[0].copy()
+
+
+def flatten_points(space: Space, xs: np.ndarray) -> np.ndarray:
+    """Free coordinates of each point of an (R, *shape) stack, in one
+    indexing operation and without flatten_point's per-point checks."""
     if space.kind == FLAT:
-        return x.copy()
+        return xs
     iu, ju = _upper_indices(space.d)
-    return x[iu, ju].copy()
+    return xs[:, iu, ju]
 
 
 def unflatten_point(space: Space, coords: np.ndarray) -> np.ndarray:

@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from proxlmc import (
     AbsoluteValue,
     BoxIndicator,
     EmpiricalMeasure,
+    EntryAbsolute,
+    LogBarrier,
     Quadratic,
     QuantileOracle,
     RngStream,
@@ -19,6 +23,7 @@ from proxlmc import (
     pdpg_gap_check,
     run_chain,
     SamplerConfig,
+    SpectralLogBarrier,
     TruncGaussSpec,
     assemble_experiment,
     sliced_wasserstein2,
@@ -156,15 +161,15 @@ def test_feasibility_fraction_counts_in_domain_points():
 
 
 class _CountingBox(BoxIndicator):
-    """BoxIndicator that counts its in_domain calls."""
+    """BoxIndicator that counts its (stacked) domain checks."""
 
     def __init__(self, lo, hi):
         super().__init__(lo, hi)
         self.calls = 0
 
-    def in_domain(self, x):
+    def domain_mask(self, xs):
         self.calls += 1
-        return super().in_domain(x)
+        return super().domain_mask(xs)
 
 
 @pytest.mark.parametrize("sampler, extra", [("psgla", {}), ("myula", {"myula_lambda": 0.05})])
@@ -173,9 +178,9 @@ def test_feasibility_fraction_reuses_the_recorded_flags(sampler, extra):
     box = _CountingBox(asm.nonsmooth.lo, asm.nonsmooth.hi)
     cfg = SamplerConfig(gamma=0.1, num_steps=2000, seed=3, **extra)
     trace = run_chain(sampler, asm.smooth, box, cfg, asm.default_x0(cfg.gamma))
-    assert box.calls == len(trace)
+    assert box.calls == 1  # one check over the whole recorded stack
     frac = feasibility_fraction(trace, box)
-    assert box.calls == len(trace)  # no in_domain call: the flags were reused
+    assert box.calls == 1  # no further check: the flags were reused
     recomputed = feasibility_fraction(list(trace.primal), box)
     assert frac == recomputed
     # PSGLA stays in the box; MYULA leaves it on some steps.
@@ -184,7 +189,7 @@ def test_feasibility_fraction_reuses_the_recorded_flags(sampler, extra):
     # A different potential object, even an equal one, is checked afresh.
     other = _CountingBox(asm.nonsmooth.lo, asm.nonsmooth.hi)
     assert feasibility_fraction(trace, other) == recomputed
-    assert other.calls == len(trace)
+    assert other.calls == 1
     narrower = BoxIndicator(np.array([-0.5]), np.array([0.5]))
     inside = feasibility_fraction(trace, narrower)
     assert inside == feasibility_fraction(list(trace.primal), narrower)
@@ -210,6 +215,76 @@ def test_estimate_c_uses_subgradient_norms():
     est = estimate_C(EmpiricalMeasure(pts), g, L=0.0, ambient_dim=1, sigma_f_sq=0.0)
     assert est.grad_sq_mean == pytest.approx(0.25)
     assert est.value == pytest.approx(0.25)
+
+
+def _estimate_c_per_sample(pts, g, L, ambient_dim, sigma_f_sq):
+    """The per-sample skip-and-count loop: (value, grad_sq_mean, num_skipped),
+    or None when every sample is skipped."""
+    total, kept, skipped = 0.0, 0, 0
+    for x in pts:
+        try:
+            grad = g.subgradient_min(x)
+        except ValueError:
+            skipped += 1
+            continue
+        total += float(np.vdot(grad, grad))
+        kept += 1
+    if kept == 0:
+        return None
+    grad_sq = total / kept
+    return grad_sq + 2.0 * (L * ambient_dim + sigma_f_sq), grad_sq, skipped
+
+
+def _estimate_c_fields(pts, g, L, ambient_dim, sigma_f_sq):
+    try:
+        est = estimate_C(pts, g, L=L, ambient_dim=ambient_dim, sigma_f_sq=sigma_f_sq)
+    except ValueError:
+        return None
+    return est.value, est.grad_sq_mean, est.num_skipped
+
+
+class _CountingBarrier(SpectralLogBarrier):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = 0
+
+    def subgradient_min(self, x):
+        self.calls += 1
+        return super().subgradient_min(x)
+
+
+@given(st.sampled_from([1, 2, 5, 10]), st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=3))
+def test_stacked_estimate_c_equals_the_per_sample_loop_bitwise(d, seed, num_bad):
+    """All-PD stacks take the one stacked call; num_bad non-PD samples send
+    the estimate to the per-sample loop.  Either way it equals the loop."""
+    rng = RngStream(seed, 0)
+    b = rng.standard_normal((40, d, d))
+    pts = b @ b.mT + 0.05 * np.eye(d)
+    bad = {int(i) for i in rng.integers(40, size=num_bad)}
+    for i in bad:
+        pts[i] -= (1.0 + np.linalg.eigvalsh(pts[i])[-1]) * np.eye(d)  # negative definite
+    g = _CountingBarrier(0.8, 0.5, d)
+    dim = d * (d + 1) // 2
+    est = estimate_C(EmpiricalMeasure(pts), g, L=0.5, ambient_dim=dim, sigma_f_sq=0.3)
+    calls = g.calls
+    assert (est.value, est.grad_sq_mean, est.num_skipped) == _estimate_c_per_sample(
+        pts, g, 0.5, dim, 0.3
+    )
+    assert est.num_skipped == len(bad)
+    assert calls == (1 if not bad else 1 + len(pts))  # the stacked call, then per sample
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_stacked_estimate_c_equals_the_per_sample_loop_on_flat_potentials(seed):
+    rng = RngStream(seed, 0)
+    pts = 0.6 * rng.standard_normal((30, 3))
+    inside = np.abs(rng.standard_normal((30, 3))) + 0.1
+    for g, stack in ((LogBarrier(1.3, 0.5), inside), (LogBarrier(1.3, 0.5), 3.0 + pts),
+                     (LogBarrier(1.3, 0.5), pts), (BoxIndicator(-np.ones(3), np.ones(3)), pts),
+                     (AbsoluteValue(0.7), pts), (EntryAbsolute(0.7, (1,)), pts)):
+        fields = _estimate_c_fields(stack, g, 1.0, 3, 0.0)
+        assert fields == _estimate_c_per_sample(stack, g, 1.0, 3, 0.0)
 
 
 def test_estimate_c_errors_when_everything_is_skipped():

@@ -15,6 +15,7 @@ from proxlmc import (
     Quadratic,
     QuadraticSum,
     RngStream,
+    Spectral,
     SpectralLogBarrier,
     ZeroPotential,
     ZeroSmooth,
@@ -384,6 +385,101 @@ def test_spectral_log_barrier_matches_eigenvalue_sum():
     assert g.evaluate(np.diag([1.0, -1.0, 2.0])) == np.inf
     grad = g.subgradient_min(m)
     assert np.allclose(grad, -0.8 * np.diag([1.0, 0.5, 0.25]) + 0.5 * np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# domain checks over stacks
+# ---------------------------------------------------------------------------
+
+def _reference_in_domain(g, x):
+    """The per-point domain rule each potential used to state on its own:
+    one eigendecomposition per matrix and a Python bool per point."""
+    if isinstance(g, BoxIndicator):
+        return bool(np.all(x >= g.lo) and np.all(x <= g.hi))
+    if isinstance(g, LogBarrier):
+        return bool(np.all(x > 0)) if g.alpha > 0 else bool(np.all(x >= 0))
+    if isinstance(g, Spectral):
+        w = sym_eigendecomposition(x).eigenvalues
+        if g.scalar.alpha > 0:
+            return bool(w[0] > 0)
+        if isinstance(g, PsdIndicator):
+            tol = 1e-10 * max(1.0, float(np.linalg.norm(x)))
+        else:
+            tol = 1e-10 * max(1.0, float(np.abs(w).max(initial=1.0)))
+        return bool(w[0] >= -tol)
+    return True
+
+
+def _flat_domain_cases(n, seed):
+    """Random points plus the boundary: box faces and just past them, zeros,
+    -0.0 and a point just below zero."""
+    lo, hi = np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 2.0])
+    rng = RngStream(seed, 0)
+    special = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+               np.zeros(n), np.full(n, -0.0), np.full(n, -5e-324), np.array([0.0, 1.0, 2.0])]
+    return np.stack([p[:n] for p in special] + list(2.0 * rng.standard_normal((12, n))))
+
+
+def _matrix_domain_cases(d, seed):
+    """Random and rotated spectra plus diagonal ones pinned to the boundary:
+    eigenvalues -1e-12 and -1e-3, a -0.0 or 0.0 eigenvalue, and one just
+    inside and just outside the PSD tolerance."""
+    rng = RngStream(seed, 0)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    cases = [random_sym(rng, d, scale=3.0) for _ in range(6)]
+    for low in (-1e-12, -1e-3, -0.0, 0.0, 1e-3, -1e-10, -1.0000001e-10, -2e-10):
+        spectrum = np.linspace(low, 2.0, d) if d > 1 else np.array([low])
+        spectrum[0] = low
+        cases.append(np.diag(spectrum))
+        m = (q * spectrum) @ q.T
+        cases.append((m + m.T) / 2.0)
+    return np.stack(cases)
+
+
+def _assert_mask_matches_reference(g, stack):
+    mask = g.domain_mask(stack)
+    assert mask.dtype == bool and mask.shape == (len(stack),)
+    assert mask.tolist() == [_reference_in_domain(g, x) for x in stack]
+    assert [g.in_domain(x) for x in stack] == mask.tolist()
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_domain_mask_matches_per_point_rule_across_catalog(seed):
+    for g, shape in catalog():
+        if isinstance(shape, tuple):
+            stack = _matrix_domain_cases(shape[0], seed)
+        else:
+            stack = _flat_domain_cases(shape, seed)
+        _assert_mask_matches_reference(g, stack)
+
+
+@given(st.sampled_from([1, 2, 5, 10]), st.integers(min_value=0, max_value=2**32 - 1))
+def test_spectral_domain_mask_matches_per_point_rule(d, seed):
+    stack = _matrix_domain_cases(d, seed)
+    for g in (PsdIndicator(d), SpectralLogBarrier(0.8, 0.5, d), Spectral(LogBarrier(0.0, 0.5), d),
+              Spectral(LogBarrier(1.3, 0.0), d)):
+        _assert_mask_matches_reference(g, stack)
+
+
+def test_spectral_domain_mask_spans_blocks():
+    """A stack longer than one eigendecomposition block gives the same flags
+    as per-point checks, and an empty stack gives none."""
+    stack = np.concatenate([_matrix_domain_cases(2, s) for s in range(50)])
+    assert len(stack) > 2 * 512
+    for g in (PsdIndicator(2), SpectralLogBarrier(0.8, 0.5, 2)):
+        _assert_mask_matches_reference(g, stack)
+        assert g.domain_mask(stack[:0]).shape == (0,)
+
+
+def test_entry_absolute_subgradient_on_a_stack_equals_per_point():
+    rng = RngStream(13, 0)
+    for g, shape in ((EntryAbsolute(0.7, (1,)), (3,)), (EntryAbsolute(0.7, (2, 2)), (3, 3))):
+        stack = rng.standard_normal((9, *shape))
+        stack[0] = 0.0
+        stack[1] = -0.0
+        rows = np.stack([g.subgradient_min(x) for x in stack])
+        _assert_bitwise(g.subgradient_min(stack), rows)
+        assert np.count_nonzero(rows[2:]) == len(stack) - 2  # one entry per point
 
 
 def test_absolute_value_prox_and_subgradient():
