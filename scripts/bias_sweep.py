@@ -14,6 +14,7 @@ import math
 from proxlmc import (
     SamplerConfig,
     TruncGaussSpec,
+    ambient_dim,
     assemble_experiment,
     bootstrap_w2_se,
     estimate_C,
@@ -50,7 +51,7 @@ def main():
         w2 = wasserstein2_1d(snap, oracle)
         se = bootstrap_w2_se(snap, oracle, num_bootstrap=200, seed=3)
         c_hat = estimate_C(snap, asm.nonsmooth, L=asm.smooth.L,
-                           ambient_dim=asm.space.d, sigma_f_sq=0.0)
+                           ambient_dim=ambient_dim(asm.shape), sigma_f_sq=0.0)
         print(f"{gamma:>8.3f} {k:>6d} {w2:>12.3e} {3 * se:>12.3e} "
               f"{gamma * c_hat.value / lam:>12.3e}")
 

@@ -9,12 +9,12 @@ streams (:mod:`proxlmc.space`), the potential and prox catalog
 """
 
 from .space import (
-    FLAT,
-    SYMMETRIC,
     EigenDecomposition,
     EigenFailure,
     RngStream,
-    Space,
+    ambient_dim,
+    check_point,
+    gaussian,
     inner,
     norm,
     spectral_apply,
@@ -59,7 +59,6 @@ from .samplers import (
 )
 from .diagnostics import (
     CEstimate,
-    EmpiricalMeasure,
     PdpgReport,
     QuantileOracle,
     bootstrap_w2_se,

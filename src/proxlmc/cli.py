@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .diagnostics import (
-    EmpiricalMeasure,
     ergodic_mean,
     estimate_C,
     feasibility_fraction,
@@ -53,7 +52,7 @@ from .samplers import (
     run_ensemble,
     step_size_warning,
 )
-from .space import FLAT, RngStream, Space, flatten_points
+from .space import RngStream, ambient_dim, flatten_points
 from .verify import run_suites
 
 EXPERIMENT_IDS = ("trunc-gauss", "wishart-mean-1d", "wishart-precision")
@@ -249,20 +248,21 @@ def _build(cfg: RunConfig):
         data = generate_gaussian_data(cfg.n, cfg.d, RngStream(cfg.data_seed, 0))
         spec = WishartExperimentSpec(kind="precision", d=cfg.d, nu=cfg.nu, data=data)
     assembled = assemble_experiment(spec)
+    shape = assembled.shape
 
     lipschitz = None
     if cfg.sampler == "spla" and cfg.spla_r_weight:
-        if assembled.space.kind == FLAT:
-            lipschitz = coordinate_absolute_term(cfg.spla_r_weight, assembled.space.d)
+        if len(shape) == 1:
+            lipschitz = coordinate_absolute_term(cfg.spla_r_weight, shape[0])
         else:
-            lipschitz = diagonal_absolute_term(cfg.spla_r_weight, assembled.space.d)
+            lipschitz = diagonal_absolute_term(cfg.spla_r_weight, shape[0])
 
     if cfg.x0 is None:
         x0 = assembled.default_x0(cfg.gamma)
-    elif assembled.space.kind == FLAT:
-        x0 = np.full(assembled.space.d, cfg.x0)
+    elif len(shape) == 1:
+        x0 = np.full(shape, cfg.x0)
     else:
-        x0 = cfg.x0 * np.eye(assembled.space.d)
+        x0 = cfg.x0 * np.eye(shape[0])
     return assembled, lipschitz, x0
 
 
@@ -274,26 +274,10 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _sanitize(obj):
-    """Make report structures JSON-serializable with plain Python scalars."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _write_json(path, obj):
+    # numpy arrays and scalars that are not float subclasses reach default
     with open(path, "w") as fh:
-        json.dump(_sanitize(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
         fh.write("\n")
 
 
@@ -304,13 +288,13 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def _write_trace_csv(path, space: Space, trace, include_duals: bool):
-    m = space.ambient_dim
+def _write_trace_csv(path, trace, include_duals: bool):
+    m = ambient_dim(trace.primal.shape[1:])
     header = ["step"] + [f"x{i}" for i in range(m)]
-    columns = [flatten_points(space, trace.primal)]
+    columns = [flatten_points(trace.primal)]
     if include_duals:
         header += [f"y{i}" for i in range(m)]
-        columns.append(flatten_points(space, trace.duals))
+        columns.append(flatten_points(trace.duals))
     header.append("feasible")
     values = np.concatenate(columns, axis=1).tolist()
     with open(path, "w", newline="") as fh:
@@ -381,7 +365,7 @@ def cmd_sample(cfg: RunConfig, out_dir: str) -> int:
         x0, lipschitz_term=lipschitz, stream_id=0,
     )
     include_duals = cfg.record_duals and len(trace.duals) == len(trace.primal) and len(trace.duals) > 0
-    _write_trace_csv(os.path.join(out_dir, "trace.csv"), assembled.space, trace, include_duals)
+    _write_trace_csv(os.path.join(out_dir, "trace.csv"), trace, include_duals)
     warn = step_size_warning(assembled.smooth, cfg.gamma)
     _write_manifest(out_dir, "sample", cfg, warn, time.perf_counter() - t0, ["trace.csv"])
     return 0
@@ -393,14 +377,14 @@ def _c_estimate_samples(cfg: RunConfig, assembled, trace):
     if assembled.quantile_oracle is not None:
         u = (np.arange(1, _ORACLE_GRID + 1) - 0.5) / _ORACLE_GRID
         pts = np.asarray(assembled.quantile_oracle.quantile(u), dtype=float)[:, None]
-        return EmpiricalMeasure(pts)
+        return pts
     if assembled.ground_truth is not None:
         truth = assembled.ground_truth
         draws = sample_wishart(
             truth.nu_post, truth.v_post_inv, RngStream(_WISHART_SAMPLE_SEED, 0), size=400
         )
-        return EmpiricalMeasure(draws)
-    return EmpiricalMeasure(trace.primal)
+        return draws
+    return trace.primal
 
 
 def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
@@ -432,7 +416,7 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
         _c_estimate_samples(cfg, assembled, trace),
         assembled.nonsmooth,
         assembled.smooth.L,
-        assembled.space.ambient_dim,
+        ambient_dim(assembled.shape),
         sigma_sq,
     )
     report["c_estimate"] = {
@@ -441,7 +425,7 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
         "num_skipped": cest.num_skipped,
         "sigma_f_sq": sigma_sq,
         "L": assembled.smooth.L,
-        "ambient_dim": assembled.space.ambient_dim,
+        "ambient_dim": ambient_dim(assembled.shape),
     }
 
     filenames = ["report.json"]
@@ -450,9 +434,9 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
         m_star = assembled.ground_truth.m_star
         report["m_star"] = m_star
         report["nu_post"] = assembled.ground_truth.nu_post
-        m_flat = m_star[0] if assembled.space.kind == FLAT else m_star
+        m_point = m_star.reshape(assembled.shape)
         conv = [
-            (step, float(np.linalg.norm(mean - m_flat)))
+            (step, float(np.linalg.norm(mean - m_point)))
             for step, mean in trace.mean_checkpoints
         ]
         report["convergence"] = [
@@ -476,7 +460,7 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
             for step in cfg.snapshot_steps
         ]
 
-    if assembled.space.kind == FLAT and assembled.space.d == 1:
+    if assembled.shape == (1,):
         samples = trace.primal[:, 0]
         _write_histogram_csv(os.path.join(out_dir, "histogram.csv"), samples)
         filenames.append("histogram.csv")

@@ -22,24 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .potentials import dual_from_primal
-from .space import FLAT, RngStream, Space, inner
+from .space import RngStream, check_point, gaussian, inner
 
 _SLICED_DEFAULT_SEED = 20461
-
-
-@dataclass
-class EmpiricalMeasure:
-    """Equal-weight samples; leading axis indexes the points."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.shape[0] < 1:
-            raise ValueError("an empirical measure needs at least one point")
-
-    def __len__(self):
-        return self.points.shape[0]
 
 
 @dataclass
@@ -50,8 +35,17 @@ class QuantileOracle:
     name: str = ""
 
 
+def _samples(a) -> np.ndarray:
+    """Equal-weight samples as a float array, the leading axis indexing at
+    least one point."""
+    pts = np.asarray(a, dtype=float)
+    if pts.ndim == 0 or pts.shape[0] < 1:
+        raise ValueError("an empirical measure needs at least one point")
+    return pts
+
+
 def _scalar_samples(a) -> np.ndarray:
-    pts = a.points if isinstance(a, EmpiricalMeasure) else np.asarray(a, dtype=float)
+    pts = _samples(a)
     if pts.ndim == 2 and pts.shape[1] == 1:
         pts = pts[:, 0]
     if pts.ndim != 1:
@@ -82,15 +76,6 @@ def wasserstein2_1d(a, b) -> float:
     return float(np.mean((xs - ys) ** 2))
 
 
-def _points_and_space(a) -> tuple[np.ndarray, Space]:
-    pts = a.points if isinstance(a, EmpiricalMeasure) else np.asarray(a, dtype=float)
-    if pts.ndim == 2:
-        return pts, Space(FLAT, pts.shape[1])
-    if pts.ndim == 3 and pts.shape[1] == pts.shape[2]:
-        return pts, Space("symmetric", pts.shape[1])
-    raise ValueError(f"cannot interpret samples of shape {pts.shape}")
-
-
 def sliced_wasserstein2(a, b, num_projections: int = 128, rng: RngStream | None = None) -> float:
     """Sliced squared W2: average exact 1-d W2 over random unit directions.
 
@@ -98,10 +83,10 @@ def sliced_wasserstein2(a, b, num_projections: int = 128, rng: RngStream | None 
     default stream is fixed so reports are reproducible; pass an RngStream to
     control it.
     """
-    pa, space = _points_and_space(a)
-    pb, space_b = _points_and_space(b)
-    if space != space_b:
+    pa, pb = _samples(a), _samples(b)
+    if pa.shape[1:] != pb.shape[1:]:
         raise ValueError("samples live in different spaces")
+    shape = check_point(pa[0]).shape
     if pa.shape[0] != pb.shape[0]:
         raise ValueError("sliced W2 needs equal sample sizes")
     if num_projections < 1:
@@ -110,7 +95,7 @@ def sliced_wasserstein2(a, b, num_projections: int = 128, rng: RngStream | None 
     total = 0.0
     axes = tuple(range(1, pa.ndim))
     for _ in range(num_projections):
-        u = space.gaussian(rng)
+        u = gaussian(rng, shape)
         u = u / np.sqrt(np.vdot(u, u))
         proj_a = np.tensordot(pa, u, axes=(axes, tuple(range(u.ndim))))
         proj_b = np.tensordot(pb, u, axes=(axes, tuple(range(u.ndim))))
@@ -121,11 +106,10 @@ def sliced_wasserstein2(a, b, num_projections: int = 128, rng: RngStream | None 
 def ergodic_mean(trace_or_points, burn_in: int = 0):
     """Arithmetic mean of the recorded iterates after dropping the first
     burn_in entries.  Accepts a ChainTrace or a plain sequence of points."""
-    pts = getattr(trace_or_points, "primal", trace_or_points)
+    pts = _samples(getattr(trace_or_points, "primal", trace_or_points))
     if burn_in < 0 or burn_in >= len(pts):
         raise ValueError(f"burn_in {burn_in} leaves no entries out of {len(pts)}")
-    arr = np.asarray(pts[burn_in:], dtype=float)
-    return arr.mean(axis=0)
+    return pts[burn_in:].mean(axis=0)
 
 
 @dataclass
@@ -146,7 +130,7 @@ def estimate_C(samples, nonsmooth, L: float, ambient_dim: int, sigma_f_sq: float
     The subgradients come from one call on the whole sample stack; only when
     that call raises is each sample tried on its own.
     """
-    pts = samples.points if isinstance(samples, EmpiricalMeasure) else np.asarray(samples, dtype=float)
+    pts = _samples(samples)
     try:
         grads = nonsmooth.subgradient_min(pts)
     except ValueError:
@@ -303,13 +287,11 @@ def pdpg_gap_check(
 def feasibility_fraction(trace_or_points, nonsmooth) -> float:
     """Fraction of recorded iterates inside dom(G).  A trace that run_chain
     recorded against this same nonsmooth object reuses its feasible_flags."""
-    pts = getattr(trace_or_points, "primal", trace_or_points)
-    if len(pts) == 0:
-        raise ValueError("empty trace; feasibility fraction undefined")
+    pts = _samples(getattr(trace_or_points, "primal", trace_or_points))
     if getattr(trace_or_points, "nonsmooth", None) is nonsmooth:
         flags = trace_or_points.feasible_flags
     else:
-        flags = nonsmooth.domain_mask(np.asarray(pts, dtype=float))
+        flags = nonsmooth.domain_mask(pts)
     return float(np.mean(flags))
 
 
@@ -318,6 +300,8 @@ def bootstrap_w2_se(
 ) -> float:
     """Monte Carlo standard error of the W2-vs-oracle estimator, by
     resampling the chains (samples) with replacement."""
+    if num_bootstrap < 2:
+        raise ValueError(f"num_bootstrap must be >= 2, got {num_bootstrap}")
     xs = _scalar_samples(samples)
     n = xs.shape[0]
     rng = RngStream(seed, 0)

@@ -37,7 +37,7 @@ from .potentials import (
     build_gamma_potential,
 )
 from .diagnostics import QuantileOracle
-from .space import FLAT, SYMMETRIC, RngStream, Space
+from .space import RngStream
 
 
 @dataclass
@@ -184,25 +184,29 @@ def trunc_gauss_quantile(spec: TruncGaussSpec, u):
 
 @dataclass
 class AssembledExperiment:
-    """Everything a driver needs: potentials, state space, and whatever
-    exact reference the setup admits (quantile oracle and/or posterior mean)."""
+    """Everything a driver needs: potentials and whatever exact reference the
+    setup admits (quantile oracle and/or posterior mean)."""
 
-    space: Space
     smooth: SmoothPotential
     nonsmooth: NonsmoothPotential
     quantile_oracle: Optional[QuantileOracle] = None
     ground_truth: Optional[GroundTruth] = None
 
+    @property
+    def shape(self) -> tuple:
+        """Shape of the state: (1,), or (d, d) for a matrix experiment."""
+        return self.smooth.point_shape
+
     def default_x0(self, gamma: float) -> np.ndarray:
         """Default start: prox_{gamma G}(1) for flat states, identity for
         matrices.  Feasible by construction for the prox samplers."""
-        if self.space.kind == FLAT:
-            return self.nonsmooth.prox(gamma, np.ones(self.space.d))
-        return self.space.identity()
+        if len(self.shape) == 1:
+            return self.nonsmooth.prox(gamma, np.ones(self.shape))
+        return np.eye(self.shape[0])
 
 
 def assemble_experiment(spec) -> AssembledExperiment:
-    """Wire a spec into (space, F, G, references)."""
+    """Wire a spec into (F, G, references)."""
     if isinstance(spec, TruncGaussSpec):
         smooth = QuadraticSum(np.array([[spec.mean]]))
         nonsmooth = BoxIndicator(np.array([spec.lo]), np.array([spec.hi]))
@@ -210,9 +214,7 @@ def assemble_experiment(spec) -> AssembledExperiment:
             quantile=lambda u: trunc_gauss_quantile(spec, u),
             name=f"trunc-gauss[{spec.lo},{spec.hi}] m={spec.mean}",
         )
-        return AssembledExperiment(
-            space=Space(FLAT, 1), smooth=smooth, nonsmooth=nonsmooth, quantile_oracle=oracle
-        )
+        return AssembledExperiment(smooth=smooth, nonsmooth=nonsmooth, quantile_oracle=oracle)
     if not isinstance(spec, WishartExperimentSpec):
         raise ValueError(f"cannot assemble an experiment from {type(spec).__name__}")
     if spec.n + spec.nu <= spec.d + 3:
@@ -225,9 +227,7 @@ def assemble_experiment(spec) -> AssembledExperiment:
     if spec.kind == "mean-1d":
         smooth = QuadraticSum(spec.data)
         nonsmooth = build_gamma_potential(spec.nu, 0, 1)
-        return AssembledExperiment(
-            space=Space(FLAT, 1), smooth=smooth, nonsmooth=nonsmooth
-        )
+        return AssembledExperiment(smooth=smooth, nonsmooth=nonsmooth)
     # precision
     truth = posterior_ground_truth(spec)
     smooth = PrecisionLikelihood(spec.data, spec.d)
@@ -238,9 +238,7 @@ def assemble_experiment(spec) -> AssembledExperiment:
             quantile=lambda u: gamma_posterior_quantile(spec, u),
             name=f"gamma-posterior nu'={truth.nu_post}",
         )
-    space = Space(FLAT, 1) if spec.d == 1 else Space(SYMMETRIC, spec.d)
     return AssembledExperiment(
-        space=space,
         smooth=smooth,
         nonsmooth=nonsmooth,
         quantile_oracle=oracle,

@@ -36,6 +36,14 @@ def _check_gamma(gamma):
         raise ValueError(f"prox step size must be > 0, got {gamma}")
 
 
+def _weight(w, name="weight") -> float:
+    """w as a float, checked to be a finite number >= 0."""
+    w = float(w)
+    if not 0 <= w < np.inf:  # NaN fails too
+        raise ValueError(f"{name} must be a finite number >= 0, got {w}")
+    return w
+
+
 def _each(cond):
     """Reduce an elementwise condition on a stack to one flag per point."""
     return np.all(cond, axis=tuple(range(1, cond.ndim)))
@@ -161,6 +169,8 @@ class BoxIndicator(NonsmoothPotential):
     def __init__(self, lo, hi):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("box has lo > hi in some coordinate")
         self.lo = lo
@@ -200,10 +210,10 @@ class LogBarrier(NonsmoothPotential):
     """
 
     def __init__(self, alpha: float, beta: float):
-        if alpha < 0:
-            raise ValueError(f"log-barrier weight alpha must be >= 0, got {alpha}")
-        self.alpha = float(alpha)
+        self.alpha = _weight(alpha, "log-barrier weight alpha")
         self.beta = float(beta)
+        if not np.isfinite(self.beta):
+            raise ValueError(f"log-barrier beta must be finite, got {self.beta}")
         self.is_indicator = self.alpha == 0 and self.beta == 0  # of the orthant
 
     def evaluate(self, x):
@@ -323,9 +333,7 @@ class AbsoluteValue(NonsmoothPotential):
     """Weighted l1 term w * sum_i |x_i|; prox is the soft threshold."""
 
     def __init__(self, weight: float = 1.0):
-        if weight < 0:
-            raise ValueError("weight must be >= 0")
-        self.weight = float(weight)
+        self.weight = _weight(weight)
 
     def evaluate(self, x):
         return float(self.weight * np.sum(np.abs(np.asarray(x, dtype=float))))
@@ -355,7 +363,7 @@ class EntryAbsolute(NonsmoothPotential):
     """
 
     def __init__(self, weight: float, index):
-        self.weight = float(weight)
+        self.weight = _weight(weight)
         self.index = tuple(int(j) for j in index)
 
     def fits(self, shape) -> bool:

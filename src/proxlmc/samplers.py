@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import EntryAbsolute, LipschitzProxTerm
-from .space import FLAT, RngStream, Space
+from .space import RngStream, check_point, gaussian
 
 SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
 
@@ -116,27 +116,17 @@ def step_size_warning(smooth, gamma: float) -> bool:
     return smooth.L > 0 and gamma > 1.0 / smooth.L
 
 
-def _space_of(x) -> Space:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return Space(FLAT, x.shape[0])
-    if x.ndim == 2 and x.shape[0] == x.shape[1]:
-        return Space("symmetric", x.shape[0])
-    raise ValueError(f"cannot infer state space from point of shape {x.shape}")
-
-
 def _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
-    """Start-up checks of both drivers, before any step; returns the
-    (space, point) of the start x0, which must be finite and of the shape
-    the potentials, and for spla the components of the R term, act on."""
+    """Start-up checks of both drivers, before any step; returns the checked
+    start x0, which must be a finite point of the shape the potentials, and
+    for spla the components of the R term, act on."""
     if sampler not in SAMPLER_IDS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_IDS}")
     if sampler == "projected" and not nonsmooth.is_indicator:
         raise ValueError("projected Langevin requires an indicator nonsmooth term")
     if sampler == "myula" and not (cfg.myula_lambda or 0) > 0:
         raise ValueError("myula requires myula_lambda > 0 in the sampler config")
-    space = _space_of(x0)
-    x = space.check_point(x0)
+    x = check_point(x0)
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
     spla_r = sampler == "spla" and lipschitz_term is not None
@@ -158,14 +148,14 @@ def _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
             RuntimeWarning,
             stacklevel=3,
         )
-    return space, x
+    return x
 
 
 # ---------------------------------------------------------------------------
 # the step kernel
 # ---------------------------------------------------------------------------
 
-def _kernel(sampler, smooth, nonsmooth, cfg, space, xs, gens, lipschitz_term, num_steps):
+def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps):
     """Advance the stack xs (leading chain axis; chain c draws from gens[c])
     by num_steps steps, yielding (k, x_half, xs) after step k.
 
@@ -191,13 +181,13 @@ def _kernel(sampler, smooth, nonsmooth, cfg, space, xs, gens, lipschitz_term, nu
         if per_step:
             for c, g in enumerate(gens):
                 grads[c] = smooth.stochastic_gradient(xs[c], g, cfg.minibatch)
-                noise[c] = space.gaussian(g)
+                noise[c] = gaussian(g, xs.shape[1:])
         else:
             if (k - 1) % chunk == 0:
                 m = min(chunk, num_steps - k + 1)
                 block = np.empty((n, m) + xs.shape[1:])
                 for c, g in enumerate(gens):
-                    block[c] = space.gaussian(g, size=m)
+                    block[c] = gaussian(g, xs.shape[1:], size=m)
             grads, noise = smooth.full_gradient(xs), block[:, (k - 1) % chunk]
         if sampler == "myula":
             lam = cfg.myula_lambda
@@ -222,8 +212,8 @@ def step_psgla(x, smooth, nonsmooth, cfg, rng):
     Returns (x_half, x_new, y_new): the pre-prox point, the next iterate
     prox_{gamma G}(x_half), and the dual point (x_half - x_new) / gamma.
     """
-    x = np.asarray(x, dtype=float)
-    steps = _kernel("psgla", smooth, nonsmooth, cfg, _space_of(x), x[None], [rng], None, 1)
+    x = check_point(x)
+    steps = _kernel("psgla", smooth, nonsmooth, cfg, x[None], [rng], None, 1)
     _, x_half, xs = next(steps)
     return x_half[0], xs[0], (x_half[0] - xs[0]) / cfg.gamma
 
@@ -254,7 +244,7 @@ def run_chain(
     without keeping every iterate.  Aborts with ChainDivergence on the first
     non-finite iterate.
     """
-    space, x = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
+    x = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
     checkpoints = sorted(int(s) for s in mean_checkpoints)
     if checkpoints and not cfg.burn_in < checkpoints[0] <= checkpoints[-1] <= cfg.num_steps:
         raise ValueError(f"mean checkpoints must lie in (burn_in, num_steps], got {checkpoints}")
@@ -270,8 +260,7 @@ def run_chain(
     tally = 0
     next_cp = 0
     t0 = time.perf_counter()
-    steps = _kernel(sampler, smooth, nonsmooth, cfg, space, x[None], gens, lipschitz_term,
-                    cfg.num_steps)
+    steps = _kernel(sampler, smooth, nonsmooth, cfg, x[None], gens, lipschitz_term, cfg.num_steps)
     for k, x_half, xs in steps:
         if k <= burn_in:
             continue
@@ -321,7 +310,7 @@ def run_ensemble(
     """
     if num_chains < 2:
         raise ValueError(f"an ensemble needs num_chains >= 2, got {num_chains}")
-    space, x0 = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
+    x0 = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
     steps = sorted(int(s) for s in snapshot_steps)
     if not steps:
         raise ValueError("snapshot_steps must be non-empty")
@@ -333,8 +322,7 @@ def run_ensemble(
     xs = np.repeat(x0[None], num_chains, axis=0)
     wanted = set(steps)
     snaps = {0: xs} if 0 in wanted else {}
-    for k, _, xs in _kernel(sampler, smooth, nonsmooth, cfg, space, xs, gens, lipschitz_term,
-                            steps[-1]):
+    for k, _, xs in _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, steps[-1]):
         if k in wanted:
             snaps[k] = xs
     return EnsembleResult(

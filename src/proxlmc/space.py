@@ -2,8 +2,9 @@
 
 Two kinds of state are supported: flat vectors in R^d and symmetric d x d
 matrices equipped with the trace inner product <a, b> = tr(ab).  Points are
-plain numpy arrays; the :class:`Space` descriptor carries kind and dimension
-and knows how to draw standard Gaussian elements of itself.
+plain numpy arrays, and a point's shape, (d,) or (d, d), is its space:
+:func:`check_point` states the one shape rule, and :func:`gaussian`,
+:func:`ambient_dim` and the coordinate maps take the shape.
 
 Randomness comes from :class:`RngStream`, a counter-based Philox stream keyed
 by (seed, stream_id).  Identical keys replay identical sequences; distinct
@@ -16,9 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-FLAT = "flat"
-SYMMETRIC = "symmetric"
 
 _TWO64 = 2**64
 
@@ -57,65 +55,39 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-@dataclass(frozen=True)
-class Space:
-    """Descriptor of the state space.
+def check_point(x) -> np.ndarray:
+    """x as a float array, checked to be a point: a vector in R^d or a
+    symmetric d x d matrix, d >= 1."""
+    x = np.asarray(x, dtype=float)
+    if not (x.ndim == 1 or (x.ndim == 2 and x.shape[0] == x.shape[1])):
+        raise ValueError(f"cannot infer state space from point of shape {x.shape}")
+    if x.shape[0] < 1:
+        raise ValueError(f"dimension must be >= 1, got {x.shape[0]}")
+    if x.ndim == 2 and not np.array_equal(x, x.T):
+        raise ValueError("symmetric-kind point has asymmetric data")
+    return x
 
-    kind is "flat" (vectors in R^d) or "symmetric" (symmetric d x d
-    matrices under the trace inner product).
+
+def ambient_dim(shape) -> int:
+    """Number of free coordinates of a point of this shape: d for a vector,
+    d(d+1)/2 for a symmetric d x d matrix."""
+    d = shape[0]
+    return d if len(shape) == 1 else d * (d + 1) // 2
+
+
+def gaussian(rng: RngStream, shape, size: int | None = None) -> np.ndarray:
+    """Standard Gaussian point(s) of the given shape.
+
+    Vectors: iid N(0,1) coordinates.  Symmetric matrices: N(0,1) on the
+    diagonal and N(0,1/2) off-diagonal, mirrored, which is the standard
+    Gaussian for the trace inner product.  With ``size`` given, returns a
+    leading batch axis; batch draws replay identically to repeated single
+    draws.
     """
-
-    kind: str
-    d: int
-
-    def __post_init__(self):
-        if self.kind not in (FLAT, SYMMETRIC):
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-
-    @property
-    def ambient_dim(self) -> int:
-        """Number of free coordinates: d for flat, d(d+1)/2 for symmetric."""
-        if self.kind == FLAT:
-            return self.d
-        return self.d * (self.d + 1) // 2
-
-    def point_shape(self) -> tuple:
-        return (self.d,) if self.kind == FLAT else (self.d, self.d)
-
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.point_shape())
-
-    def identity(self) -> np.ndarray:
-        if self.kind != SYMMETRIC:
-            raise ValueError("identity point is defined for symmetric spaces only")
-        return np.eye(self.d)
-
-    def check_point(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.point_shape():
-            raise ValueError(
-                f"point shape {x.shape} does not match space {self.kind} d={self.d}"
-            )
-        if self.kind == SYMMETRIC and not np.array_equal(x, x.T):
-            raise ValueError("symmetric-kind point has asymmetric data")
-        return x
-
-    def gaussian(self, rng: RngStream, size: int | None = None) -> np.ndarray:
-        """Standard Gaussian element(s) of the space.
-
-        Flat: iid N(0,1) coordinates.  Symmetric: N(0,1) on the diagonal and
-        N(0,1/2) off-diagonal, mirrored, which is the standard Gaussian for
-        the trace inner product.  With ``size`` given, returns a leading batch
-        axis; batch draws replay identically to repeated single draws.
-        """
-        if self.kind == FLAT:
-            shape = (self.d,) if size is None else (size, self.d)
-            return rng.standard_normal(shape)
-        shape = (self.d, self.d) if size is None else (size, self.d, self.d)
-        a = rng.standard_normal(shape)
-        return (a + np.swapaxes(a, -1, -2)) / 2.0
+    a = rng.standard_normal(tuple(shape) if size is None else (size, *shape))
+    if len(shape) == 1:
+        return a
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -193,35 +165,26 @@ def spectral_apply(fn, m: np.ndarray) -> np.ndarray:
     return sym_eigendecomposition(m).apply(fn)
 
 
-def _upper_indices(d: int):
-    return np.triu_indices(d)
-
-
-def flatten_point(space: Space, x: np.ndarray) -> np.ndarray:
-    """Free coordinates of a point: the vector itself, or the upper triangle
-    of a symmetric matrix in row-major order (diagonal included)."""
-    return flatten_points(space, space.check_point(x)[None])[0].copy()
-
-
-def flatten_points(space: Space, xs: np.ndarray) -> np.ndarray:
+def flatten_points(xs: np.ndarray) -> np.ndarray:
     """Free coordinates of each point of an (R, *shape) stack, in one
-    indexing operation and without flatten_point's per-point checks."""
-    if space.kind == FLAT:
+    indexing operation: the vector itself, or the upper triangle of a
+    symmetric matrix in row-major order (diagonal included)."""
+    if xs.ndim == 2:
         return xs
-    iu, ju = _upper_indices(space.d)
+    iu, ju = np.triu_indices(xs.shape[-1])
     return xs[:, iu, ju]
 
 
-def unflatten_point(space: Space, coords: np.ndarray) -> np.ndarray:
+def unflatten_point(coords: np.ndarray, shape) -> np.ndarray:
+    """The point of the given shape with these free coordinates."""
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != (space.ambient_dim,):
-        raise ValueError(
-            f"expected {space.ambient_dim} coordinates, got shape {coords.shape}"
-        )
-    if space.kind == FLAT:
+    m = ambient_dim(shape)
+    if coords.shape != (m,):
+        raise ValueError(f"expected {m} coordinates, got shape {coords.shape}")
+    if len(shape) == 1:
         return coords.copy()
-    out = np.zeros((space.d, space.d))
-    iu, ju = _upper_indices(space.d)
+    out = np.zeros(shape)
+    iu, ju = np.triu_indices(shape[0])
     out[iu, ju] = coords
     out[ju, iu] = coords
     return out

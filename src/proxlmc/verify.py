@@ -26,7 +26,7 @@ from .potentials import (
     prox_logdet,
 )
 from .samplers import SamplerConfig, run_chain
-from .space import FLAT, SYMMETRIC, RngStream, Space, norm, sym_eigendecomposition
+from .space import RngStream, gaussian, norm, sym_eigendecomposition
 
 
 @dataclass
@@ -86,12 +86,12 @@ def _moreau_catalog():
     lo = np.array([-1.0, -0.5, 0.0, -2.0])
     hi = np.array([1.0, 0.5, 2.0, -1.0])
     return [
-        ("zero", ZeroPotential(), Space(FLAT, 4)),
-        ("box", BoxIndicator(lo, hi), Space(FLAT, 4)),
-        ("l1", AbsoluteValue(0.7), Space(FLAT, 4)),
-        ("log-barrier", LogBarrier(1.3, 0.5), Space(FLAT, 3)),
-        ("psd", PsdIndicator(4), Space(SYMMETRIC, 4)),
-        ("spectral-log-barrier", SpectralLogBarrier(0.8, 0.5, 4), Space(SYMMETRIC, 4)),
+        ("zero", ZeroPotential(), (4,)),
+        ("box", BoxIndicator(lo, hi), (4,)),
+        ("l1", AbsoluteValue(0.7), (4,)),
+        ("log-barrier", LogBarrier(1.3, 0.5), (3,)),
+        ("psd", PsdIndicator(4), (4, 4)),
+        ("spectral-log-barrier", SpectralLogBarrier(0.8, 0.5, 4), (4, 4)),
     ]
 
 
@@ -101,10 +101,10 @@ def suite_moreau(trials: int = 1000, seed: int = 7) -> SuiteResult:
     rng = RngStream(seed, 0)
     worst = 0.0
     culprit = ""
-    for name, g, space in _moreau_catalog():
+    for name, g, shape in _moreau_catalog():
         for gamma in (0.01, 0.1, 1.0, 10.0):
             for _ in range(trials):
-                x = 3.0 * space.gaussian(rng)
+                x = 3.0 * gaussian(rng, shape)
                 p = g.prox(gamma, x)
                 y = dual_from_primal(gamma, x, g)
                 resid = norm(x - (p + gamma * y)) / max(1.0, norm(x))

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from proxlmc import (
     AbsoluteValue,
     BoxIndicator,
-    EmpiricalMeasure,
     EntryAbsolute,
     LogBarrier,
     Quadratic,
     QuantileOracle,
     RngStream,
-    Space,
     bootstrap_w2_se,
     ergodic_mean,
     estimate_C,
@@ -26,10 +24,10 @@ from proxlmc import (
     SpectralLogBarrier,
     TruncGaussSpec,
     assemble_experiment,
+    gaussian,
     sliced_wasserstein2,
     wasserstein2_1d,
 )
-from proxlmc.space import SYMMETRIC
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +80,20 @@ def test_w2_triangle_inequality():
         assert dac <= dab + dbc + 1e-12
 
 
-def test_empirical_measure():
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.zeros((0, 2)))
-    assert len(EmpiricalMeasure(np.zeros((5, 2)))) == 5
+_TRUNC_GAUSS = assemble_experiment(TruncGaussSpec()).quantile_oracle
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: wasserstein2_1d(np.zeros(0), _TRUNC_GAUSS), "at least one point"),
+    (lambda: wasserstein2_1d(np.zeros(3), np.zeros(0)), "at least one point"),
+    (lambda: sliced_wasserstein2(np.zeros((0, 2)), np.zeros((0, 2))), "at least one point"),
+    (lambda: estimate_C(np.zeros((0, 1)), AbsoluteValue(1.0), L=1.0, ambient_dim=1,
+                        sigma_f_sq=0.0), "at least one point"),
+    (lambda: bootstrap_w2_se(np.zeros(4), _TRUNC_GAUSS, num_bootstrap=1), "num_bootstrap"),
+], ids=["w2-oracle", "w2-empirical", "sliced-w2", "estimate-c", "bootstrap"])
+def test_diagnostics_reject_empty_samples_and_one_resample(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +125,7 @@ def test_sliced_w2_is_seeded_and_reproducible():
 
 
 def test_sliced_w2_matrix_samples():
-    s = Space(SYMMETRIC, 2)
-    base = s.gaussian(RngStream(6, 0), size=25)
+    base = gaussian(RngStream(6, 0), (2, 2), size=25)
     assert sliced_wasserstein2(base, base.copy()) == 0.0
     shifted = base + np.eye(2)
     assert sliced_wasserstein2(base, shifted) > 0.0
@@ -212,7 +219,7 @@ def test_estimate_c_on_box_samples():
 def test_estimate_c_uses_subgradient_norms():
     g = AbsoluteValue(0.5)
     pts = np.array([[1.0], [-2.0], [3.0]])
-    est = estimate_C(EmpiricalMeasure(pts), g, L=0.0, ambient_dim=1, sigma_f_sq=0.0)
+    est = estimate_C(pts, g, L=0.0, ambient_dim=1, sigma_f_sq=0.0)
     assert est.grad_sq_mean == pytest.approx(0.25)
     assert est.value == pytest.approx(0.25)
 
@@ -266,7 +273,7 @@ def test_stacked_estimate_c_equals_the_per_sample_loop_bitwise(d, seed, num_bad)
         pts[i] -= (1.0 + np.linalg.eigvalsh(pts[i])[-1]) * np.eye(d)  # negative definite
     g = _CountingBarrier(0.8, 0.5, d)
     dim = d * (d + 1) // 2
-    est = estimate_C(EmpiricalMeasure(pts), g, L=0.5, ambient_dim=dim, sigma_f_sq=0.3)
+    est = estimate_C(pts, g, L=0.5, ambient_dim=dim, sigma_f_sq=0.3)
     calls = g.calls
     assert (est.value, est.grad_sq_mean, est.num_skipped) == _estimate_c_per_sample(
         pts, g, 0.5, dim, 0.3

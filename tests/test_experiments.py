@@ -21,7 +21,6 @@ from proxlmc import (
     sample_wishart,
     trunc_gauss_quantile,
 )
-from proxlmc.space import FLAT, SYMMETRIC
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +157,7 @@ def test_trunc_gauss_quantile_cdf_round_trip():
 
 def test_assemble_trunc_gauss():
     asm = assemble_experiment(TruncGaussSpec())
-    assert asm.space.kind == FLAT and asm.space.d == 1
+    assert asm.shape == (1,)
     assert isinstance(asm.smooth, QuadraticSum)
     assert asm.smooth.L == 1.0 and asm.smooth.lambda_f == 1.0
     assert isinstance(asm.nonsmooth, BoxIndicator)
@@ -172,7 +171,7 @@ def test_assemble_trunc_gauss():
 def test_assemble_mean_1d_uses_the_prior_barrier():
     data = generate_gaussian_data(20, 1, RngStream(3, 0))
     asm = assemble_experiment(WishartExperimentSpec(kind="mean-1d", d=1, nu=3.0, data=data))
-    assert asm.space.kind == FLAT and asm.space.d == 1
+    assert asm.shape == (1,)
     assert isinstance(asm.smooth, QuadraticSum)
     assert asm.smooth.L == 20.0
     assert isinstance(asm.nonsmooth, LogBarrier)
@@ -184,7 +183,7 @@ def test_assemble_mean_1d_uses_the_prior_barrier():
 def test_assemble_precision_flat_for_d1():
     data = generate_gaussian_data(30, 1, RngStream(4, 0))
     asm = assemble_experiment(WishartExperimentSpec(kind="precision", d=1, nu=5.0, data=data))
-    assert asm.space.kind == FLAT and asm.space.d == 1
+    assert asm.shape == (1,)
     assert isinstance(asm.smooth, PrecisionLikelihood)
     assert isinstance(asm.nonsmooth, LogBarrier)
     assert asm.quantile_oracle is not None
@@ -195,7 +194,7 @@ def test_assemble_precision_flat_for_d1():
 def test_assemble_precision_matrix_case():
     data = generate_gaussian_data(30, 4, RngStream(5, 0))
     asm = assemble_experiment(WishartExperimentSpec(kind="precision", d=4, nu=8.0, data=data))
-    assert asm.space.kind == SYMMETRIC and asm.space.d == 4
+    assert asm.shape == (4, 4)
     assert isinstance(asm.nonsmooth, SpectralLogBarrier)
     assert asm.quantile_oracle is None
     assert np.array_equal(asm.default_x0(0.1), np.eye(4))

@@ -54,6 +54,32 @@ def test_prox_box_values():
         BoxIndicator(np.array([1.0]), np.array([0.0])).prox(0.5, x)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: BoxIndicator(np.array([1.0]), np.array([0.0])),
+    lambda: BoxIndicator(np.array([np.nan]), np.array([1.0])),
+    lambda: BoxIndicator(np.array([0.0, 0.0]), np.array([1.0, np.nan])),
+    lambda: LogBarrier(-1.0, 0.0),
+    lambda: LogBarrier(np.nan, 0.0),
+    lambda: LogBarrier(np.inf, 0.0),
+    lambda: LogBarrier(1.0, np.nan),
+    lambda: LogBarrier(1.0, -np.inf),
+    lambda: SpectralLogBarrier(np.nan, 0.5, 2),
+    lambda: AbsoluteValue(-1.0),
+    lambda: AbsoluteValue(np.nan),
+    lambda: AbsoluteValue(np.inf),
+    lambda: EntryAbsolute(-1.0, (0,)),
+    lambda: EntryAbsolute(np.nan, (0, 0)),
+    lambda: coordinate_absolute_term(-1.0, 3),
+    lambda: diagonal_absolute_term(np.inf, 2),
+], ids=["box-lo-above-hi", "box-nan-lo", "box-nan-hi", "barrier-negative-alpha",
+        "barrier-nan-alpha", "barrier-inf-alpha", "barrier-nan-beta", "barrier-inf-beta",
+        "spectral-nan-alpha", "l1-negative", "l1-nan", "l1-inf", "entry-negative", "entry-nan",
+        "coordinate-term-negative", "diagonal-term-inf"])
+def test_constructors_reject_bad_parameters(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_prox_psd_clips_negative_eigenvalues():
     q, _ = np.linalg.qr(RngStream(2, 0).standard_normal((3, 3)))
     m = (q * np.array([-1.0, 0.5, 2.0])) @ q.T

@@ -15,19 +15,18 @@ from proxlmc import (
     QuadraticSum,
     RngStream,
     SamplerConfig,
-    Space,
     SpectralLogBarrier,
     ZeroPotential,
     ZeroSmooth,
     coordinate_absolute_term,
     diagonal_absolute_term,
+    gaussian,
     run_chain,
     run_ensemble,
     step_psgla,
     step_size_warning,
     tune_for_epsilon,
 )
-from proxlmc.space import FLAT, SYMMETRIC
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +485,12 @@ def _reference_chain(sampler, smooth, g, cfg, x0, r_term):
     time on one point: [(x_half, x_new)] per step, x_half None for ula and
     myula.  Draw order per step: minibatch indices, noise, R index."""
     rng = RngStream(cfg.seed, 0)
-    space = Space(FLAT if x0.ndim == 1 else SYMMETRIC, x0.shape[0])
     lam, x, out = cfg.myula_lambda, x0, []
     for _ in range(cfg.num_steps):
         grad = smooth.stochastic_gradient(x, rng, cfg.minibatch)
         if sampler == "myula":
             grad = grad + (x - g.prox(lam, x)) / lam
-        x_half = x - cfg.gamma * grad + math.sqrt(2.0 * cfg.gamma) * space.gaussian(rng)
+        x_half = x - cfg.gamma * grad + math.sqrt(2.0 * cfg.gamma) * gaussian(rng, x0.shape)
         if sampler == "spla":
             x_half = r_term.prox_sample(cfg.gamma, x_half, rng)
         if sampler in ("ula", "myula"):

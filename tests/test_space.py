@@ -4,17 +4,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proxlmc import (
-    FLAT,
-    SYMMETRIC,
     EigenFailure,
     RngStream,
-    Space,
+    ambient_dim,
+    check_point,
+    gaussian,
     inner,
     norm,
     spectral_apply,
     sym_eigendecomposition,
 )
-from proxlmc.space import flatten_point, unflatten_point
+from proxlmc.space import flatten_points, unflatten_point
 
 
 # ---------------------------------------------------------------------------
@@ -63,48 +63,41 @@ def test_stream_rejects_negative_stream_id():
 
 
 # ---------------------------------------------------------------------------
-# state spaces
+# points
 # ---------------------------------------------------------------------------
 
 def test_flat_space_basics():
-    s = Space(FLAT, 3)
-    assert s.ambient_dim == 3
-    assert s.point_shape() == (3,)
-    assert np.array_equal(s.zero(), np.zeros(3))
-    with pytest.raises(ValueError):
-        s.identity()
+    assert ambient_dim((3,)) == 3
+    x = check_point([1, 2, 3])
+    assert x.dtype == float and np.array_equal(x, [1.0, 2.0, 3.0])
 
 
 def test_symmetric_space_basics():
-    s = Space(SYMMETRIC, 4)
-    assert s.ambient_dim == 10
-    assert s.point_shape() == (4, 4)
-    assert np.array_equal(s.identity(), np.eye(4))
-    assert np.array_equal(s.zero(), np.zeros((4, 4)))
+    assert ambient_dim((4, 4)) == 10
+    assert ambient_dim((1, 1)) == 1
+    assert np.array_equal(check_point(np.eye(4)), np.eye(4))
 
 
 def test_space_validation():
-    with pytest.raises(ValueError):
-        Space("spherical", 2)
-    with pytest.raises(ValueError):
-        Space(FLAT, 0)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        check_point(np.zeros(0))
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        check_point(np.zeros((0, 0)))
 
 
 def test_check_point_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        Space(FLAT, 3).check_point(np.zeros(4))
-    with pytest.raises(ValueError):
-        Space(SYMMETRIC, 2).check_point(np.zeros((2, 3)))
+    for bad in (np.float64(1.0), np.zeros((2, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="cannot infer state space"):
+            check_point(bad)
     asym = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        Space(SYMMETRIC, 2).check_point(asym)
+    with pytest.raises(ValueError, match="asymmetric"):
+        check_point(asym)
 
 
 def test_symmetric_gaussian_is_exactly_symmetric():
-    s = Space(SYMMETRIC, 5)
-    w = s.gaussian(RngStream(3, 0))
+    w = gaussian(RngStream(3, 0), (5, 5))
     assert np.array_equal(w, w.T)
-    batch = s.gaussian(RngStream(3, 0), size=7)
+    batch = gaussian(RngStream(3, 0), (5, 5), size=7)
     assert batch.shape == (7, 5, 5)
     assert np.array_equal(batch[0], w)
 
@@ -112,8 +105,7 @@ def test_symmetric_gaussian_is_exactly_symmetric():
 def test_symmetric_gaussian_moments():
     """Standard under the trace inner product: diagonal variance 1,
     off-diagonal variance 1/2."""
-    s = Space(SYMMETRIC, 3)
-    w = s.gaussian(RngStream(17, 0), size=20000)
+    w = gaussian(RngStream(17, 0), (3, 3), size=20000)
     var = w.var(axis=0)
     assert np.all(np.abs(var[np.eye(3, dtype=bool)] - 1.0) < 0.08)
     assert np.all(np.abs(var[~np.eye(3, dtype=bool)] - 0.5) < 0.05)
@@ -121,17 +113,16 @@ def test_symmetric_gaussian_moments():
 
 def test_symmetric_gaussian_isotropy():
     # E <W, A>^2 = ||A||_F^2 for symmetric A
-    s = Space(SYMMETRIC, 3)
     a = np.array([[1.0, 0.4, -0.2], [0.4, -0.5, 0.1], [-0.2, 0.1, 0.3]])
-    w = s.gaussian(RngStream(19, 0), size=20000)
+    w = gaussian(RngStream(19, 0), (3, 3), size=20000)
     proj = np.einsum("kij,ij->k", w, a)
     assert abs(proj.var() / norm(a) ** 2 - 1.0) < 0.06
 
 
 def test_flat_gaussian_shapes():
-    s = Space(FLAT, 4)
-    assert s.gaussian(RngStream(0, 0)).shape == (4,)
-    assert s.gaussian(RngStream(0, 0), size=6).shape == (6, 4)
+    assert gaussian(RngStream(0, 0), (4,)).shape == (4,)
+    assert gaussian(RngStream(0, 0), (4,), size=6).shape == (6, 4)
+    assert np.array_equal(gaussian(RngStream(0, 0), (4,)), RngStream(0, 0).standard_normal(4))
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +212,21 @@ def test_spectral_apply_known_values():
 # ---------------------------------------------------------------------------
 
 def test_flatten_layout():
-    s = Space(SYMMETRIC, 3)
     m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
-    assert np.array_equal(flatten_point(s, m), np.array([1, 2, 3, 4, 5, 6.0]))
-    assert np.array_equal(flatten_point(Space(FLAT, 3), np.array([1.0, 2, 3])), [1, 2, 3])
+    stack = flatten_points(np.stack([m, 2 * m]))
+    assert np.array_equal(stack, [[1, 2, 3, 4, 5, 6.0], [2, 4, 6, 8, 10, 12.0]])
+    assert np.array_equal(flatten_points(np.array([[1.0, 2, 3]])), [[1, 2, 3]])
 
 
 def test_unflatten_rejects_wrong_length():
     with pytest.raises(ValueError):
-        unflatten_point(Space(SYMMETRIC, 3), np.zeros(5))
+        unflatten_point(np.zeros(5), (3, 3))
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 def test_flatten_round_trip(d, seed):
-    s = Space(SYMMETRIC, d)
-    coords = RngStream(seed, 0).standard_normal(s.ambient_dim)
-    m = unflatten_point(s, coords)
+    coords = RngStream(seed, 0).standard_normal(ambient_dim((d, d)))
+    m = unflatten_point(coords, (d, d))
     assert np.array_equal(m, m.T)
-    assert np.array_equal(flatten_point(s, m), coords)
+    assert np.array_equal(flatten_points(m[None])[0], coords)
+    assert np.array_equal(unflatten_point(coords, (len(coords),)), coords)
