@@ -260,8 +260,7 @@ def sample_wishart(nu: float, v_inv: np.ndarray, rng: RngStream, size: int) -> n
         a = np.zeros((d, d))
         for i in range(d):
             a[i, i] = np.sqrt(2.0 * rng.standard_gamma((nu - i) / 2.0))
-            for j in range(i):
-                a[i, j] = rng.standard_normal()
+            a[i, :i] = rng.standard_normal(i)  # the i draws of a[i, 0], ..., a[i, i-1]
         la = chol @ a
         w = la @ la.T
         out[k] = (w + w.T) / 2.0

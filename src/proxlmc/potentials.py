@@ -23,8 +23,13 @@ import numpy as np
 from .space import norm, spectral_apply, sym_eigendecomposition
 
 _PSD_TOL = 1e-10
+# Shift of the Cholesky domain certificate, relative to ||x||_F (Spectral.domain_mask)
+_CHOL_MARGIN = 1e-6
+# Frobenius norms the certificate accepts: nothing in the norm or the factorization
+# under- or overflows, so the relative backward-error bounds behind it hold
+_CHOL_NORMS = (1e-150, 1e150)
 _CONJ_TOL = 1e-8
-_DOMAIN_BLOCK = 512  # matrices per stacked eigendecomposition of a domain check
+_DOMAIN_BLOCK = 512  # matrices per shifted Cholesky (and, if it fails, eigendecomposition)
 
 
 class ConjugateUnavailable(NotImplementedError):
@@ -47,6 +52,13 @@ def _weight(w, name="weight") -> float:
 def _each(cond):
     """Reduce an elementwise condition on a stack to one flag per point."""
     return np.all(cond, axis=tuple(range(1, cond.ndim)))
+
+
+def _frobenius(x):
+    """||x||_F of a matrix or of each matrix of a stack, as np.linalg.norm(x)
+    computes it: a dot product per matrix."""
+    flat = x.reshape(*x.shape[:-2], -1)
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +260,39 @@ class LogBarrier(NonsmoothPotential):
         return 0.0 if np.all(y <= self.beta + tol) else np.inf
 
 
+def _cholesky_certifies(block) -> bool:
+    """True when one stacked Cholesky of x - delta I, delta = _CHOL_MARGIN ||x||_F,
+    succeeds for every matrix x of a (k, d, d) block; False when it fails or
+    the block is not a stack of square, exactly symmetric matrices with
+    finite norms in _CHOL_NORMS.
+
+    True proves what an eigendecomposition would report.  Cholesky is
+    backward stable (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002, Thm 10.3): success means lambda_min(x) > delta -
+    O(d^2 eps ||x||).  eigh is backward stable too, so by Weyl's inequality
+    (Demmel, "Applied Numerical Linear Algebra", 1997, sec. 5.2) its
+    computed minimum eigenvalue is then > 0, with a margin of more than 1e4
+    over the rounding for d <= 1000: x is inside the open and the closed
+    domain alike.
+    """
+    if block.ndim != 3 or block.shape[-1] != block.shape[-2]:
+        return False  # sym_eigendecomposition reports the bad shape
+    if not (block == block.mT).all():  # Cholesky reads one triangle only
+        return False
+    with np.errstate(over="ignore"):  # an overflowing norm is out of range below
+        norms = _frobenius(block)
+    if not np.all((norms >= _CHOL_NORMS[0]) & (norms <= _CHOL_NORMS[1])):  # NaN, inf too
+        return False
+    shifted = block.copy()
+    d = block.shape[-1]
+    shifted.reshape(len(block), -1)[:, :: d + 1] -= _CHOL_MARGIN * norms[:, None]  # diagonals
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class Spectral(NonsmoothPotential):
     """Spectral lift of a scalar log barrier f to symmetric d x d matrices,
     G(x) = sum_i f(lambda_i(x)).  With x = Q Lambda Q^T (Lewis, "Convex
@@ -256,10 +301,15 @@ class Spectral(NonsmoothPotential):
         prox_{gamma G}(x) = Q prox_{gamma f}(Lambda) Q^T,
         grad G(x) = Q f'(Lambda) Q^T,    G*(y) = sum_i f*(lambda_i(y)),
 
-    so each method makes one eigendecomposition (the domain check one per
-    block of _DOMAIN_BLOCK matrices).  A closed domain (alpha = 0) admits a
-    minimum eigenvalue down to -1e-10 max(1, max |lambda|); a subclass may
-    scale that tolerance by another norm of x.
+    so each method makes one eigendecomposition.  The domain check works
+    on blocks of _DOMAIN_BLOCK matrices and needs none for a block that
+    a shifted Cholesky certificate (:func:`_cholesky_certifies`) proves
+    positive definite, which is every block of a feasible chain's trace; a
+    block it cannot certify takes one stacked eigendecomposition, and so
+    does, without trying the certificate, a block whose preceding matrix
+    is outside the domain.  A closed domain (alpha = 0) admits a minimum
+    eigenvalue down to -1e-10 max(1, max |lambda|); a subclass may scale
+    that tolerance by another norm of x.
     """
 
     def __init__(self, scalar: LogBarrier, d: int):
@@ -292,9 +342,14 @@ class Spectral(NonsmoothPotential):
         out = np.empty(len(xs), dtype=bool)
         for i in range(0, len(xs), _DOMAIN_BLOCK):
             block = xs[i : i + _DOMAIN_BLOCK]
-            out[i : i + _DOMAIN_BLOCK] = self._feasible(
-                block, sym_eigendecomposition(block).eigenvalues
-            )
+            # a chain outside the domain just before a block is not likely to
+            # stay inside all through it, and a failed certificate is a wasted
+            # factorization, so such a block goes straight to the eigensolve
+            if (i == 0 or out[i - 1]) and _cholesky_certifies(block):
+                out[i : i + _DOMAIN_BLOCK] = True
+            else:
+                w = sym_eigendecomposition(block).eigenvalues
+                out[i : i + _DOMAIN_BLOCK] = self._feasible(block, w)
         return out
 
     def subgradient_min(self, x):
@@ -313,9 +368,7 @@ class PsdIndicator(Spectral):
         super().__init__(LogBarrier(0.0, 0.0), d)
 
     def _tol(self, x, w):
-        flat = x.reshape(*x.shape[:-2], -1)
-        # ||x||_F as np.linalg.norm(x) computes it, a dot product per matrix
-        return _PSD_TOL * np.fmax(1.0, np.sqrt(np.vecdot(flat, flat)))
+        return _PSD_TOL * np.fmax(1.0, _frobenius(x))
 
 
 class SpectralLogBarrier(Spectral):
@@ -404,10 +457,8 @@ class LipschitzProxTerm:
     def __init__(self, components, M: float):
         if not components:
             raise ValueError("LipschitzProxTerm needs at least one component")
-        if M < 0:
-            raise ValueError("subgradient bound M must be >= 0")
         self.components = list(components)
-        self.M = float(M)
+        self.M = _weight(M, "subgradient bound M")
 
     def prox_sample(self, gamma, x, rng):
         if len(self.components) == 1:
@@ -535,6 +586,8 @@ class QuadraticSum(SmoothPotential):
         data = np.atleast_2d(np.asarray(data, dtype=float))
         if data.shape[0] < 1:
             raise ValueError("quadratic sum needs at least one data point")
+        if not np.isfinite(data).all():
+            raise ValueError("QuadraticSum data must be finite")
         self.data = data
         self.n = data.shape[0]
         self.point_shape = (data.shape[1],)
@@ -559,7 +612,8 @@ class QuadraticSum(SmoothPotential):
         if b < 1:
             raise ValueError("minibatch size must be >= 1 or 'full'")
         idx = rng.integers(self.n, size=b)
-        return self.n * (np.asarray(x, dtype=float) - self.data[idx].mean(axis=0))
+        # sum / b is bitwise np.mean, without its per-call overhead
+        return self.n * (np.asarray(x, dtype=float) - self.data[idx].sum(axis=0) / b)
 
     def grad_norm_variance(self, x, minibatch=1):
         if minibatch == "full":
@@ -586,6 +640,8 @@ class PrecisionLikelihood(SmoothPotential):
             raise ValueError("precision likelihood needs at least one data point")
         if data.shape[1] != d:
             raise ValueError(f"data has dimension {data.shape[1]}, expected {d}")
+        if not np.isfinite(data).all():
+            raise ValueError("PrecisionLikelihood data must be finite")
         self.data = data
         self.d = d
         self.n = data.shape[0]
@@ -617,7 +673,8 @@ class PrecisionLikelihood(SmoothPotential):
         idx = rng.integers(self.n, size=b)
         rows = self.data[idx]
         if self.d == 1:
-            return np.array([self.n * np.mean(rows[:, 0] ** 2) / 2.0])
+            sq = rows[:, 0] ** 2
+            return np.array([self.n * (sq.sum() / b) / 2.0])  # sum / b: bitwise np.mean
         est = (rows.T @ rows) / b * self.n / 2.0
         return (est + est.T) / 2.0
 

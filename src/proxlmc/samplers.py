@@ -349,8 +349,10 @@ def tune_for_epsilon(eps: float, L: float, lambda_f: float, C: float, w0_sq: flo
         raise ValueError(f"tuning requires strong convexity lambda_f > 0, got {lambda_f}")
     if not C > 0:
         raise ValueError(f"C must be > 0, got {C}")
-    if L < 0 or w0_sq < 0:
-        raise ValueError("L and w0_sq must be >= 0")
+    if not L >= 0:  # NaN fails too
+        raise ValueError(f"L must be >= 0, got {L}")
+    if not w0_sq >= 0:
+        raise ValueError(f"w0_sq must be >= 0, got {w0_sq}")
     cap = 1.0 / L if L > 0 else math.inf
     gamma = min(cap, lambda_f * eps / (2.0 * C))
     factor = max(L / lambda_f, 2.0 * C / (lambda_f**2 * eps))

@@ -240,6 +240,33 @@ def test_sample_wishart_moments_and_determinism():
     assert np.all(np.abs(mean - expected) < 5 * se)
 
 
+def _sample_wishart_per_draw(nu, v_inv, rng, size):
+    """The Bartlett sampler with one generator call per entry, as first written."""
+    d = v_inv.shape[0]
+    v = np.linalg.inv(v_inv)
+    chol = np.linalg.cholesky((v + v.T) / 2.0)
+    out = np.empty((size, d, d))
+    for k in range(size):
+        a = np.zeros((d, d))
+        for i in range(d):
+            a[i, i] = np.sqrt(2.0 * rng.standard_gamma((nu - i) / 2.0))
+            for j in range(i):
+                a[i, j] = rng.standard_normal()
+        la = chol @ a
+        w = la @ la.T
+        out[k] = (w + w.T) / 2.0
+    return out
+
+
+@pytest.mark.parametrize("d, nu", [(1, 2.5), (3, 4.0), (10, 64.0)])
+def test_sample_wishart_equals_per_draw_sampler(d, nu):
+    b = RngStream(9, 0).standard_normal((d, d))
+    v_inv = b @ b.T + d * np.eye(d)
+    for seed in range(4):
+        expected = _sample_wishart_per_draw(nu, v_inv, RngStream(seed, 2), 50)
+        assert np.array_equal(sample_wishart(nu, v_inv, RngStream(seed, 2), 50), expected)
+
+
 def test_sample_wishart_degrees_of_freedom_guard():
     with pytest.raises(ValueError):
         sample_wishart(1.0, np.eye(2), RngStream(8, 0), size=1)

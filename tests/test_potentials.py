@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxlmc import potentials
 from proxlmc import (
     AbsoluteValue,
     BoxIndicator,
@@ -15,10 +16,13 @@ from proxlmc import (
     Quadratic,
     QuadraticSum,
     RngStream,
+    SamplerConfig,
     Spectral,
     SpectralLogBarrier,
+    WishartExperimentSpec,
     ZeroPotential,
     ZeroSmooth,
+    assemble_experiment,
     build_gamma_potential,
     coordinate_absolute_term,
     diagonal_absolute_term,
@@ -27,6 +31,7 @@ from proxlmc import (
     prox_logbarrier_scalar,
     prox_logdet,
     prox_psd,
+    run_chain,
     sym_eigendecomposition,
 )
 
@@ -497,6 +502,131 @@ def test_spectral_domain_mask_spans_blocks():
         assert g.domain_mask(stack[:0]).shape == (0,)
 
 
+def _feasible_stack(rng, k, d):
+    """k random rotations of spectra drawn from [1, 3], exactly symmetric."""
+    q, _ = np.linalg.qr(rng.standard_normal((k, d, d)))
+    m = (q * (1.0 + 2.0 * rng.uniform((k, 1, d)))) @ q.mT
+    return (m + m.mT) / 2.0
+
+
+def _lowest_eigenvalue(low, rest):
+    """lambda_min for a spectrum whose other eigenvalues are rest: a fixed
+    value, or f times the certificate's shift m ||x||_F, which solves
+    lambda = f m sqrt(lambda^2 + |rest|^2)."""
+    kind, value = low
+    if kind == "value":
+        return value
+    fm = value * potentials._CHOL_MARGIN
+    return fm * np.sqrt(np.sum(rest**2) / (1.0 - fm * fm))
+
+
+@settings(max_examples=25)
+@given(
+    st.sampled_from([1, 2, 5, 10]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([None, ("margin", 0.5), ("margin", 1.0), ("margin", 2.0),
+                     ("value", 1e-300), ("value", 5e-324)]),
+    st.sampled_from([24, 1300]),
+)
+def test_certified_domain_mask_matches_per_point_rule(d, seed, low, length):
+    """Strictly feasible stacks that the Cholesky certificate passes block by
+    block, with one boundary spectrum (unless low is None) in the middle
+    block: lambda_min at 0.5, 1 or 2 times the certificate's shift, at 1e-300
+    or at a denormal, once diagonal and once rotated.  The flags equal the
+    per-point eigh rule."""
+    rng = RngStream(seed, 0)
+    stack = _feasible_stack(rng, length, d)
+    assert all(potentials._cholesky_certifies(stack[i : i + 512]) for i in range(0, length, 512))
+    at = length // 2
+    if low is not None:
+        rest = 1.0 + 2.0 * rng.uniform(d - 1)
+        spectrum = np.concatenate([[_lowest_eigenvalue(low, rest)], rest])
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        rotated = (q * spectrum) @ q.T
+        stack[at] = np.diag(spectrum)
+        stack[at + 1] = (rotated + rotated.T) / 2.0
+        if d > 1 and low in (("margin", 0.5), ("margin", 2.0)):
+            assert potentials._cholesky_certifies(stack[at : at + 1]) == (low[1] == 2.0)
+    for g in (PsdIndicator(d), SpectralLogBarrier(0.8, 0.5, d), Spectral(LogBarrier(0.0, 0.5), d)):
+        mask = g.domain_mask(stack)
+        assert mask.tolist() == [_reference_in_domain(g, x) for x in stack]
+        assert [g.in_domain(x) for x in stack[at : at + 2]] == mask[at : at + 2].tolist()
+
+
+def test_feasible_trace_needs_no_eigendecomposition(monkeypatch):
+    """A strictly feasible PSGLA trace is certified without an eigensolve;
+    one boundary matrix costs its block exactly one."""
+    calls = []
+
+    def counting(m):
+        calls.append(len(m))
+        return sym_eigendecomposition(m)
+
+    monkeypatch.setattr(potentials, "sym_eigendecomposition", counting)
+    data = RngStream(23, 0).standard_normal((20, 3))
+    asm = assemble_experiment(WishartExperimentSpec("precision", d=3, nu=5.0, data=data))
+    cfg = SamplerConfig(gamma=0.02, num_steps=1200, seed=23)
+    trace = run_chain("psgla", asm.smooth, asm.nonsmooth, cfg, asm.default_x0(cfg.gamma))
+    assert calls == [] and trace.feasible_flags.all()
+
+    stack = trace.primal.copy()
+    stack[700] = np.diag([0.0, 1.0, 2.0])
+    mask = asm.nonsmooth.domain_mask(stack)
+    assert calls == [512]  # the middle block only
+    assert mask.tolist() == [i != 700 for i in range(1200)]
+
+
+def test_certificate_leaves_bad_stacks_to_the_eigendecomposition():
+    """The certificate reads one triangle only, so an asymmetric stack still
+    fails the eigendecomposition's symmetry check; a stack of non-square
+    matrices gets its shape error and a stack of one 1 x 1 matrix its flag;
+    non-finite, tiny and huge matrices are not certified and get the
+    per-point flags."""
+    g = SpectralLogBarrier(0.8, 0.5, 3)
+    upper = np.eye(3)
+    upper[0, 2] = 5.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        g.domain_mask(np.stack([np.eye(3), upper]))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        PsdIndicator(3).domain_mask(np.zeros((2, 3, 2)))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        Spectral(LogBarrier(0.0, 0.0), 1).domain_mask(np.array([[2.0], [-1.0]]))
+    scalar = Spectral(LogBarrier(0.0, 0.0), 1)
+    assert scalar.in_domain(np.array([2.0])) and not scalar.in_domain(np.array([-2.0]))
+    for scale in (1e-200, 1e-160, 1e160, 1e200):
+        assert not potentials._cholesky_certifies(scale * np.eye(3)[None])
+        _assert_mask_matches_reference(g, np.stack([scale * np.eye(3), np.eye(3)]))
+    for bad in (np.nan, np.inf):
+        x = np.eye(3)
+        x[1, 1] = bad
+        stack = np.stack([np.eye(3), x])
+        assert not potentials._cholesky_certifies(stack)
+        _assert_mask_matches_reference(g, stack)
+
+
+def test_certificate_is_not_tried_after_an_infeasible_matrix(monkeypatch):
+    """A block whose preceding matrix is outside the domain goes straight to
+    the eigensolve: a trace that has left the cone pays for one failed
+    factorization, not one per block."""
+    tried = []
+    certifies = potentials._cholesky_certifies
+
+    def counting(block):
+        tried.append(len(block))
+        return certifies(block)
+
+    monkeypatch.setattr(potentials, "_cholesky_certifies", counting)
+    g = SpectralLogBarrier(0.8, 0.5, 3)
+    stack = np.tile(np.eye(3), (1300, 1, 1))
+    stack[:600] = -np.eye(3)
+    assert g.domain_mask(stack).tolist() == [i >= 600 for i in range(1300)]
+    assert tried == [512, 276]  # blocks 0 and 2; block 1 follows matrix 511, outside
+    tried.clear()
+    stack[600:] = -np.eye(3)
+    assert not g.domain_mask(stack).any()
+    assert tried == [512]
+
+
 def test_entry_absolute_subgradient_on_a_stack_equals_per_point():
     rng = RngStream(13, 0)
     for g, shape in ((EntryAbsolute(0.7, (1,)), (3,)), (EntryAbsolute(0.7, (2, 2)), (3, 3))):
@@ -566,6 +696,8 @@ def test_lipschitz_term_construction_and_moments():
         LipschitzProxTerm([], M=1.0)
     with pytest.raises(ValueError):
         LipschitzProxTerm([ZeroPotential()], M=-1.0)
+    with pytest.raises(ValueError, match="subgradient bound M"):
+        LipschitzProxTerm([ZeroPotential()], M=float("nan"))
     term = coordinate_absolute_term(0.5, 4)
     assert term.M == 0.5
     x = np.array([1.0, -2.0, 3.0, 4.0])
@@ -712,6 +844,30 @@ def test_precision_likelihood_stochastic_gradient():
 def test_precision_likelihood_validates_dimensions():
     with pytest.raises(ValueError):
         PrecisionLikelihood(np.zeros((3, 2)), 3)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: QuadraticSum(np.array([[0.5, 1.0], [np.nan, 2.0]])), "QuadraticSum"),
+    (lambda: PrecisionLikelihood(np.array([[0.5, 1.0], [1.0, -np.inf]]), 2), "PrecisionLikelihood"),
+], ids=["quadratic-sum", "precision-likelihood"])
+def test_smooth_terms_reject_non_finite_data(build, name):
+    with pytest.raises(ValueError, match=f"^{name} data must be finite"):
+        build()
+
+
+def test_minibatch_gradients_equal_the_mean_formula():
+    """sum / b in the minibatch estimators is bitwise the np.mean they replace."""
+    data = RngStream(24, 0).standard_normal((9, 3))
+    x = np.array([0.4, -0.6, 1.1])
+    f, f1 = QuadraticSum(data), PrecisionLikelihood(data[:, :1], 1)
+    for seed in range(20):
+        rng, ref = RngStream(seed, 1), RngStream(seed, 1)
+        for b in (1, 5, 7):
+            rows = data[ref.integers(9, size=b)]
+            assert np.array_equal(f.stochastic_gradient(x, rng, b), 9 * (x - rows.mean(axis=0)))
+            rows = data[ref.integers(9, size=b), :1]
+            expected = np.array([9 * np.mean(rows[:, 0] ** 2) / 2.0])
+            assert np.array_equal(f1.stochastic_gradient(x[:1], rng, b), expected)
 
 
 def _smooth_catalog(d, rng):

@@ -556,3 +556,11 @@ def test_tune_for_epsilon_validation():
         tune_for_epsilon(0.1, 1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         tune_for_epsilon(0.1, 1.0, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("L, w0_sq, name", [
+    (float("nan"), 1.0, "L"), (-1.0, 1.0, "L"), (1.0, float("nan"), "w0_sq"), (1.0, -1.0, "w0_sq"),
+])
+def test_tune_for_epsilon_rejects_out_of_range_l_and_w0(L, w0_sq, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+        tune_for_epsilon(0.1, L, 1.0, 2.0, w0_sq)
