@@ -9,7 +9,6 @@ streams (:mod:`proxlmc.space`), the potential and prox catalog
 """
 
 from .space import (
-    EigenDecomposition,
     EigenFailure,
     RngStream,
     ambient_dim,
@@ -41,9 +40,6 @@ from .potentials import (
     coordinate_absolute_term,
     diagonal_absolute_term,
     dual_from_primal,
-    prox_logbarrier_scalar,
-    prox_logdet,
-    prox_psd,
 )
 from .samplers import (
     SAMPLER_IDS,

@@ -62,41 +62,8 @@ def _frobenius(x):
 
 
 # ---------------------------------------------------------------------------
-# prox catalog (free functions)
+# dual points
 # ---------------------------------------------------------------------------
-
-def prox_logbarrier_scalar(gamma, s, alpha, beta):
-    """Prox of g(t) = -alpha log t + beta t on (0, inf), elementwise in s.
-
-    Closed form: with u = s - gamma*beta, the positive root of
-    t^2 - u t - gamma*alpha = 0.  For alpha = 0 the domain closes to
-    [0, inf) and the prox is max(u, 0).
-    """
-    _check_gamma(gamma)
-    if alpha < 0:
-        raise ValueError(f"log-barrier weight alpha must be >= 0, got {alpha}")
-    s = np.asarray(s, dtype=float)
-    u = s - gamma * beta
-    if alpha == 0:
-        # Not np.maximum: clipping keeps a -0.0 input as -0.0, like max(t, 0.0).
-        return np.where(u < 0, 0.0, u)
-    root = np.sqrt(u * u + 4.0 * gamma * alpha)
-    # Stable in both tails: avoid cancellation when u is very negative.
-    return np.where(u > 0, (u + root) / 2.0, 2.0 * gamma * alpha / (root - u))
-
-
-def prox_logdet(gamma, m, alpha, beta):
-    """Prox of G(x) = -alpha log det x + beta tr x on the PD cone.
-
-    Spectral: apply the scalar log-barrier prox to each eigenvalue.
-    """
-    return spectral_apply(lambda w: prox_logbarrier_scalar(gamma, w, alpha, beta), m)
-
-
-def prox_psd(gamma, m):
-    """Projection onto the positive semidefinite cone (eigenvalue clipping)."""
-    return prox_logdet(gamma, m, 0.0, 0.0)
-
 
 def dual_from_primal(gamma, x, g):
     """Dual point of the forward-backward pair: (x - prox_{gamma G}(x)) / gamma.
@@ -237,7 +204,16 @@ class LogBarrier(NonsmoothPotential):
         return float(self.beta * np.sum(x))
 
     def prox(self, gamma, x):
-        return prox_logbarrier_scalar(gamma, x, self.alpha, self.beta)
+        """Closed form, elementwise: with u = x - gamma*beta, the positive root
+        of t^2 - u t - gamma*alpha = 0; for alpha = 0 it is max(u, 0)."""
+        _check_gamma(gamma)
+        u = np.asarray(x, dtype=float) - gamma * self.beta
+        if self.alpha == 0:
+            # Not np.maximum: clipping keeps a -0.0 input as -0.0, like max(t, 0.0).
+            return np.where(u < 0, 0.0, u)
+        root = np.sqrt(u * u + 4.0 * gamma * self.alpha)
+        # Stable in both tails: avoid cancellation when u is very negative.
+        return np.where(u > 0, (u + root) / 2.0, 2.0 * gamma * self.alpha / (root - u))
 
     prox_batch = prox  # elementwise closed form, already vectorized
 
@@ -307,9 +283,10 @@ class Spectral(NonsmoothPotential):
     positive definite, which is every block of a feasible chain's trace; a
     block it cannot certify takes one stacked eigendecomposition, and so
     does, without trying the certificate, a block whose preceding matrix
-    is outside the domain.  A closed domain (alpha = 0) admits a minimum
-    eigenvalue down to -1e-10 max(1, max |lambda|); a subclass may scale
-    that tolerance by another norm of x.
+    is outside the domain.  A matrix with a non-finite entry is outside it
+    too.  A closed domain (alpha = 0) admits a minimum eigenvalue down to
+    -1e-10 max(1, max |lambda|); a subclass may scale that tolerance by
+    another norm of x.
     """
 
     def __init__(self, scalar: LogBarrier, d: int):
@@ -348,8 +325,14 @@ class Spectral(NonsmoothPotential):
             if (i == 0 or out[i - 1]) and _cholesky_certifies(block):
                 out[i : i + _DOMAIN_BLOCK] = True
             else:
+                # a non-finite matrix is outside: eigh may fail on it or rank its
+                # NaN eigenvalue above the lowest, so it reaches eigh as zeros
+                finite = _each(np.isfinite(block))
+                if not finite.all():
+                    block = block.copy()
+                    block[~finite] = 0.0
                 w = sym_eigendecomposition(block).eigenvalues
-                out[i : i + _DOMAIN_BLOCK] = self._feasible(block, w)
+                out[i : i + _DOMAIN_BLOCK] = finite & self._feasible(block, w)
         return out
 
     def subgradient_min(self, x):

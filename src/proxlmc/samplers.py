@@ -211,8 +211,9 @@ def step_psgla(x, smooth, nonsmooth, cfg, rng):
 
     Returns (x_half, x_new, y_new): the pre-prox point, the next iterate
     prox_{gamma G}(x_half), and the dual point (x_half - x_new) / gamma.
+    x gets the same start-up checks as run_chain and run_ensemble.
     """
-    x = check_point(x)
+    x = _prepare("psgla", smooth, nonsmooth, cfg, x, None)
     steps = _kernel("psgla", smooth, nonsmooth, cfg, x[None], [rng], None, 1)
     _, x_half, xs = next(steps)
     return x_half[0], xs[0], (x_half[0] - xs[0]) / cfg.gamma
@@ -353,6 +354,9 @@ def tune_for_epsilon(eps: float, L: float, lambda_f: float, C: float, w0_sq: flo
         raise ValueError(f"L must be >= 0, got {L}")
     if not w0_sq >= 0:
         raise ValueError(f"w0_sq must be >= 0, got {w0_sq}")
+    for name, v in (("eps", eps), ("L", L), ("lambda_f", lambda_f), ("C", C), ("w0_sq", w0_sq)):
+        if math.isinf(v):  # only +inf is left
+            raise ValueError(f"{name} must be finite, got {v}")
     cap = 1.0 / L if L > 0 else math.inf
     gamma = min(cap, lambda_f * eps / (2.0 * C))
     factor = max(L / lambda_f, 2.0 * C / (lambda_f**2 * eps))

@@ -14,8 +14,6 @@ stream_id = chain index without coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _TWO64 = 2**64
@@ -104,35 +102,15 @@ def norm(a: np.ndarray) -> float:
     return float(np.sqrt(inner(a, a)))
 
 
-@dataclass
-class EigenDecomposition:
-    """Spectral factorization M = basis @ diag(eigenvalues) @ basis.T.
-
-    Eigenvalues are ascending; basis columns are orthonormal.  For a stack
-    of matrices both fields carry the stack's leading axes.
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-    def apply(self, fn) -> np.ndarray:
-        """Q fn(Lambda) Q^T for fn elementwise on the eigenvalue array, per
-        matrix of a (..., d, d) stack; exactly symmetric (symmetrized after
-        reconstruction to kill matmul roundoff)."""
-        m = (self.basis * fn(self.eigenvalues)[..., None, :]) @ self.basis.mT
-        return (m + m.mT) / 2.0
-
-    def reconstruct(self) -> np.ndarray:
-        return self.apply(lambda w: w)
-
-
 class EigenFailure(RuntimeError):
     """Eigendecomposition did not converge; signals numerical pathology."""
 
 
-def sym_eigendecomposition(m: np.ndarray) -> EigenDecomposition:
+def sym_eigendecomposition(m: np.ndarray):
     """Eigendecomposition of a symmetric matrix, or of each matrix of a
-    (..., d, d) stack in one LAPACK call; eigenvalues ascending.
+    (..., d, d) stack in one LAPACK call, as numpy's (eigenvalues,
+    eigenvectors) pair: eigenvalues ascending, orthonormal eigenvector
+    columns, both with the stack's leading axes.
 
     Each matrix must be symmetric to a relative tolerance and is then
     symmetrized; exactly symmetric input, such as every chain iterate, skips
@@ -147,10 +125,9 @@ def sym_eigendecomposition(m: np.ndarray) -> EigenDecomposition:
             raise ValueError("matrix is not symmetric")
         m = (m + m.mT) / 2.0
     try:
-        w, v = np.linalg.eigh(m)
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as err:
         raise EigenFailure(f"eigendecomposition failed to converge: {err}") from err
-    return EigenDecomposition(eigenvalues=w, basis=v)
 
 
 def spectral_apply(fn, m: np.ndarray) -> np.ndarray:
@@ -160,9 +137,12 @@ def spectral_apply(fn, m: np.ndarray) -> np.ndarray:
     one eigendecomposition call.  fn receives the whole ascending eigenvalue
     array (shape (..., d)) in one call and must act elementwise on it,
     returning a float array of the same shape (numpy ufuncs such as np.sqrt
-    qualify).  Output is exactly symmetric.
+    qualify).  Output is exactly symmetric: symmetrized after the
+    reconstruction, which kills matmul roundoff.
     """
-    return sym_eigendecomposition(m).apply(fn)
+    w, q = sym_eigendecomposition(m)
+    out = (q * fn(w)[..., None, :]) @ q.mT
+    return (out + out.mT) / 2.0
 
 
 def flatten_points(xs: np.ndarray) -> np.ndarray:

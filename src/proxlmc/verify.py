@@ -23,7 +23,6 @@ from .potentials import (
     SpectralLogBarrier,
     ZeroPotential,
     dual_from_primal,
-    prox_logdet,
 )
 from .samplers import SamplerConfig, run_chain
 from .space import RngStream, gaussian, norm, sym_eigendecomposition
@@ -123,7 +122,8 @@ def suite_moreau(trials: int = 1000, seed: int = 7) -> SuiteResult:
 
 
 def suite_spectral_prox(trials: int = 200, seed: int = 11) -> SuiteResult:
-    """prox_logdet against a per-eigenvalue golden-section minimizer, 1e-8."""
+    """SpectralLogBarrier.prox against a per-eigenvalue golden-section
+    minimizer, 1e-8."""
     rng = RngStream(seed, 0)
     dims = (2, 5, 10)
     worst = 0.0
@@ -134,10 +134,10 @@ def suite_spectral_prox(trials: int = 200, seed: int = 11) -> SuiteResult:
         gamma = float(10.0 ** (-2.0 + 3.0 * rng.uniform()))  # log-uniform in [1e-2, 10]
         alpha = float(0.1 + 2.9 * rng.uniform())
         beta = float(rng.uniform())
-        closed = prox_logdet(gamma, m, alpha, beta)
-        eig = sym_eigendecomposition(m)
+        closed = SpectralLogBarrier(alpha, beta, d).prox(gamma, m)
+        w, q = sym_eigendecomposition(m)
         vals = []
-        for s in eig.eigenvalues:
+        for s in w:
             span = abs(s) + gamma * beta + 2.0 * math.sqrt(gamma * alpha) + 1.0
 
             def phi(t, s=s):
@@ -149,7 +149,7 @@ def suite_spectral_prox(trials: int = 200, seed: int = 11) -> SuiteResult:
             vals.append(
                 golden_section_min(phi, 1e-12, span, tol=1e-9 * max(1.0, span), fprime=dphi)
             )
-        oracle = (eig.basis * np.array(vals)) @ eig.basis.T
+        oracle = (q * np.array(vals)) @ q.T
         oracle = (oracle + oracle.T) / 2.0
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
     passed = worst <= 1e-8
@@ -268,7 +268,7 @@ SUITES = {
 }
 
 
-def run_suites(names=None, trials: int | None = None, seed: int | None = None):
+def run_suites(names=None, trials: int | None = None):
     """Run the named suites (all by default); returns a list of SuiteResult."""
     if names is None or names == ["all"] or names == "all":
         names = list(SUITES)
@@ -276,10 +276,6 @@ def run_suites(names=None, trials: int | None = None, seed: int | None = None):
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown verify suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-        kwargs = {}
-        if trials is not None:
-            kwargs["trials"] = trials
-        if seed is not None:
-            kwargs["seed"] = seed
+        kwargs = {} if trials is None else {"trials": trials}
         results.append(SUITES[name](**kwargs))
     return results

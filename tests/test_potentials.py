@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,11 +29,10 @@ from proxlmc import (
     coordinate_absolute_term,
     diagonal_absolute_term,
     dual_from_primal,
+    feasibility_fraction,
     norm,
-    prox_logbarrier_scalar,
-    prox_logdet,
-    prox_psd,
     run_chain,
+    spectral_apply,
     sym_eigendecomposition,
 )
 
@@ -47,7 +48,7 @@ def random_sym(rng, d, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# free prox functions
+# closed-form proxes
 # ---------------------------------------------------------------------------
 
 def test_prox_box_values():
@@ -88,14 +89,14 @@ def test_constructors_reject_bad_parameters(build):
 def test_prox_psd_clips_negative_eigenvalues():
     q, _ = np.linalg.qr(RngStream(2, 0).standard_normal((3, 3)))
     m = (q * np.array([-1.0, 0.5, 2.0])) @ q.T
-    p = prox_psd(1.0, (m + m.T) / 2.0)
+    p = PsdIndicator(3).prox(1.0, (m + m.T) / 2.0)
     assert np.array_equal(p, p.T)
     w = np.linalg.eigvalsh(p)
     assert w.min() >= -1e-12
     assert np.allclose(np.sort(w), [0.0, 0.5, 2.0], atol=1e-10)
 
     spd = np.array([[2.0, 0.3], [0.3, 1.0]])
-    assert np.allclose(prox_psd(3.0, spd), spd, atol=1e-12)
+    assert np.allclose(PsdIndicator(2).prox(3.0, spd), spd, atol=1e-12)
 
 
 def test_prox_logbarrier_scalar_optimality():
@@ -106,7 +107,7 @@ def test_prox_logbarrier_scalar_optimality():
         alpha = float(2.9 * rng.uniform() + 0.05)
         beta = float(rng.uniform())
         s = float(20.0 * rng.standard_normal())
-        t = prox_logbarrier_scalar(gamma, s, alpha, beta)
+        t = LogBarrier(alpha, beta).prox(gamma, s)
         assert t > 0
         resid = gamma * (-alpha / t + beta) + t - s
         assert abs(resid) < 1e-9 * max(1.0, abs(s), t)
@@ -114,7 +115,7 @@ def test_prox_logbarrier_scalar_optimality():
 
 def test_prox_logbarrier_scalar_is_stable_for_large_negative_input():
     # naive quadratic-root form loses all precision here
-    t = prox_logbarrier_scalar(10.0, -1e8, 2.0, 0.3)
+    t = LogBarrier(2.0, 0.3).prox(10.0, -1e8)
     assert t > 0
     resid = 10.0 * (-2.0 / t + 0.3) + t - (-1e8)
     assert abs(resid) < 1e-6 * 1e8
@@ -122,18 +123,22 @@ def test_prox_logbarrier_scalar_is_stable_for_large_negative_input():
 
 def test_prox_logbarrier_scalar_alpha_zero_is_positive_clip():
     # alpha = 0 keeps only beta t + indicator(t >= 0)
-    assert prox_logbarrier_scalar(2.0, 5.0, 0.0, 1.0) == pytest.approx(3.0)
-    assert prox_logbarrier_scalar(2.0, -4.0, 0.0, 1.0) == 0.0
+    g = LogBarrier(0.0, 1.0)
+    assert g.prox(2.0, 5.0) == pytest.approx(3.0)
+    assert g.prox(2.0, -4.0) == 0.0
+    assert np.signbit(LogBarrier(0.0, 0.0).prox(2.0, -0.0))  # max(-0.0, 0.0) keeps -0.0
     with pytest.raises(ValueError):
-        prox_logbarrier_scalar(1.0, 0.0, -0.1, 0.0)
-    with pytest.raises(ValueError):
-        prox_logbarrier_scalar(0.0, 0.0, 1.0, 0.0)
+        LogBarrier(-0.1, 0.0)
+    for gamma in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="step size"):
+            LogBarrier(1.0, 0.0).prox(gamma, 0.0)
 
 
 def test_prox_logbarrier_scalar_vectorized():
     s = np.array([-3.0, 0.0, 2.0])
-    t = prox_logbarrier_scalar(0.5, s, 1.0, 0.5)
-    singles = [prox_logbarrier_scalar(0.5, float(v), 1.0, 0.5) for v in s]
+    g = LogBarrier(1.0, 0.5)
+    t = g.prox(0.5, s)
+    singles = [g.prox(0.5, float(v)) for v in s]
     assert np.allclose(t, singles, rtol=0, atol=0)
 
 
@@ -142,19 +147,19 @@ def test_prox_logdet_matches_scalar_prox_on_eigenvalues():
     for _ in range(50):
         m = random_sym(rng, 5, scale=3.0)
         gamma, alpha, beta = 0.7, 1.2, 0.5
-        p = prox_logdet(gamma, m, alpha, beta)
+        p = SpectralLogBarrier(alpha, beta, 5).prox(gamma, m)
         assert np.array_equal(p, p.T)
-        eig = sym_eigendecomposition(m)
-        vals = prox_logbarrier_scalar(gamma, eig.eigenvalues, alpha, beta)
-        expected = (eig.basis * vals) @ eig.basis.T
+        w, q = sym_eigendecomposition(m)
+        vals = LogBarrier(alpha, beta).prox(gamma, w)
+        expected = (q * vals) @ q.T
         assert np.max(np.abs(p - (expected + expected.T) / 2.0)) < 1e-10
 
 
 def _per_eigenvalue_reference(scalar_fn, m):
     """Q f(Lambda) Q^T with f called once per eigenvalue, as a Python scalar map."""
-    eig = sym_eigendecomposition(m)
-    vals = np.array([scalar_fn(t) for t in eig.eigenvalues], dtype=float)
-    out = (eig.basis * vals) @ eig.basis.T
+    w, q = sym_eigendecomposition(m)
+    vals = np.array([scalar_fn(t) for t in w], dtype=float)
+    out = (q * vals) @ q.T
     return (out + out.T) / 2.0
 
 
@@ -181,14 +186,11 @@ def test_spectral_proxes_match_per_eigenvalue_reference_bitwise(d, seed):
     lifts = [
         (PsdIndicator(d), LogBarrier(0.0, 0.0)),
         (SpectralLogBarrier(alpha, beta, d), LogBarrier(alpha, beta)),
+        (SpectralLogBarrier(0.0, beta, d), LogBarrier(0.0, beta)),
     ]
     for m in cases:
-        _assert_bitwise(prox_psd(gamma, m), _per_eigenvalue_reference(lambda t: max(t, 0.0), m))
-        for a in (alpha, 0.0):
-            ref = _per_eigenvalue_reference(
-                lambda t: float(prox_logbarrier_scalar(gamma, t, a, beta)), m
-            )
-            _assert_bitwise(prox_logdet(gamma, m, a, beta), ref)
+        psd = PsdIndicator(d).prox(gamma, m)
+        _assert_bitwise(psd, _per_eigenvalue_reference(lambda t: max(t, 0.0), m))
         w = sym_eigendecomposition(m).eigenvalues
         for g, f in lifts:
             ref = _per_eigenvalue_reference(lambda t: float(f.prox(gamma, t)), m)
@@ -208,21 +210,24 @@ def test_stacked_spectral_layer_matches_per_matrix_bitwise(d, seed):
     bit for bit.  LAPACK does not promise this, so this test is the guard
     for the ensemble's stacked prox."""
     stack = np.stack(_spectral_cases(d, seed))
-    eig = sym_eigendecomposition(stack)
+    w, q = sym_eigendecomposition(stack)
     psd, slb = PsdIndicator(d), SpectralLogBarrier(1.7, 0.5, d)
-    batched = [eig.apply(np.square), psd.prox_batch(0.3, stack), slb.prox_batch(0.3, stack)]
+    batched = [spectral_apply(np.square, stack), psd.prox_batch(0.3, stack),
+               slb.prox_batch(0.3, stack)]
     for i, m in enumerate(stack):
         one = sym_eigendecomposition(m)
-        _assert_bitwise(eig.eigenvalues[i], one.eigenvalues)
-        _assert_bitwise(eig.basis[i], one.basis)
-        singles = [one.apply(np.square), psd.prox(0.3, m), slb.prox(0.3, m)]
+        _assert_bitwise(w[i], one.eigenvalues)
+        _assert_bitwise(q[i], one.eigenvectors)
+        singles = [spectral_apply(np.square, m), psd.prox(0.3, m), slb.prox(0.3, m)]
         for b, single in zip(batched, singles):
             _assert_bitwise(b[i], single)
 
 
 def test_prox_logdet_alpha_zero_reduces_to_psd_projection():
     m = random_sym(RngStream(8, 0), 4, scale=2.0)
-    assert np.allclose(prox_logdet(0.3, m, 0.0, 0.0), prox_psd(0.3, m), atol=1e-12)
+    psd = PsdIndicator(4).prox(0.3, m)
+    _assert_bitwise(SpectralLogBarrier(0.0, 0.0, 4).prox(0.3, m), psd)
+    assert np.allclose(psd, _per_eigenvalue_reference(lambda t: max(t, 0.0), m), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +435,8 @@ def _reference_in_domain(g, x):
     if isinstance(g, LogBarrier):
         return bool(np.all(x > 0)) if g.alpha > 0 else bool(np.all(x >= 0))
     if isinstance(g, Spectral):
+        if not np.isfinite(x).all():
+            return False
         w = sym_eigendecomposition(x).eigenvalues
         if g.scalar.alpha > 0:
             return bool(w[0] > 0)
@@ -580,8 +587,9 @@ def test_certificate_leaves_bad_stacks_to_the_eigendecomposition():
     """The certificate reads one triangle only, so an asymmetric stack still
     fails the eigendecomposition's symmetry check; a stack of non-square
     matrices gets its shape error and a stack of one 1 x 1 matrix its flag;
-    non-finite, tiny and huge matrices are not certified and get the
-    per-point flags."""
+    tiny and huge matrices are not certified and get the per-point flags;
+    non-finite ones are not certified either and are outside the domain,
+    since eigh can fail on them or rank a NaN eigenvalue above the lowest."""
     g = SpectralLogBarrier(0.8, 0.5, 3)
     upper = np.eye(3)
     upper[0, 2] = 5.0
@@ -596,12 +604,15 @@ def test_certificate_leaves_bad_stacks_to_the_eigendecomposition():
     for scale in (1e-200, 1e-160, 1e160, 1e200):
         assert not potentials._cholesky_certifies(scale * np.eye(3)[None])
         _assert_mask_matches_reference(g, np.stack([scale * np.eye(3), np.eye(3)]))
-    for bad in (np.nan, np.inf):
+    for bad, at in itertools.product((np.nan, np.inf, -np.inf), ((1, 1), (0, 2))):
         x = np.eye(3)
-        x[1, 1] = bad
+        x[at] = x[at[::-1]] = bad
         stack = np.stack([np.eye(3), x])
         assert not potentials._cholesky_certifies(stack)
         _assert_mask_matches_reference(g, stack)
+        for lift in (g, PsdIndicator(3), Spectral(LogBarrier(0.0, 0.5), 3)):
+            assert lift.domain_mask(stack).tolist() == [True, False]
+            assert feasibility_fraction(np.stack([x, x, x]), lift) == 0.0
 
 
 def test_certificate_is_not_tried_after_an_infeasible_matrix(monkeypatch):

@@ -1,0 +1,19 @@
+"""The README's Python examples run as written, each in a fresh namespace,
+so an API change that leaves the README behind fails here."""
+
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.S | re.M)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("code", BLOCKS, ids=[f"block-{i}" for i in range(len(BLOCKS))])
+def test_readme_python_block_runs(code):
+    exec(compile(code, str(README), "exec"), {"__name__": "readme"})

@@ -201,18 +201,25 @@ def test_duplicate_checkpoints_rejected(box_quadratic):
         run_chain("psgla", smooth, box, cfg, np.zeros(2), mean_checkpoints=[5, 5])
 
 
-@pytest.mark.parametrize("driver", ["chain", "ensemble"])
+def _start(runner, smooth, g, cfg, x0):
+    """A psgla chain, an ensemble of three, or one step_psgla from x0."""
+    if runner == "chain":
+        run_chain("psgla", smooth, g, cfg, x0)
+    elif runner == "ensemble":
+        run_ensemble("psgla", smooth, g, cfg, 3, [cfg.num_steps], x0)
+    else:
+        step_psgla(x0, smooth, g, cfg, RngStream(cfg.seed, 0))
+
+
+@pytest.mark.parametrize("runner", ["chain", "ensemble", "step"])
 @pytest.mark.parametrize(
     "x0", [np.array([0.0, np.nan]), np.diag([1.0, np.inf])], ids=["flat", "sym"]
 )
-def test_non_finite_start_rejected(driver, x0):
+def test_non_finite_start_rejected(runner, x0):
     g = BoxIndicator(-np.ones(2), np.ones(2)) if x0.ndim == 1 else PsdIndicator(2)
     cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
-    with pytest.raises(ValueError, match="x0"):
-        if driver == "chain":
-            run_chain("psgla", ZeroSmooth(), g, cfg, x0)
-        else:
-            run_ensemble("psgla", ZeroSmooth(), g, cfg, 3, [10], x0)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        _start(runner, ZeroSmooth(), g, cfg, x0)
 
 
 _MISMATCHES = {  # (F, G, x0, the shape the mismatched term acts on)
@@ -235,19 +242,16 @@ _MISMATCHES = {  # (F, G, x0, the shape the mismatched term acts on)
 }
 
 
-@pytest.mark.parametrize("driver", ["chain", "ensemble"])
+@pytest.mark.parametrize("runner", ["chain", "ensemble", "step"])
 @pytest.mark.parametrize("case", sorted(_MISMATCHES))
-def test_dimension_mismatch_rejected_before_step_1(case, driver):
+def test_dimension_mismatch_rejected_before_step_1(case, runner):
     """A potential of another dimension than the chain fails at start-up with
     both shapes named, not with a broadcast error or a silent clamp by column."""
     smooth, g, x0, shape = _MISMATCHES[case]
     cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
     named = re.escape(f"{shape}") + ".*" + re.escape(f"x0 has shape {x0.shape}")
     with pytest.raises(ValueError, match=named):
-        if driver == "chain":
-            run_chain("psgla", smooth, g, cfg, x0)
-        else:
-            run_ensemble("psgla", smooth, g, cfg, 3, [10], x0)
+        _start(runner, smooth, g, cfg, x0)
 
 
 @pytest.mark.parametrize("driver", ["chain", "ensemble"])
@@ -556,11 +560,18 @@ def test_tune_for_epsilon_validation():
         tune_for_epsilon(0.1, 1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         tune_for_epsilon(0.1, 1.0, 1.0, 0.0, 1.0)
+    inf = float("inf")
+    for name, args in (("eps", (inf, 1.0, 1.0, 1.0, 1.0)), ("lambda_f", (0.1, 1.0, inf, 1.0, 1.0)),
+                       ("C", (0.1, 1.0, 1.0, inf, 1.0))):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf"):
+            tune_for_epsilon(*args)
 
 
 @pytest.mark.parametrize("L, w0_sq, name", [
     (float("nan"), 1.0, "L"), (-1.0, 1.0, "L"), (1.0, float("nan"), "w0_sq"), (1.0, -1.0, "w0_sq"),
+    (float("inf"), 1.0, "L"), (1.0, float("inf"), "w0_sq"),
 ])
 def test_tune_for_epsilon_rejects_out_of_range_l_and_w0(L, w0_sq, name):
-    with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+    rule = "finite" if L == float("inf") or w0_sq == float("inf") else ">= 0"
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}"):
         tune_for_epsilon(0.1, L, 1.0, 2.0, w0_sq)
