@@ -297,11 +297,11 @@ def _write_trace_csv(path, trace, include_duals: bool):
         columns.append(flatten_points(trace.duals))
     header.append("feasible")
     values = np.concatenate(columns, axis=1).tolist()
+    # the bytes csv.writer writes: no int or float repr needs quoting
+    rows = [",".join([str(step), *map(repr, row), "1" if flag else "0"])
+            for step, row, flag in zip(trace.steps, values, trace.feasible_flags.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for step, row, flag in zip(trace.steps, values, trace.feasible_flags.tolist()):
-            writer.writerow([str(step), *map(repr, row), str(int(flag))])
+        fh.write("\r\n".join([",".join(header), *rows, ""]))
 
 
 def _write_histogram_csv(path, samples: np.ndarray):

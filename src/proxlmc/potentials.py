@@ -37,8 +37,8 @@ class ConjugateUnavailable(NotImplementedError):
 
 
 def _check_gamma(gamma):
-    if not gamma > 0:
-        raise ValueError(f"prox step size must be > 0, got {gamma}")
+    if not 0 < gamma < np.inf:  # NaN fails too
+        raise ValueError(f"prox step size must be a finite number > 0, got {gamma}")
 
 
 def _weight(w, name="weight") -> float:
@@ -47,6 +47,14 @@ def _weight(w, name="weight") -> float:
     if not 0 <= w < np.inf:  # NaN fails too
         raise ValueError(f"{name} must be a finite number >= 0, got {w}")
     return w
+
+
+def _finite(x, method):
+    """x as a float array, checked to have only finite entries."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{method} needs a finite matrix, got one with a non-finite entry")
+    return x
 
 
 def _each(cond):
@@ -212,6 +220,10 @@ class LogBarrier(NonsmoothPotential):
             # Not np.maximum: clipping keeps a -0.0 input as -0.0, like max(t, 0.0).
             return np.where(u < 0, 0.0, u)
         root = np.sqrt(u * u + 4.0 * gamma * self.alpha)
+        # every u > 0 (NaN fails): the first branch alone; a 0-d x takes
+        # np.where, which returns a 0-d array
+        if u.ndim and np.minimum.reduce(u, None, initial=np.inf) > 0:
+            return (u + root) / 2.0
         # Stable in both tails: avoid cancellation when u is very negative.
         return np.where(u > 0, (u + root) / 2.0, 2.0 * gamma * self.alpha / (root - u))
 
@@ -306,6 +318,9 @@ class Spectral(NonsmoothPotential):
         return w[..., 0] >= -self._tol(x, w)
 
     def evaluate(self, x):
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            return np.inf  # outside the domain, as domain_mask says
         w = sym_eigendecomposition(x).eigenvalues
         return self.scalar.evaluate(np.maximum(w, 0.0)) if self._feasible(x, w) else np.inf
 
@@ -337,10 +352,10 @@ class Spectral(NonsmoothPotential):
 
     def subgradient_min(self, x):
         """Q f'(Lambda) Q^T; a ValueError unless x is positive definite."""
-        return spectral_apply(self.scalar.subgradient_min, x)
+        return spectral_apply(self.scalar.subgradient_min, _finite(x, "subgradient_min"))
 
     def conjugate(self, y):
-        return self.scalar.conjugate(sym_eigendecomposition(y).eigenvalues)
+        return self.scalar.conjugate(sym_eigendecomposition(_finite(y, "conjugate")).eigenvalues)
 
 
 class PsdIndicator(Spectral):
@@ -633,6 +648,7 @@ class PrecisionLikelihood(SmoothPotential):
         self.scatter = (scatter + scatter.T) / 2.0
         if d == 1:
             self._grad = np.array([self.scatter[0, 0] / 2.0])
+            self._sq = data[:, 0] ** 2  # the minibatch gradient sums its entries
         else:
             self._grad = self.scatter / 2.0
 
@@ -654,10 +670,10 @@ class PrecisionLikelihood(SmoothPotential):
         if b < 1:
             raise ValueError("minibatch size must be >= 1 or 'full'")
         idx = rng.integers(self.n, size=b)
-        rows = self.data[idx]
         if self.d == 1:
-            sq = rows[:, 0] ** 2
-            return np.array([self.n * (sq.sum() / b) / 2.0])  # sum / b: bitwise np.mean
+            # add.reduce / b: bitwise .sum() / b and np.mean of the 1-d gather
+            return np.array([self.n * (np.add.reduce(self._sq[idx]) / b) / 2.0])
+        rows = self.data[idx]
         est = (rows.T @ rows) / b * self.n / 2.0
         return (est + est.T) / 2.0
 

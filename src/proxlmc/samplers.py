@@ -155,6 +155,15 @@ def _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
 # the step kernel
 # ---------------------------------------------------------------------------
 
+def _raise_if_diverged(xs, k, sampler):
+    """ChainDivergence at step k when the stack xs has a non-finite entry,
+    naming the lowest such chain of a stack of several."""
+    bad = ~np.isfinite(xs.reshape(len(xs), -1)).all(axis=1)
+    if bad.any():
+        chain = int(np.argmax(bad)) if len(xs) > 1 else None
+        raise ChainDivergence(step=k, sampler=sampler, chain=chain)
+
+
 def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps):
     """Advance the stack xs (leading chain axis; chain c draws from gens[c])
     by num_steps steps, yielding (k, x_half, xs) after step k.
@@ -163,45 +172,57 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps
     Each step makes one gradient batch and one prox_batch (one stacked
     eigendecomposition for matrices).  Only the draw schedule varies.  With a
     full gradient and no SPLA index draw, each chain's noise is pre-drawn in
-    chunks of at most 1024 numbers; otherwise each chain draws per step in
-    kernel order (minibatch indices, noise, SPLA index) into preallocated
-    buffers and the R-prox runs per chain.  A non-finite iterate raises
-    ChainDivergence, naming the lowest such chain of a stack of several.
+    chunks of at most 1024 numbers, and each chunk is scaled by sqrt(2 gamma)
+    once; otherwise each chain draws per step in kernel order (minibatch
+    indices, noise, SPLA index) into preallocated buffers and the R-prox runs
+    per chain.  A non-finite iterate, or a G-prox that fails on a non-finite
+    x_half, raises ChainDivergence, naming the lowest such chain of a stack
+    of several.
     """
     n = len(gens)
     gamma, noise_scale = cfg.gamma, math.sqrt(2.0 * cfg.gamma)
+    minibatch, shape = cfg.minibatch, xs.shape[1:]
     r_term = lipschitz_term if sampler == "spla" else None
-    per_step = cfg.minibatch != "full" or (r_term is not None and len(r_term.components) > 1)
+    per_step = minibatch != "full" or (r_term is not None and len(r_term.components) > 1)
+    g_prox = sampler not in ("ula", "myula")
     if per_step:
         grads, noise = np.empty_like(xs), np.empty_like(xs)
+    # x * 0 is 0 for finite x and NaN otherwise, so this dot is NaN exactly
+    # when xs has a non-finite entry; unlike a sum, it cannot overflow
+    zeros = np.zeros(xs.size)
     size = xs[0].size
     chunk = max(1, min(1024 // size, int(5e6 / (n * size))))
     x_half = None
     for k in range(1, num_steps + 1):
         if per_step:
             for c, g in enumerate(gens):
-                grads[c] = smooth.stochastic_gradient(xs[c], g, cfg.minibatch)
-                noise[c] = gaussian(g, xs.shape[1:])
+                grads[c] = smooth.stochastic_gradient(xs[c], g, minibatch)
+                noise[c] = gaussian(g, shape)
+            scaled_noise = noise_scale * noise
         else:
-            if (k - 1) % chunk == 0:
+            j = (k - 1) % chunk
+            if j == 0:
                 m = min(chunk, num_steps - k + 1)
-                block = np.empty((n, m) + xs.shape[1:])
+                block = np.empty((n, m) + shape)
                 for c, g in enumerate(gens):
-                    block[c] = gaussian(g, xs.shape[1:], size=m)
-            grads, noise = smooth.full_gradient(xs), block[:, (k - 1) % chunk]
+                    block[c] = gaussian(g, shape, size=m)
+                block *= noise_scale
+            grads, scaled_noise = smooth.full_gradient(xs), block[:, j]
         if sampler == "myula":
             lam = cfg.myula_lambda
             grads = grads + (xs - nonsmooth.prox_batch(lam, xs)) / lam
-        xs = xs - gamma * grads + noise_scale * noise
+        xs = xs - gamma * grads + scaled_noise
         if r_term is not None:
             for c, g in enumerate(gens):
                 xs[c] = r_term.prox_sample(gamma, xs[c], g)
-        if sampler not in ("ula", "myula"):
-            x_half, xs = xs, nonsmooth.prox_batch(gamma, xs)
-        if not np.isfinite(xs).all():
-            bad = ~np.isfinite(xs.reshape(n, -1)).all(axis=1)
-            chain = int(np.argmax(bad)) if n > 1 else None
-            raise ChainDivergence(step=k, sampler=sampler, chain=chain)
+        if g_prox:
+            try:
+                x_half, xs = xs, nonsmooth.prox_batch(gamma, xs)
+            except ValueError:  # an eigensolve fails on a non-finite entry
+                _raise_if_diverged(xs, k, sampler)
+                raise
+        if not math.isfinite(np.vdot(xs, zeros)):
+            _raise_if_diverged(xs, k, sampler)
         yield k, x_half, xs
 
 
@@ -256,25 +277,27 @@ def run_chain(
     num_recorded = (cfg.num_steps - burn_in) // every
     primal = np.empty((num_recorded, *x.shape))
     half = np.empty((0 if sampler in ("ula", "myula") else num_recorded, *x.shape))
+    record_half = len(half) > 0
     means = []
+    # the running sum of post-burn-in iterates is kept up to the last checkpoint only
+    last_cp = checkpoints[-1] if checkpoints else 0
     running_sum = np.zeros_like(x)
-    tally = 0
     next_cp = 0
     t0 = time.perf_counter()
     steps = _kernel(sampler, smooth, nonsmooth, cfg, x[None], gens, lipschitz_term, cfg.num_steps)
     for k, x_half, xs in steps:
         if k <= burn_in:
             continue
-        running_sum += xs[0]
-        tally += 1
+        if k <= last_cp:
+            running_sum += xs[0]
+            if k == checkpoints[next_cp]:
+                means.append((k, running_sum / (k - burn_in)))
+                next_cp += 1
         i, off = divmod(k - burn_in, every)
         if off == 0:
             primal[i - 1] = xs[0]
-            if len(half):
+            if record_half:
                 half[i - 1] = x_half[0]
-        while next_cp < len(checkpoints) and checkpoints[next_cp] == k:
-            means.append((k, running_sum / tally))
-            next_cp += 1
     duals = (half - primal) / cfg.gamma if cfg.record_duals and len(half) else half[:0]
     trace = ChainTrace(
         sampler=sampler,

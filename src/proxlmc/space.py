@@ -114,7 +114,8 @@ def sym_eigendecomposition(m: np.ndarray):
 
     Each matrix must be symmetric to a relative tolerance and is then
     symmetrized; exactly symmetric input, such as every chain iterate, skips
-    both and reaches eigh as it is.
+    both and reaches eigh as it is.  A ValueError reports a non-finite entry
+    on which eigh fails, and EigenFailure any other failure to converge.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
@@ -127,6 +128,9 @@ def sym_eigendecomposition(m: np.ndarray):
     try:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as err:
+        # tested only once eigh has failed, so a converging call pays nothing
+        if not np.isfinite(m).all():
+            raise ValueError("cannot eigendecompose a matrix with a non-finite entry") from err
         raise EigenFailure(f"eigendecomposition failed to converge: {err}") from err
 
 

@@ -312,6 +312,22 @@ def test_sample_matrix_trace_has_flat_coordinates(tmp_path):
     assert all(r[-1] == "1" for r in rows[1:])
 
 
+def test_trace_csv_flags_iterates_outside_the_box_in_csv_writer_bytes(tmp_path):
+    """A ula chain leaves the box: its flags are 0 there and 1 inside, and
+    the file holds the bytes csv.writer writes for its rows."""
+    cfg = write_config(tmp_path, {"experiment": "trunc-gauss", "sampler": "ula",
+                                  "num_steps": 60, "seed": 2})
+    out = tmp_path / "run"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "trace.csv")
+    flags = [r[-1] for r in rows[1:]]
+    assert flags == ["1" if -1.0 <= float(r[1]) <= 1.0 else "0" for r in rows[1:]]
+    assert set(flags) == {"0", "1"}
+    with open(tmp_path / "rewritten.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert (tmp_path / "rewritten.csv").read_bytes() == (out / "trace.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # experiment command
 # ---------------------------------------------------------------------------

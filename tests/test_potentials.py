@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from proxlmc import potentials
 from proxlmc import (
@@ -140,6 +141,41 @@ def test_prox_logbarrier_scalar_vectorized():
     t = g.prox(0.5, s)
     singles = [g.prox(0.5, float(v)) for v in s]
     assert np.allclose(t, singles, rtol=0, atol=0)
+
+
+def _log_barrier_prox_reference(g, gamma, x):
+    """LogBarrier's closed form as one np.where over every entry."""
+    u = np.asarray(x, dtype=float) - gamma * g.beta
+    if g.alpha == 0:
+        return np.where(u < 0, 0.0, u)
+    root = np.sqrt(u * u + 4.0 * gamma * g.alpha)
+    return np.where(u > 0, (u + root) / 2.0, 2.0 * gamma * g.alpha / (root - u))
+
+
+_barrier_shapes = array_shapes(min_dims=0, max_dims=2, max_side=5)
+_special_entries = st.sampled_from([0.0, -0.0, np.nan, 5e-324, -5e-324, 1e-300, 1e300, -1e300])
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([0.0, 1e-8, 0.5, 25.0]),
+    st.sampled_from([-1.5, 0.0, 0.5]),
+    st.floats(min_value=1e-4, max_value=10.0),
+    st.one_of(
+        arrays(np.float64, _barrier_shapes, elements=st.floats(min_value=1e-300, max_value=1e300)),
+        arrays(np.float64, _barrier_shapes,
+               elements=st.one_of(st.floats(min_value=-1e300, max_value=1e300), _special_entries)),
+    ),
+)
+def test_log_barrier_prox_equals_its_where_closed_form_bitwise(alpha, beta, gamma, x):
+    """Every entry keeps the closed form's arithmetic, whichever branches its
+    stack takes: mixed signs, +-0.0, tiny and huge magnitudes and NaN; a 0-d
+    point keeps the 0-d array np.where returns."""
+    g = LogBarrier(alpha, beta)
+    with np.errstate(all="ignore"):
+        out, ref = g.prox(gamma, x), _log_barrier_prox_reference(g, gamma, x)
+    assert type(out) is type(ref) and out.shape == ref.shape
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 def test_prox_logdet_matches_scalar_prox_on_eigenvalues():
@@ -286,6 +322,17 @@ def test_prox_batch_matches_prox():
         batch = g.prox_batch(0.3, xs)
         rows = np.stack([g.prox(0.3, x) for x in xs])
         assert np.allclose(batch, rows, atol=0, rtol=0)
+
+
+@pytest.mark.parametrize("gamma", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_prox_and_dual_reject_a_step_size_that_is_not_finite_and_positive(gamma):
+    """An infinite step size made LogBarrier's prox and its dual point nan."""
+    for g, shape in catalog():
+        x = np.eye(3) if isinstance(shape, tuple) else np.ones(shape)
+        with pytest.raises(ValueError, match="prox step size must be a finite number > 0"):
+            g.prox(gamma, x)
+        with pytest.raises(ValueError, match="prox step size must be a finite number > 0"):
+            dual_from_primal(gamma, x, g)
 
 
 def test_prox_lands_in_domain():
@@ -615,6 +662,29 @@ def test_certificate_leaves_bad_stacks_to_the_eigendecomposition():
             assert feasibility_fraction(np.stack([x, x, x]), lift) == 0.0
 
 
+def test_spectral_lifts_on_a_matrix_with_a_non_finite_entry():
+    """Such a matrix is outside every spectral domain: evaluate gives inf,
+    subgradient_min and conjugate name the bad input, and the prox does so
+    when the eigensolve fails on it (an off-diagonal entry) instead of
+    raising EigenFailure; on the diagonal the prox maps it to a non-finite
+    matrix, which the kernel reports as a divergence."""
+    lifts = (SpectralLogBarrier(0.8, 0.5, 3), PsdIndicator(3), Spectral(LogBarrier(0.0, 0.5), 3))
+    for bad, at in itertools.product((np.nan, np.inf, -np.inf), ((0, 2), (1, 1))):
+        x = np.eye(3)
+        x[at] = x[at[::-1]] = bad
+        for g in lifts:
+            assert g.evaluate(x) == np.inf
+            for method in ("subgradient_min", "conjugate"):
+                with pytest.raises(ValueError, match=f"^{method} needs a finite matrix"):
+                    getattr(g, method)(x)
+            if at == (0, 2):
+                with pytest.raises(ValueError, match="non-finite entry"):
+                    g.prox(0.5, x)
+            else:
+                with np.errstate(invalid="ignore"):
+                    assert not np.isfinite(g.prox(0.5, x)).all()
+
+
 def test_certificate_is_not_tried_after_an_infeasible_matrix(monkeypatch):
     """A block whose preceding matrix is outside the domain goes straight to
     the eigensolve: a trace that has left the cone pays for one failed
@@ -867,13 +937,15 @@ def test_smooth_terms_reject_non_finite_data(build, name):
 
 
 def test_minibatch_gradients_equal_the_mean_formula():
-    """sum / b in the minibatch estimators is bitwise the np.mean they replace."""
+    """The minibatch estimators are bitwise the np.mean formulas, for the same
+    draws, for minibatches summed one by one, in unrolled blocks and
+    pairwise (b < 8, <= 128 and > 128)."""
     data = RngStream(24, 0).standard_normal((9, 3))
     x = np.array([0.4, -0.6, 1.1])
     f, f1 = QuadraticSum(data), PrecisionLikelihood(data[:, :1], 1)
     for seed in range(20):
         rng, ref = RngStream(seed, 1), RngStream(seed, 1)
-        for b in (1, 5, 7):
+        for b in (1, 5, 7, 9, 130, 300):
             rows = data[ref.integers(9, size=b)]
             assert np.array_equal(f.stochastic_gradient(x, rng, b), 9 * (x - rows.mean(axis=0)))
             rows = data[ref.integers(9, size=b), :1]

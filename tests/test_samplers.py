@@ -321,6 +321,53 @@ def test_ensemble_divergence_names_the_earliest_chain():
     assert f"chain {err.value.chain}" in str(err.value)
 
 
+class _Poison(ZeroSmooth):
+    """F = 0, except that from step `step` on the gradient of chain `chain`
+    of a stack holds `bad` at entry `at`."""
+
+    def __init__(self, step, chain, bad, at):
+        self.step, self.chain, self.bad, self.at = step, chain, bad, at
+        self.calls = 0
+
+    def full_gradient(self, x):
+        self.calls += 1
+        out = super().full_gradient(x)
+        if self.calls >= self.step:
+            out[(self.chain, *self.at)] = out[(self.chain, *self.at[::-1])] = self.bad
+        return out
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_chain_of_an_ensemble_is_named(bad):
+    """One bad entry in one chain of four raises at that step, naming that
+    chain, on flat and matrix stacks; on the matrix stack the G-prox meets
+    it first, and its eigensolve fails on an off-diagonal entry."""
+    cfg = SamplerConfig(0.01, 10, seed=3)
+    cases = [("ula", ZeroPotential(), np.zeros(2), (1,)),
+             ("psgla", SpectralLogBarrier(2.0, 0.5, 3), np.eye(3), (0, 2)),
+             ("psgla", SpectralLogBarrier(2.0, 0.5, 3), np.eye(3), (1, 1))]
+    for sampler, g, x0, at in cases:
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ChainDivergence) as err:
+                run_ensemble(sampler, _Poison(3, 2, bad, at), g, cfg, 4, [10], x0)
+        assert (err.value.step, err.value.chain) == (3, 2)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ChainDivergence) as err:
+                run_chain(sampler, _Poison(4, 0, bad, at), g, cfg, x0)
+        assert (err.value.step, err.value.chain) == (4, None)
+
+
+def test_a_finite_chain_whose_sum_overflows_runs_on():
+    """The finite check must not read an overflowing sum of finite entries
+    as a divergence."""
+    x0 = np.array([1e308, 1e308])
+    cfg = SamplerConfig(0.01, 20, seed=4)
+    trace = run_chain("ula", ZeroSmooth(), ZeroPotential(), cfg, x0)
+    assert len(trace) == 20 and np.isfinite(trace.primal).all()
+    res = run_ensemble("ula", ZeroSmooth(), ZeroPotential(), cfg, 4, [20], x0)
+    assert np.isfinite(res.snapshot(20)).all()
+
+
 def test_step_size_warning_emitted_once_per_run(box_quadratic):
     smooth, box = box_quadratic  # L ~ 2.1
     with pytest.warns(RuntimeWarning, match="exceeds 1/L"):
@@ -505,15 +552,24 @@ def _reference_chain(sampler, smooth, g, cfg, x0, r_term):
     return out
 
 
+def _precision_1d_problem():
+    """The d=1 posterior of proxlmc sample's wishart-precision runs: a
+    precision likelihood under a scalar log barrier."""
+    data = RngStream(26, 0).standard_normal((50, 1))
+    return PrecisionLikelihood(data, 1), LogBarrier(25.0, 0.5), np.ones(1)
+
+
 @pytest.mark.parametrize("minibatch", ["full", 2])
-@pytest.mark.parametrize("space", ["flat", "sym"])
+@pytest.mark.parametrize("space", ["flat", "sym", "precision-1d"])
 @pytest.mark.parametrize("sampler", ["ula", "psgla", "projected", "myula", "spla"])
 def test_run_chain_matches_the_reference_update_bitwise(sampler, space, minibatch):
     """run_chain, which shares its kernel with run_ensemble, against the
     per-step updates written out independently."""
-    smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
-    if sampler == "projected" and space == "sym":
-        g = PsdIndicator(3)
+    problems = {"flat": _flat_problem, "sym": lambda: _matrix_problem(3),
+                "precision-1d": _precision_1d_problem}
+    smooth, g, x0 = problems[space]()
+    if sampler == "projected" and space != "flat":
+        g = PsdIndicator(3) if space == "sym" else LogBarrier(0.0, 0.0)  # indicators
     term = diagonal_absolute_term if space == "sym" else coordinate_absolute_term
     r = term(0.4, x0.shape[0])
     cfg = SamplerConfig(0.02, 30, seed=24, minibatch=minibatch, myula_lambda=0.3)
