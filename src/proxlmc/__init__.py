@@ -36,9 +36,8 @@ from .potentials import (
     SpectralLogBarrier,
     ZeroPotential,
     ZeroSmooth,
+    absolute_entries_term,
     build_gamma_potential,
-    coordinate_absolute_term,
-    diagonal_absolute_term,
     dual_from_primal,
 )
 from .samplers import (

@@ -20,7 +20,6 @@ byte-identical data files (the manifest records their digests).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -44,7 +43,7 @@ from .experiments import (
     generate_gaussian_data,
     sample_wishart,
 )
-from .potentials import coordinate_absolute_term, diagonal_absolute_term
+from .potentials import absolute_entries_term
 from .samplers import (
     SAMPLER_IDS,
     SamplerConfig,
@@ -250,12 +249,8 @@ def _build(cfg: RunConfig):
     assembled = assemble_experiment(spec)
     shape = assembled.shape
 
-    lipschitz = None
-    if cfg.sampler == "spla" and cfg.spla_r_weight:
-        if len(shape) == 1:
-            lipschitz = coordinate_absolute_term(cfg.spla_r_weight, shape[0])
-        else:
-            lipschitz = diagonal_absolute_term(cfg.spla_r_weight, shape[0])
+    # RunConfig allows spla_r_weight for spla only
+    lipschitz = absolute_entries_term(cfg.spla_r_weight, shape) if cfg.spla_r_weight else None
 
     if cfg.x0 is None:
         x0 = assembled.default_x0(cfg.gamma)
@@ -288,6 +283,13 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
+def _write_csv(path, header, rows):
+    """Write the header and rows of str fields as csv.writer does: "," between
+    fields, CRLF after each line; no int or float repr needs quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(header), *map(",".join, rows), ""]))
+
+
 def _write_trace_csv(path, trace, include_duals: bool):
     m = ambient_dim(trace.primal.shape[1:])
     header = ["step"] + [f"x{i}" for i in range(m)]
@@ -297,11 +299,9 @@ def _write_trace_csv(path, trace, include_duals: bool):
         columns.append(flatten_points(trace.duals))
     header.append("feasible")
     values = np.concatenate(columns, axis=1).tolist()
-    # the bytes csv.writer writes: no int or float repr needs quoting
-    rows = [",".join([str(step), *map(repr, row), "1" if flag else "0"])
-            for step, row, flag in zip(trace.steps, values, trace.feasible_flags.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *rows, ""]))
+    rows = ([str(step), *map(repr, row), "1" if flag else "0"]
+            for step, row, flag in zip(trace.steps, values, trace.feasible_flags.tolist()))
+    _write_csv(path, header, rows)
 
 
 def _write_histogram_csv(path, samples: np.ndarray):
@@ -311,19 +311,8 @@ def _write_histogram_csv(path, samples: np.ndarray):
         hi = lo + 1e-12
     edges = np.linspace(lo, hi, 61)
     counts, _ = np.histogram(samples, bins=edges)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for k in range(60):
-            writer.writerow([_fmt(edges[k]), _fmt(edges[k + 1]), str(int(counts[k]))])
-
-
-def _write_convergence_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "frobenius_to_mstar"])
-        for step, dist in rows:
-            writer.writerow([str(step), _fmt(dist)])
+    rows = ([_fmt(edges[k]), _fmt(edges[k + 1]), str(int(counts[k]))] for k in range(60))
+    _write_csv(path, ["bin_left", "bin_right", "count"], rows)
 
 
 def _write_manifest(out_dir, command, cfg, warn_flag, wall_time, filenames):
@@ -442,7 +431,8 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
         report["convergence"] = [
             {"step": step, "frobenius_to_mstar": dist} for step, dist in conv
         ]
-        _write_convergence_csv(os.path.join(out_dir, "convergence.csv"), conv)
+        _write_csv(os.path.join(out_dir, "convergence.csv"), ["step", "frobenius_to_mstar"],
+                   ([str(step), _fmt(dist)] for step, dist in conv))
         filenames.append("convergence.csv")
 
     if cfg.num_chains >= 2:  # RunConfig allows chains only with a quantile oracle

@@ -103,13 +103,10 @@ def sliced_wasserstein2(a, b, num_projections: int = 128, rng: RngStream | None 
     return total / num_projections
 
 
-def ergodic_mean(trace_or_points, burn_in: int = 0):
-    """Arithmetic mean of the recorded iterates after dropping the first
-    burn_in entries.  Accepts a ChainTrace or a plain sequence of points."""
-    pts = _samples(getattr(trace_or_points, "primal", trace_or_points))
-    if burn_in < 0 or burn_in >= len(pts):
-        raise ValueError(f"burn_in {burn_in} leaves no entries out of {len(pts)}")
-    return pts[burn_in:].mean(axis=0)
+def ergodic_mean(trace_or_points):
+    """Arithmetic mean of the recorded iterates, which for a ChainTrace
+    follow its burn-in.  Accepts a ChainTrace or a plain sequence of points."""
+    return _samples(getattr(trace_or_points, "primal", trace_or_points)).mean(axis=0)
 
 
 @dataclass

@@ -47,6 +47,8 @@ class TruncGaussSpec:
     hi: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite([self.mean, self.lo, self.hi]).all():
+            raise ValueError(f"need finite mean, lo, hi, got {self.mean}, {self.lo}, {self.hi}")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -115,7 +117,7 @@ def posterior_ground_truth(spec: WishartExperimentSpec) -> GroundTruth:
 
 def _check_u(u):
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails too
         raise ValueError("quantile levels must lie strictly in (0, 1)")
     return u
 

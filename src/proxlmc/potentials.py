@@ -215,17 +215,24 @@ class LogBarrier(NonsmoothPotential):
         """Closed form, elementwise: with u = x - gamma*beta, the positive root
         of t^2 - u t - gamma*alpha = 0; for alpha = 0 it is max(u, 0)."""
         _check_gamma(gamma)
-        u = np.asarray(x, dtype=float) - gamma * self.beta
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:  # arithmetic on a 0-d array returns a numpy scalar
+            return self.prox(gamma, x.reshape(1)).reshape(())
+        u = x - gamma * self.beta
         if self.alpha == 0:
             # Not np.maximum: clipping keeps a -0.0 input as -0.0, like max(t, 0.0).
             return np.where(u < 0, 0.0, u)
         root = np.sqrt(u * u + 4.0 * gamma * self.alpha)
-        # every u > 0 (NaN fails): the first branch alone; a 0-d x takes
-        # np.where, which returns a 0-d array
-        if u.ndim and np.minimum.reduce(u, None, initial=np.inf) > 0:
+        if np.minimum.reduce(u, None, initial=np.inf) > 0:  # every u > 0 (NaN fails)
             return (u + root) / 2.0
-        # Stable in both tails: avoid cancellation when u is very negative.
-        return np.where(u > 0, (u + root) / 2.0, 2.0 * gamma * self.alpha / (root - u))
+        # Each branch on its own entries only, so neither warns on the other's;
+        # the second avoids cancellation when u is very negative.  NaN takes it.
+        out = np.empty_like(u)
+        pos = u > 0
+        out[pos] = (u[pos] + root[pos]) / 2.0
+        neg = ~pos
+        out[neg] = 2.0 * gamma * self.alpha / (root[neg] - u[neg])
+        return out
 
     prox_batch = prox  # elementwise closed form, already vectorized
 
@@ -304,7 +311,6 @@ class Spectral(NonsmoothPotential):
     def __init__(self, scalar: LogBarrier, d: int):
         self.scalar = scalar
         self.is_indicator = scalar.is_indicator
-        self.d = d
         self.point_shape = (d, d)
 
     def _tol(self, x, w):
@@ -444,43 +450,26 @@ class EntryAbsolute(NonsmoothPotential):
 
 
 class LipschitzProxTerm:
-    """Extra Lipschitz term R(x) = mean_i r_i(x) handled by its own prox.
+    """Extra Lipschitz term R(x) = mean_i r_i(x) over nonsmooth potentials with
+    full-domain proxes.  It reaches a chain only through the prox of one r_i,
+    drawn uniformly per step (no draw when there is only one, so a
+    deterministic R consumes no randomness)."""
 
-    Components are nonsmooth potentials with full-domain proxes; M bounds the
-    second moment of the minimal subgradients, E ||d0 r(x, xi)||^2 <= M^2.
-    A step samples one component uniformly (no draw when there is only one,
-    so a deterministic R consumes no randomness).
-    """
-
-    def __init__(self, components, M: float):
+    def __init__(self, components):
         if not components:
             raise ValueError("LipschitzProxTerm needs at least one component")
         self.components = list(components)
-        self.M = _weight(M, "subgradient bound M")
 
     def prox_sample(self, gamma, x, rng):
-        if len(self.components) == 1:
-            return self.components[0].prox(gamma, x)
-        idx = int(rng.integers(len(self.components)))
+        n = len(self.components)
+        idx = 0 if n == 1 else int(rng.integers(n))
         return self.components[idx].prox(gamma, x)
 
-    def evaluate(self, x):
-        return float(np.mean([c.evaluate(x) for c in self.components]))
 
-    def subgradient_second_moment(self, x):
-        return float(np.mean([norm(c.subgradient_min(x)) ** 2 for c in self.components]))
-
-
-def diagonal_absolute_term(weight: float, d: int) -> LipschitzProxTerm:
-    """R(x) = (w/d) sum_j |x_jj| as a stochastic prox term on d x d matrices."""
-    comps = [EntryAbsolute(weight, (j, j)) for j in range(d)]
-    return LipschitzProxTerm(comps, M=weight)
-
-
-def coordinate_absolute_term(weight: float, d: int) -> LipschitzProxTerm:
-    """Flat-space analogue of :func:`diagonal_absolute_term`."""
-    comps = [EntryAbsolute(weight, (j,)) for j in range(d)]
-    return LipschitzProxTerm(comps, M=weight)
+def absolute_entries_term(weight: float, shape) -> LipschitzProxTerm:
+    """R(x) = (w/d) sum_j |x[j, ..., j]|, d = shape[0], on points of this shape:
+    the coordinates of a vector, the diagonal of a matrix."""
+    return LipschitzProxTerm([EntryAbsolute(weight, (j,) * len(shape)) for j in range(shape[0])])
 
 
 # ---------------------------------------------------------------------------

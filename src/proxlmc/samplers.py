@@ -25,7 +25,6 @@ that prox through G keep the iterates inside dom(G); ula and myula do not.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +34,13 @@ from .potentials import EntryAbsolute, LipschitzProxTerm
 from .space import RngStream, check_point, gaussian
 
 SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
+
+
+def _integer(v, what) -> int:
+    """v as an int; a ValueError unless it is a Python or numpy integer (a bool is not)."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return int(v)
 
 
 class ChainDivergence(RuntimeError):
@@ -60,6 +66,8 @@ class SamplerConfig:
     record_duals: bool = False
 
     def __post_init__(self):
+        for name in ("num_steps", "burn_in", "record_every", "seed"):
+            _integer(getattr(self, name), name)
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise ValueError(f"gamma must be a finite number > 0, got {self.gamma}")
         if self.num_steps < 1:
@@ -92,7 +100,6 @@ class ChainTrace:
     duals: np.ndarray
     feasible_flags: np.ndarray
     mean_checkpoints: list  # (step, mean of post-burn-in iterates)
-    wall_time: float = 0.0
     nonsmooth: object = None  # the G that feasible_flags were checked against
 
     def __len__(self):
@@ -267,7 +274,7 @@ def run_chain(
     non-finite iterate.
     """
     x = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
-    checkpoints = sorted(int(s) for s in mean_checkpoints)
+    checkpoints = sorted(_integer(s, "mean checkpoint") for s in mean_checkpoints)
     if checkpoints and not cfg.burn_in < checkpoints[0] <= checkpoints[-1] <= cfg.num_steps:
         raise ValueError(f"mean checkpoints must lie in (burn_in, num_steps], got {checkpoints}")
     if len(set(checkpoints)) != len(checkpoints):
@@ -283,7 +290,6 @@ def run_chain(
     last_cp = checkpoints[-1] if checkpoints else 0
     running_sum = np.zeros_like(x)
     next_cp = 0
-    t0 = time.perf_counter()
     steps = _kernel(sampler, smooth, nonsmooth, cfg, x[None], gens, lipschitz_term, cfg.num_steps)
     for k, x_half, xs in steps:
         if k <= burn_in:
@@ -299,7 +305,7 @@ def run_chain(
             if record_half:
                 half[i - 1] = x_half[0]
     duals = (half - primal) / cfg.gamma if cfg.record_duals and len(half) else half[:0]
-    trace = ChainTrace(
+    return ChainTrace(
         sampler=sampler,
         config=cfg,
         steps=list(range(burn_in + every, cfg.num_steps + 1, every)),
@@ -310,8 +316,6 @@ def run_chain(
         mean_checkpoints=means,
         nonsmooth=nonsmooth,
     )
-    trace.wall_time = time.perf_counter() - t0
-    return trace
 
 
 def run_ensemble(
@@ -335,7 +339,7 @@ def run_ensemble(
     if num_chains < 2:
         raise ValueError(f"an ensemble needs num_chains >= 2, got {num_chains}")
     x0 = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
-    steps = sorted(int(s) for s in snapshot_steps)
+    steps = sorted(_integer(s, "snapshot step") for s in snapshot_steps)
     if not steps:
         raise ValueError("snapshot_steps must be non-empty")
     if steps[0] < 0 or steps[-1] > cfg.num_steps:

@@ -3,8 +3,8 @@
 Two kinds of state are supported: flat vectors in R^d and symmetric d x d
 matrices equipped with the trace inner product <a, b> = tr(ab).  Points are
 plain numpy arrays, and a point's shape, (d,) or (d, d), is its space:
-:func:`check_point` states the one shape rule, and :func:`gaussian`,
-:func:`ambient_dim` and the coordinate maps take the shape.
+:func:`check_point` states the one shape rule, and :func:`gaussian` and
+:func:`ambient_dim` take the shape.
 
 Randomness comes from :class:`RngStream`, a counter-based Philox stream keyed
 by (seed, stream_id).  Identical keys replay identical sequences; distinct
@@ -157,18 +157,3 @@ def flatten_points(xs: np.ndarray) -> np.ndarray:
         return xs
     iu, ju = np.triu_indices(xs.shape[-1])
     return xs[:, iu, ju]
-
-
-def unflatten_point(coords: np.ndarray, shape) -> np.ndarray:
-    """The point of the given shape with these free coordinates."""
-    coords = np.asarray(coords, dtype=float)
-    m = ambient_dim(shape)
-    if coords.shape != (m,):
-        raise ValueError(f"expected {m} coordinates, got shape {coords.shape}")
-    if len(shape) == 1:
-        return coords.copy()
-    out = np.zeros(shape)
-    iu, ju = np.triu_indices(shape[0])
-    out[iu, ju] = coords
-    out[ju, iu] = coords
-    return out

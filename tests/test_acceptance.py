@@ -14,9 +14,9 @@ from proxlmc import (
     SamplerConfig,
     TruncGaussSpec,
     WishartExperimentSpec,
+    absolute_entries_term,
     assemble_experiment,
     bootstrap_w2_se,
-    diagonal_absolute_term,
     estimate_C,
     feasibility_fraction,
     gamma_posterior_quantile,
@@ -99,7 +99,7 @@ def test_a06_prox_samplers_stay_feasible(acceptance_report):
     fracs = {}
     for sampler, term in (
         ("psgla", None),
-        ("spla", diagonal_absolute_term(0.1, 10)),
+        ("spla", absolute_entries_term(0.1, (10, 10))),
     ):
         trace = run_chain(sampler, asm.smooth, asm.nonsmooth, cfg, x0, lipschitz_term=term)
         fracs[sampler] = feasibility_fraction(trace, asm.nonsmooth)

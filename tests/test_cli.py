@@ -221,7 +221,7 @@ def test_build_wires_the_spla_r_term():
         {"experiment": "wishart-precision", "d": 2, "sampler": "spla", "spla_r_weight": 0.2}
     )
     _, term, _ = _build(cfg)
-    assert term is not None and term.M == 0.2
+    assert [(c.weight, c.index) for c in term.components] == [(0.2, (0, 0)), (0.2, (1, 1))]
     cfg2 = resolve_config({"experiment": "wishart-precision", "d": 2})
     _, term2, _ = _build(cfg2)
     assert term2 is None

@@ -145,12 +145,14 @@ def test_sliced_w2_validation():
 # ergodic means and feasibility
 # ---------------------------------------------------------------------------
 
-def test_ergodic_mean_drops_burn_in():
+def test_ergodic_mean_drops_burn_in(box_quadratic):
+    """A trace records only the steps after burn_in, so its mean drops them."""
     pts = [np.array([float(k)]) for k in range(1, 11)]
     assert ergodic_mean(pts) == pytest.approx(5.5)
-    assert ergodic_mean(pts, burn_in=3) == pytest.approx(7.0)
-    with pytest.raises(ValueError):
-        ergodic_mean(pts, burn_in=10)
+    smooth, box = box_quadratic
+    full = run_chain("psgla", smooth, box, SamplerConfig(0.1, 25, seed=7), np.zeros(2))
+    burnt = run_chain("psgla", smooth, box, SamplerConfig(0.1, 25, burn_in=10, seed=7), np.zeros(2))
+    assert np.array_equal(ergodic_mean(burnt), full.primal[10:].mean(axis=0))
 
 
 def test_ergodic_mean_accepts_traces(box_quadratic):

@@ -34,6 +34,16 @@ def test_trunc_gauss_spec_defaults_and_validation():
         TruncGaussSpec(mean=0.0, lo=1.0, hi=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mean", np.nan), ("mean", np.inf), ("lo", -np.inf), ("lo", np.nan),
+    ("hi", np.inf), ("hi", np.nan),
+])
+def test_trunc_gauss_spec_rejects_non_finite_parameters(field, value):
+    """A NaN mean would give NaN quantiles and lo = -inf a quantile of -inf."""
+    with pytest.raises(ValueError, match="finite"):
+        TruncGaussSpec(**{field: value})
+
+
 def test_wishart_spec_validation():
     data = np.zeros((3, 2))
     with pytest.raises(ValueError):
@@ -111,6 +121,15 @@ def test_gamma_quantile_validation():
         gamma_quantile(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         gamma_quantile(1.0, 1.0, np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("u", [np.nan, np.array([0.5, np.nan])], ids=["0-d", "in-a-stack"])
+def test_quantiles_reject_nan_levels(u):
+    """A NaN level has no quantile; the bisections would return a bracket end."""
+    with pytest.raises(ValueError, match="quantile levels"):
+        gamma_quantile(2.0, 1.0, u)
+    with pytest.raises(ValueError, match="quantile levels"):
+        trunc_gauss_quantile(TruncGaussSpec(), u)
 
 
 def test_gamma_posterior_quantile_matches_parameters():

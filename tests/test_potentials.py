@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -25,10 +26,9 @@ from proxlmc import (
     WishartExperimentSpec,
     ZeroPotential,
     ZeroSmooth,
+    absolute_entries_term,
     assemble_experiment,
     build_gamma_potential,
-    coordinate_absolute_term,
-    diagonal_absolute_term,
     dual_from_primal,
     feasibility_fraction,
     norm,
@@ -76,8 +76,8 @@ def test_prox_box_values():
     lambda: AbsoluteValue(np.inf),
     lambda: EntryAbsolute(-1.0, (0,)),
     lambda: EntryAbsolute(np.nan, (0, 0)),
-    lambda: coordinate_absolute_term(-1.0, 3),
-    lambda: diagonal_absolute_term(np.inf, 2),
+    lambda: absolute_entries_term(-1.0, (3,)),
+    lambda: absolute_entries_term(np.inf, (2, 2)),
 ], ids=["box-lo-above-hi", "box-nan-lo", "box-nan-hi", "barrier-negative-alpha",
         "barrier-nan-alpha", "barrier-inf-alpha", "barrier-nan-beta", "barrier-inf-beta",
         "spectral-nan-alpha", "l1-negative", "l1-nan", "l1-inf", "entry-negative", "entry-nan",
@@ -176,6 +176,41 @@ def test_log_barrier_prox_equals_its_where_closed_form_bitwise(alpha, beta, gamm
         out, ref = g.prox(gamma, x), _log_barrier_prox_reference(g, gamma, x)
     assert type(out) is type(ref) and out.shape == ref.shape
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([0.0, 1e-8, 0.5, 25.0]),
+    st.sampled_from([-1.5, 0.0, 0.5]),
+    st.floats(min_value=1e-4, max_value=10.0),
+    arrays(np.float64, _barrier_shapes, elements=st.floats(min_value=-1e150, max_value=1e150)),
+    st.sampled_from([0.0, -0.0, -1.0, -1e150, -np.inf, np.nan]),
+    st.integers(min_value=0),
+)
+def test_log_barrier_prox_is_silent_on_large_entries_beside_non_positive_ones(
+    alpha, beta, gamma, x, low, at
+):
+    """Magnitudes up to 1e150 beside a non-positive or NaN entry: each branch
+    of the closed form runs on its own entries only, so none warns (the suite
+    turns a RuntimeWarning into an error), and every entry keeps its bits."""
+    x.flat[at % x.size] = low
+    g = LogBarrier(alpha, beta)
+    out = g.prox(gamma, x)
+    with np.errstate(all="ignore"):
+        ref = _log_barrier_prox_reference(g, gamma, x)
+    assert type(out) is type(ref) and out.shape == ref.shape
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+def test_log_barrier_prox_of_a_valid_mixed_point_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = LogBarrier(1.0, 0.0).prox(0.1, np.array([1e10, -1.0]))
+        zero_d = LogBarrier(1.0, 0.0).prox(0.1, 1e10)
+        matrix = SpectralLogBarrier(1.0, 0.0, 2).prox(0.1, np.diag([1e10, -1.0]))
+    assert flat[0] == 1e10 and 0 < flat[1] < 0.1
+    assert zero_d.shape == () and zero_d == 1e10
+    assert np.allclose(matrix, np.diag(flat), rtol=1e-15, atol=0.0)
 
 
 def test_prox_logdet_matches_scalar_prox_on_eigenvalues():
@@ -773,26 +808,18 @@ def test_diagonal_absolute_prox_touches_one_diagonal_entry():
 
 
 def test_lipschitz_term_construction_and_moments():
+    """The builder makes one weighted entry per coordinate of a vector and per
+    diagonal entry of a matrix; R = mean_i r_i weighs each by 1/d."""
     with pytest.raises(ValueError):
-        LipschitzProxTerm([], M=1.0)
-    with pytest.raises(ValueError):
-        LipschitzProxTerm([ZeroPotential()], M=-1.0)
-    with pytest.raises(ValueError, match="subgradient bound M"):
-        LipschitzProxTerm([ZeroPotential()], M=float("nan"))
-    term = coordinate_absolute_term(0.5, 4)
-    assert term.M == 0.5
-    x = np.array([1.0, -2.0, 3.0, 4.0])
-    assert term.evaluate(x) == pytest.approx(0.5 * 10.0 / 4.0)
-    assert term.subgradient_second_moment(x) == pytest.approx(0.25)
-
-    mat_term = diagonal_absolute_term(0.5, 3)
-    m = np.diag([1.0, -2.0, 3.0])
-    assert mat_term.evaluate(m) == pytest.approx(0.5 * 6.0 / 3.0)
-    assert mat_term.subgradient_second_moment(m) == pytest.approx(0.25)
+        LipschitzProxTerm([])
+    for shape, indices in (((4,), [(0,), (1,), (2,), (3,)]), ((3, 3), [(0, 0), (1, 1), (2, 2)])):
+        term = absolute_entries_term(0.5, shape)
+        assert [c.index for c in term.components] == indices
+        assert all(type(c) is EntryAbsolute and c.weight == 0.5 for c in term.components)
 
 
 def test_single_component_term_consumes_no_randomness():
-    term = LipschitzProxTerm([ZeroPotential()], M=0.0)
+    term = LipschitzProxTerm([ZeroPotential()])
     rng = RngStream(15, 0)
     x = np.array([1.0, 2.0])
     p = term.prox_sample(0.5, x, rng)
@@ -802,7 +829,7 @@ def test_single_component_term_consumes_no_randomness():
 
 
 def test_multi_component_term_draws_one_index():
-    term = coordinate_absolute_term(1.0, 3)
+    term = absolute_entries_term(1.0, (3,))
     rng = RngStream(16, 0)
     x = np.array([5.0, 5.0, 5.0])
     p = term.prox_sample(2.0, x, rng)

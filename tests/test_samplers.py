@@ -18,8 +18,7 @@ from proxlmc import (
     SpectralLogBarrier,
     ZeroPotential,
     ZeroSmooth,
-    coordinate_absolute_term,
-    diagonal_absolute_term,
+    absolute_entries_term,
     gaussian,
     run_chain,
     run_ensemble,
@@ -54,6 +53,38 @@ def test_config_validation(kwargs):
         SamplerConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", [10.5, 2.0, True, "2"])
+@pytest.mark.parametrize("field", ["num_steps", "burn_in", "record_every", "seed"])
+def test_config_integer_fields_reject_non_integers(field, value):
+    """A float step count would construct and then fail mid-run with a TypeError."""
+    kwargs = {"gamma": 0.1, "num_steps": 20, field: value}
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        SamplerConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers(box_quadratic):
+    smooth, box = box_quadratic
+    ints = SamplerConfig(0.1, 20, burn_in=2, record_every=3, seed=4)
+    numpy_ints = SamplerConfig(0.1, np.int64(20), burn_in=np.int32(2), record_every=np.uint8(3),
+                               seed=np.uint64(4))
+    a, b = (run_chain("psgla", smooth, box, cfg, np.zeros(2)) for cfg in (ints, numpy_ints))
+    assert a.steps == b.steps and np.array_equal(a.primal, b.primal)
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True])
+def test_non_integer_steps_rejected(box_quadratic, bad):
+    """int() would truncate 2.7 and store or snapshot step 2 instead."""
+    smooth, box = box_quadratic
+    cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
+    named = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=f"mean checkpoint must be an integer, got {named}"):
+        run_chain("psgla", smooth, box, cfg, np.zeros(2), mean_checkpoints=[5, bad])
+    with pytest.raises(ValueError, match=f"snapshot step must be an integer, got {named}"):
+        run_ensemble("psgla", smooth, box, cfg, 3, [bad, 5], np.zeros(2))
+    res = run_ensemble("psgla", smooth, box, cfg, 3, np.array([10, 3]), np.zeros(2))
+    assert res.snapshot_steps == [3, 10] and all(type(s) is int for s in res.snapshot_steps)
+
+
 def test_step_size_warning_predicate():
     f = Quadratic(np.array([[2.0]]), np.zeros(1))
     assert step_size_warning(f, 0.6)
@@ -82,7 +113,7 @@ def test_psgla_step_reproduces_its_formula(box_quadratic):
 def test_dual_consistency_of_prox_steps(box_quadratic):
     smooth, box = box_quadratic
     cfg = SamplerConfig(gamma=0.35, num_steps=50, seed=4, record_duals=True)
-    term = coordinate_absolute_term(0.5, 2)
+    term = absolute_entries_term(0.5, (2,))
     x0 = np.array([0.1, 0.2])
     psgla = run_chain("psgla", smooth, box, cfg, x0, stream_id=0)
     spla = run_chain("spla", smooth, box, cfg, x0, lipschitz_term=term, stream_id=1)
@@ -109,7 +140,7 @@ def test_reduction_chains_are_bitwise(box_quadratic):
     assert all(np.array_equal(a, b) for a, b in zip(psgla.primal, spla_plain.primal))
 
     # one zero component: same prox path, still no extra randomness consumed
-    zero_term = LipschitzProxTerm([ZeroPotential()], M=0.0)
+    zero_term = LipschitzProxTerm([ZeroPotential()])
     spla_zero = run_chain("spla", smooth, box, cfg, x0, lipschitz_term=zero_term)
     assert all(np.array_equal(a, b) for a, b in zip(psgla.primal, spla_zero.primal))
 
@@ -257,7 +288,7 @@ def test_dimension_mismatch_rejected_before_step_1(case, runner):
 @pytest.mark.parametrize("driver", ["chain", "ensemble"])
 @pytest.mark.parametrize(
     "term, index",
-    [(coordinate_absolute_term(0.3, 3), (2,)), (diagonal_absolute_term(0.3, 2), (0, 0))],
+    [(absolute_entries_term(0.3, (3,)), (2,)), (absolute_entries_term(0.3, (2, 2)), (0, 0))],
     ids=["3-coordinates-on-flat-2", "diagonal-on-flat-2"],
 )
 def test_r_term_index_mismatch_rejected_before_step_1(term, index, driver):
@@ -485,15 +516,15 @@ def _flat_problem():
         ("psgla", "flat", "full", None),
         ("projected", "flat", "full", None),
         ("myula", "flat", "full", None),
-        ("spla", "flat", "full", coordinate_absolute_term),
+        ("spla", "flat", "full", absolute_entries_term),
         ("ula", "sym", "full", None),
         ("psgla", "sym", "full", None),
         ("projected", "sym", "full", None),
         ("myula", "sym", "full", None),
         ("psgla", "sym", 3, None),
         ("myula", "flat", 2, None),
-        ("spla", "sym", "full", diagonal_absolute_term),
-        ("spla", "flat", 2, coordinate_absolute_term),
+        ("spla", "sym", "full", absolute_entries_term),
+        ("spla", "flat", 2, absolute_entries_term),
     ],
 )
 def test_batched_ensemble_matches_per_chain_runs(sampler, space, minibatch, term):
@@ -503,7 +534,7 @@ def test_batched_ensemble_matches_per_chain_runs(sampler, space, minibatch, term
     smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
     if sampler == "projected" and space == "sym":
         g = PsdIndicator(3)
-    r = term(0.4, x0.shape[0]) if term else None
+    r = term(0.4, x0.shape) if term else None
     cfg = SamplerConfig(0.02, 25, seed=21, minibatch=minibatch, myula_lambda=0.3)
     res = run_ensemble(sampler, smooth, g, cfg, 4, [0, 7, 25], x0, lipschitz_term=r)
     for c in range(4):
@@ -522,7 +553,7 @@ def test_ensemble_matches_chains_on_a_non_diagonal_quadratic(sampler, d):
     b = rng.standard_normal((d, d))
     f = Quadratic(b @ b.T / d + 0.5 * np.eye(d), rng.standard_normal(d))
     g = BoxIndicator(-5.0 * np.ones(d), 5.0 * np.ones(d))
-    r = coordinate_absolute_term(0.3, d) if sampler == "spla" else None
+    r = absolute_entries_term(0.3, (d,)) if sampler == "spla" else None
     cfg = SamplerConfig(0.5 / f.L, 50, seed=23, myula_lambda=0.3)
     x0 = np.full(d, 0.1)
     res = run_ensemble(sampler, f, g, cfg, 4, [50], x0, lipschitz_term=r)
@@ -570,8 +601,7 @@ def test_run_chain_matches_the_reference_update_bitwise(sampler, space, minibatc
     smooth, g, x0 = problems[space]()
     if sampler == "projected" and space != "flat":
         g = PsdIndicator(3) if space == "sym" else LogBarrier(0.0, 0.0)  # indicators
-    term = diagonal_absolute_term if space == "sym" else coordinate_absolute_term
-    r = term(0.4, x0.shape[0])
+    r = absolute_entries_term(0.4, x0.shape)
     cfg = SamplerConfig(0.02, 30, seed=24, minibatch=minibatch, myula_lambda=0.3)
     trace = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r)
     ref = _reference_chain(sampler, smooth, g, cfg, x0, r)

@@ -14,7 +14,7 @@ from proxlmc import (
     spectral_apply,
     sym_eigendecomposition,
 )
-from proxlmc.space import flatten_points, unflatten_point
+from proxlmc.space import flatten_points
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +215,3 @@ def test_flatten_layout():
     assert np.array_equal(stack, [[1, 2, 3, 4, 5, 6.0], [2, 4, 6, 8, 10, 12.0]])
     assert np.array_equal(flatten_points(np.array([[1.0, 2, 3]])), [[1, 2, 3]])
 
-
-def test_unflatten_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        unflatten_point(np.zeros(5), (3, 3))
-
-
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
-def test_flatten_round_trip(d, seed):
-    coords = RngStream(seed, 0).standard_normal(ambient_dim((d, d)))
-    m = unflatten_point(coords, (d, d))
-    assert np.array_equal(m, m.T)
-    assert np.array_equal(flatten_points(m[None])[0], coords)
-    assert np.array_equal(unflatten_point(coords, (len(coords),)), coords)
