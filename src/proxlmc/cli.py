@@ -364,9 +364,7 @@ def _c_estimate_samples(cfg: RunConfig, assembled, trace):
     """Target samples for the C constant: exact draws where the law is known,
     the chain's own post-burn-in iterates otherwise."""
     if assembled.quantile_oracle is not None:
-        u = (np.arange(1, _ORACLE_GRID + 1) - 0.5) / _ORACLE_GRID
-        pts = np.asarray(assembled.quantile_oracle.quantile(u), dtype=float)[:, None]
-        return pts
+        return assembled.quantile_oracle.midpoint_quantiles(_ORACLE_GRID)[:, None]
     if assembled.ground_truth is not None:
         truth = assembled.ground_truth
         draws = sample_wishart(

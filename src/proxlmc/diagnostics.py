@@ -33,6 +33,18 @@ class QuantileOracle:
 
     quantile: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def midpoint_quantiles(self, n: int) -> np.ndarray:
+        """The quantiles at levels (i - 1/2) / n, i = 1..n, as a read-only
+        float array; quantile runs once per n over this oracle's life."""
+        grid = self._grids.get(n)
+        if grid is None:
+            u = (np.arange(1, n + 1) - 0.5) / n
+            grid = np.array(self.quantile(u), dtype=float)
+            grid.flags.writeable = False
+            self._grids[n] = grid
+        return grid
 
 
 def _samples(a) -> np.ndarray:
@@ -65,9 +77,7 @@ def wasserstein2_1d(a, b) -> float:
     xs = np.sort(_scalar_samples(a))
     n = xs.shape[0]
     if isinstance(b, QuantileOracle):
-        u = (np.arange(1, n + 1) - 0.5) / n
-        qs = np.asarray(b.quantile(u), dtype=float)
-        return float(np.mean((xs - qs) ** 2))
+        return float(np.mean((xs - b.midpoint_quantiles(n)) ** 2))
     ys = np.sort(_scalar_samples(b))
     if ys.shape[0] != n:
         raise ValueError(

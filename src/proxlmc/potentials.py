@@ -225,14 +225,11 @@ class LogBarrier(NonsmoothPotential):
         root = np.sqrt(u * u + 4.0 * gamma * self.alpha)
         if np.minimum.reduce(u, None, initial=np.inf) > 0:  # every u > 0 (NaN fails)
             return (u + root) / 2.0
-        # Each branch on its own entries only, so neither warns on the other's;
-        # the second avoids cancellation when u is very negative.  NaN takes it.
-        out = np.empty_like(u)
-        pos = u > 0
-        out[pos] = (u[pos] + root[pos]) / 2.0
-        neg = ~pos
-        out[neg] = 2.0 * gamma * self.alpha / (root[neg] - u[neg])
-        return out
+        # s is u + root where u > 0 and root - u elsewhere, bit for bit, and
+        # s >= root > 0, so neither branch warns; the second avoids
+        # cancellation when u is very negative.  NaN takes it.
+        s = root + np.abs(u)
+        return np.where(u > 0, s / 2.0, 2.0 * gamma * self.alpha / s)
 
     prox_batch = prox  # elementwise closed form, already vectorized
 

@@ -31,16 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import EntryAbsolute, LipschitzProxTerm
-from .space import RngStream, check_point, gaussian
+from .space import RngStream, _integer, check_point, gaussian
 
 SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
-
-
-def _integer(v, what) -> int:
-    """v as an int; a ValueError unless it is a Python or numpy integer (a bool is not)."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {v!r}")
-    return int(v)
 
 
 class ChainDivergence(RuntimeError):
@@ -77,7 +70,7 @@ class SamplerConfig:
                 f"burn_in must satisfy 0 <= burn_in < num_steps, got {self.burn_in}"
             )
         mb = self.minibatch
-        if mb != "full" and (isinstance(mb, bool) or not isinstance(mb, int) or mb < 1):
+        if mb != "full" and (isinstance(mb, str) or _integer(mb, "minibatch") < 1):
             raise ValueError(f"minibatch must be 'full' or an int >= 1, got {mb!r}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")

@@ -70,6 +70,40 @@ def test_w2_against_quantile_oracle():
     assert wasserstein2_1d(shifted, oracle) == pytest.approx(0.0625)
 
 
+def _counting_oracle(calls):
+    """A truncated-Gaussian oracle that appends each n it is evaluated at."""
+    def quantile(u):
+        calls.append(len(u))
+        return _TRUNC_GAUSS.quantile(u)
+    return QuantileOracle(quantile=quantile, name="counted")
+
+
+def test_oracle_runs_once_per_grid_size():
+    calls = []
+    oracle = _counting_oracle(calls)
+    rng = RngStream(3, 1)
+    for n in (40, 40, 25, 40):
+        wasserstein2_1d(rng.standard_normal(n), oracle)
+    assert calls == [40, 25]
+    bootstrap_w2_se(rng.standard_normal(30), oracle, num_bootstrap=50, seed=2)
+    assert calls == [40, 25, 30]
+
+
+def test_midpoint_quantiles_are_read_only_and_w2_keeps_its_bits():
+    oracle = _counting_oracle([])
+    grid = oracle.midpoint_quantiles(64)
+    assert oracle.midpoint_quantiles(64) is grid
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
+    rng = RngStream(4, 1)
+    for n in (1, 7, 64, 1000):
+        xs = rng.standard_normal(n)
+        u = (np.arange(1, n + 1) - 0.5) / n
+        unmemoized = float(np.mean((np.sort(xs) - _TRUNC_GAUSS.quantile(u)) ** 2))
+        assert np.array_equal(np.float64(wasserstein2_1d(xs, oracle)).view(np.uint64),
+                              np.float64(unmemoized).view(np.uint64))
+
+
 def test_w2_triangle_inequality():
     rng = RngStream(2, 0)
     for _ in range(50):

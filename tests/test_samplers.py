@@ -46,6 +46,9 @@ from proxlmc import (
         dict(gamma=0.1, num_steps=10, minibatch=True),
         dict(gamma=float("inf"), num_steps=10),
         dict(gamma=float("nan"), num_steps=10),
+        dict(gamma=0.1, num_steps=10, minibatch=np.True_),
+        dict(gamma=0.1, num_steps=10, minibatch=2.0),
+        dict(gamma=0.1, num_steps=10, minibatch=np.int64(0)),
     ],
 )
 def test_config_validation(kwargs):
@@ -69,6 +72,14 @@ def test_config_accepts_numpy_integers(box_quadratic):
                                seed=np.uint64(4))
     a, b = (run_chain("psgla", smooth, box, cfg, np.zeros(2)) for cfg in (ints, numpy_ints))
     assert a.steps == b.steps and np.array_equal(a.primal, b.primal)
+
+
+def test_minibatch_accepts_numpy_integers():
+    f = QuadraticSum(RngStream(12, 0).standard_normal((8, 2)))
+    box = BoxIndicator(-2 * np.ones(2), 2 * np.ones(2))
+    runs = [run_chain("psgla", f, box, SamplerConfig(0.01, 30, seed=3, minibatch=mb),
+                      np.zeros(2)) for mb in (2, np.int64(2), np.uint8(2))]
+    assert all(np.array_equal(r.primal, runs[0].primal) for r in runs)
 
 
 @pytest.mark.parametrize("bad", [2.7, 2.0, True])
