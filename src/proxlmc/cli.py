@@ -47,6 +47,7 @@ from .potentials import absolute_entries_term
 from .samplers import (
     SAMPLER_IDS,
     SamplerConfig,
+    _step_list,
     run_chain,
     run_ensemble,
     step_size_warning,
@@ -95,8 +96,12 @@ class RunConfig(SamplerConfig):
     def __post_init__(self):
         try:
             super().__post_init__()
+            self.snapshot_steps = _step_list(
+                self.snapshot_steps, "snapshot step", self.burn_in + 1, self.num_steps
+            )
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        _require(self.snapshot_steps, "snapshot_steps must be a non-empty list of step indices")
         _require(self.experiment in EXPERIMENT_IDS,
                  f"experiment must be one of {EXPERIMENT_IDS}, got {self.experiment!r}")
         _require(self.sampler in SAMPLER_IDS,
@@ -118,14 +123,6 @@ class RunConfig(SamplerConfig):
             _require(self.sampler == "spla", "spla_r_weight is only meaningful for sampler 'spla'")
             _require(self.spla_r_weight >= 0, "spla_r_weight must be >= 0")
         _require(self.num_chains >= 1, "num_chains must be >= 1")
-
-        self.snapshot_steps = steps = sorted(self.snapshot_steps)
-        _require(steps, "snapshot_steps must be a non-empty list of step indices")
-        _require(steps[0] >= 1 and steps[-1] <= self.num_steps,
-                 "snapshot steps must lie in [1, num_steps]")
-        _require(steps[0] > self.burn_in, "snapshot steps must lie strictly after burn_in")
-        _require(len(set(steps)) == len(steps), "snapshot steps must be distinct")
-
         _require(self.d >= 1, "d must be >= 1")
         _require(self.n >= 1, "n must be >= 1")
         # Ensemble snapshots are scored against an exact quantile oracle.
@@ -290,17 +287,17 @@ def _write_csv(path, header, rows):
         fh.write("\r\n".join([",".join(header), *map(",".join, rows), ""]))
 
 
-def _write_trace_csv(path, trace, include_duals: bool):
+def _write_trace_csv(path, trace, feasible_flags):
     m = ambient_dim(trace.primal.shape[1:])
     header = ["step"] + [f"x{i}" for i in range(m)]
     columns = [flatten_points(trace.primal)]
-    if include_duals:
+    if len(trace.duals):
         header += [f"y{i}" for i in range(m)]
         columns.append(flatten_points(trace.duals))
     header.append("feasible")
     values = np.concatenate(columns, axis=1).tolist()
     rows = ([str(step), *map(repr, row), "1" if flag else "0"]
-            for step, row, flag in zip(trace.steps, values, trace.feasible_flags.tolist()))
+            for step, row, flag in zip(trace.steps, values, feasible_flags.tolist()))
     _write_csv(path, header, rows)
 
 
@@ -353,8 +350,8 @@ def cmd_sample(cfg: RunConfig, out_dir: str) -> int:
         cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg,
         x0, lipschitz_term=lipschitz, stream_id=0,
     )
-    include_duals = cfg.record_duals and len(trace.duals) == len(trace.primal) and len(trace.duals) > 0
-    _write_trace_csv(os.path.join(out_dir, "trace.csv"), trace, include_duals)
+    flags = assembled.nonsmooth.domain_mask(trace.primal)
+    _write_trace_csv(os.path.join(out_dir, "trace.csv"), trace, flags)
     warn = step_size_warning(assembled.smooth, cfg.gamma)
     _write_manifest(out_dir, "sample", cfg, warn, time.perf_counter() - t0, ["trace.csv"])
     return 0

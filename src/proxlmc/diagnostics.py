@@ -292,14 +292,10 @@ def pdpg_gap_check(
 
 
 def feasibility_fraction(trace_or_points, nonsmooth) -> float:
-    """Fraction of recorded iterates inside dom(G).  A trace that run_chain
-    recorded against this same nonsmooth object reuses its feasible_flags."""
+    """Fraction of the points, or of a ChainTrace's recorded iterates, inside
+    dom(G): one domain check over the whole stack."""
     pts = _samples(getattr(trace_or_points, "primal", trace_or_points))
-    if getattr(trace_or_points, "nonsmooth", None) is nonsmooth:
-        flags = trace_or_points.feasible_flags
-    else:
-        flags = nonsmooth.domain_mask(pts)
-    return float(np.mean(flags))
+    return float(np.mean(nonsmooth.domain_mask(pts)))
 
 
 def bootstrap_w2_se(

@@ -122,28 +122,34 @@ def _check_u(u):
     return u
 
 
+def _bisect(cdf, p, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0):
+    """The t in [lo, hi] with cdf(t) = p, elementwise, for an increasing
+    vectorized cdf: at most 200 halvings of every bracket at once, stopping
+    once max(hi - lo) <= max(atol, rtol * max(1, max(hi))).  A float for a
+    scalar p, else an array of p's shape."""
+    target = np.atleast_1d(p)
+    lo, hi = np.full_like(target, lo), np.full_like(target, hi)
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        below = cdf(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if np.max(hi - lo) <= max(atol, rtol * max(1.0, float(hi.max()))):
+            break
+    q = (lo + hi) / 2.0
+    return float(q[0]) if np.ndim(p) == 0 else q
+
+
 def gamma_quantile(shape: float, rate: float, u) -> np.ndarray:
     """Quantile of Gamma(shape, rate) by bisection on the regularized
     incomplete gamma CDF.  Vectorized in u; CDF round-trip error <= 1e-8."""
     if not (shape > 0 and rate > 0):
         raise ValueError("gamma quantile needs shape > 0 and rate > 0")
     u = _check_u(u)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
     hi = (shape + 10.0 * np.sqrt(shape) + 10.0) / rate
     while special.gammainc(shape, rate * hi) < u.max():
         hi *= 2.0
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, hi)
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        below = special.gammainc(shape, rate * mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= 1e-15 * max(1.0, float(hi.max())):
-            break
-    q = (lo + hi) / 2.0
-    return float(q[0]) if scalar else q
+    return _bisect(lambda t: special.gammainc(shape, rate * t), u, 0.0, hi, rtol=1e-15)
 
 
 def gamma_posterior_quantile(spec: WishartExperimentSpec, u):
@@ -165,23 +171,10 @@ def trunc_gauss_quantile(spec: TruncGaussSpec, u):
     [lo, hi]:  m + Phi^{-1}( Phi(a-m) + u (Phi(b-m) - Phi(a-m)) ),
     with Phi^{-1} evaluated by bisection to 1e-12."""
     u = _check_u(u)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
     a = spec.lo - spec.mean
     b = spec.hi - spec.mean
     pa, pb = _std_normal_cdf(a), _std_normal_cdf(b)
-    p = pa + u * (pb - pa)
-    lo = np.full_like(p, a)
-    hi = np.full_like(p, b)
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        below = _std_normal_cdf(mid) < p
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= 1e-12:
-            break
-    q = spec.mean + (lo + hi) / 2.0
-    return float(q[0]) if scalar else q
+    return spec.mean + _bisect(_std_normal_cdf, pa + u * (pb - pa), a, b, atol=1e-12)
 
 
 @dataclass

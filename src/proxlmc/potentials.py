@@ -184,9 +184,11 @@ class BoxIndicator(NonsmoothPotential):
         return np.zeros_like(x)
 
     def conjugate(self, y):
-        """Support function of the box: sum_i max(lo_i y_i, hi_i y_i)."""
+        """Support function of the box: sum_i max(lo_i y_i, hi_i y_i), 0 * inf = 0."""
         y = np.asarray(y, dtype=float)
-        return float(np.sum(np.maximum(self.lo * y, self.hi * y)))
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN
+            terms = np.maximum(self.lo * y, self.hi * y)
+        return float(np.sum(np.where((y == 0) & np.isnan(terms), 0.0, terms)))
 
 
 class LogBarrier(NonsmoothPotential):
@@ -222,6 +224,10 @@ class LogBarrier(NonsmoothPotential):
         if self.alpha == 0:
             # Not np.maximum: clipping keeps a -0.0 input as -0.0, like max(t, 0.0).
             return np.where(u < 0, 0.0, u)
+        # a dot product does not warn on overflow; when it is finite, so is
+        # every u * u + 4 gamma alpha (NaN fails too)
+        if not np.vdot(u, u) + 4.0 * gamma * self.alpha < np.inf:
+            return self._prox_wide(gamma, u)
         root = np.sqrt(u * u + 4.0 * gamma * self.alpha)
         if np.minimum.reduce(u, None, initial=np.inf) > 0:  # every u > 0 (NaN fails)
             return (u + root) / 2.0
@@ -232,6 +238,17 @@ class LogBarrier(NonsmoothPotential):
         return np.where(u > 0, s / 2.0, 2.0 * gamma * self.alpha / s)
 
     prox_batch = prox  # elementwise closed form, already vectorized
+
+    def _prox_wide(self, gamma, u):
+        """prox at u = x - gamma*beta when some u * u overflows or u is not
+        finite: s / 2 = (root + |u|) / 2 of the closed form, bit for bit,
+        where its root is finite, else at half scale, which cannot overflow."""
+        ga = gamma * self.alpha
+        with np.errstate(over="ignore"):
+            root = np.sqrt(u * u + 4.0 * gamma * self.alpha)
+        half_s = np.where(np.isfinite(root), (root + np.abs(u)) / 2.0,
+                          np.hypot(u / 2.0, np.sqrt(ga)) + np.abs(u) / 2.0)
+        return np.where(u > 0, half_s, ga / half_s)  # ga / (s/2) is 2 ga / s
 
     def domain_mask(self, xs):
         xs = np.asarray(xs, dtype=float)

@@ -78,33 +78,18 @@ class SamplerConfig:
 
 @dataclass
 class ChainTrace:
-    """The R recorded steps of one chain.
+    """The R recorded steps of one chain: primal and duals are (R, *shape)
+    arrays, row i belonging to steps[i]; duals has rows only when
+    record_duals asked for them of a sampler that proxes through G."""
 
-    primal, half_steps and duals are (R, *shape) arrays, row i belonging to
-    steps[i]; half_steps has no rows for ula and myula, duals none unless
-    record_duals asked for them.  feasible_flags is a length-R bool array.
-    """
-
-    sampler: str
-    config: SamplerConfig
     steps: list
     primal: np.ndarray
-    half_steps: np.ndarray
     duals: np.ndarray
-    feasible_flags: np.ndarray
     mean_checkpoints: list  # (step, mean of post-burn-in iterates)
-    nonsmooth: object = None  # the G that feasible_flags were checked against
-
-    def __len__(self):
-        return len(self.primal)
 
 
 @dataclass
 class EnsembleResult:
-    sampler: str
-    num_chains: int
-    seed: int
-    snapshot_steps: list
     snapshots: dict  # step -> array with leading chain axis
 
     def snapshot(self, step: int) -> np.ndarray:
@@ -114,6 +99,16 @@ class EnsembleResult:
 def step_size_warning(smooth, gamma: float) -> bool:
     """True when L > 0 and gamma exceeds 1/L (bias bounds then do not apply)."""
     return smooth.L > 0 and gamma > 1.0 / smooth.L
+
+
+def _step_list(steps, what, lo, num_steps) -> list:
+    """steps as a sorted list of distinct ints in [lo, num_steps], or a ValueError naming what."""
+    out = sorted(_integer(s, what) for s in steps)
+    if out and not lo <= out[0] <= out[-1] <= num_steps:
+        raise ValueError(f"{what}s must lie in [{lo}, num_steps = {num_steps}], got {out}")
+    if len(set(out)) != len(out):
+        raise ValueError(f"{what}s must be distinct, got {out}")
+    return out
 
 
 def _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
@@ -258,26 +253,22 @@ def run_chain(
 
     Iterates x^1 .. x^num_steps; step k is recorded when k > burn_in and
     (k - burn_in) is a multiple of record_every, into arrays preallocated
-    for the R = (num_steps - burn_in) // record_every recorded steps.  The
-    feasibility flags come from one domain check of G over the recorded
-    stack after the chain.  mean_checkpoints is a list of distinct step
-    indices in (burn_in, num_steps] at which the running mean of the
-    post-burn-in iterates is stored, so long runs can track ergodic averages
-    without keeping every iterate.  Aborts with ChainDivergence on the first
+    for the R = (num_steps - burn_in) // record_every recorded steps; the
+    pre-prox points x_half are kept only for the duals that record_duals
+    asks for.  mean_checkpoints is a list of distinct step indices in
+    (burn_in, num_steps] at which the running mean of the post-burn-in
+    iterates is stored, so long runs can track ergodic averages without
+    keeping every iterate.  Aborts with ChainDivergence on the first
     non-finite iterate.
     """
     x = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
-    checkpoints = sorted(_integer(s, "mean checkpoint") for s in mean_checkpoints)
-    if checkpoints and not cfg.burn_in < checkpoints[0] <= checkpoints[-1] <= cfg.num_steps:
-        raise ValueError(f"mean checkpoints must lie in (burn_in, num_steps], got {checkpoints}")
-    if len(set(checkpoints)) != len(checkpoints):
-        raise ValueError(f"mean checkpoints must be distinct, got {checkpoints}")
+    checkpoints = _step_list(mean_checkpoints, "mean checkpoint", cfg.burn_in + 1, cfg.num_steps)
     gens = [RngStream(cfg.seed, stream_id)]
     burn_in, every = cfg.burn_in, cfg.record_every
     num_recorded = (cfg.num_steps - burn_in) // every
     primal = np.empty((num_recorded, *x.shape))
-    half = np.empty((0 if sampler in ("ula", "myula") else num_recorded, *x.shape))
-    record_half = len(half) > 0
+    record_duals = cfg.record_duals and sampler not in ("ula", "myula")
+    half = np.empty((num_recorded if record_duals else 0, *x.shape))
     means = []
     # the running sum of post-burn-in iterates is kept up to the last checkpoint only
     last_cp = checkpoints[-1] if checkpoints else 0
@@ -295,19 +286,13 @@ def run_chain(
         i, off = divmod(k - burn_in, every)
         if off == 0:
             primal[i - 1] = xs[0]
-            if record_half:
+            if record_duals:
                 half[i - 1] = x_half[0]
-    duals = (half - primal) / cfg.gamma if cfg.record_duals and len(half) else half[:0]
     return ChainTrace(
-        sampler=sampler,
-        config=cfg,
         steps=list(range(burn_in + every, cfg.num_steps + 1, every)),
         primal=primal,
-        half_steps=half,
-        duals=duals,
-        feasible_flags=nonsmooth.domain_mask(primal),
+        duals=(half - primal) / cfg.gamma if record_duals else half,
         mean_checkpoints=means,
-        nonsmooth=nonsmooth,
     )
 
 
@@ -332,13 +317,9 @@ def run_ensemble(
     if num_chains < 2:
         raise ValueError(f"an ensemble needs num_chains >= 2, got {num_chains}")
     x0 = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
-    steps = sorted(_integer(s, "snapshot step") for s in snapshot_steps)
+    steps = _step_list(snapshot_steps, "snapshot step", 0, cfg.num_steps)
     if not steps:
         raise ValueError("snapshot_steps must be non-empty")
-    if steps[0] < 0 or steps[-1] > cfg.num_steps:
-        raise ValueError("snapshot steps must lie in [0, num_steps]")
-    if len(set(steps)) != len(steps):
-        raise ValueError(f"snapshot steps must be distinct, got {steps}")
     gens = [RngStream(cfg.seed, c) for c in range(num_chains)]
     xs = np.repeat(x0[None], num_chains, axis=0)
     wanted = set(steps)
@@ -346,13 +327,7 @@ def run_ensemble(
     for k, _, xs in _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, steps[-1]):
         if k in wanted:
             snaps[k] = xs
-    return EnsembleResult(
-        sampler=sampler,
-        num_chains=num_chains,
-        seed=cfg.seed,
-        snapshot_steps=steps,
-        snapshots=snaps,
-    )
+    return EnsembleResult(snapshots=snaps)
 
 
 def tune_for_epsilon(eps: float, L: float, lambda_f: float, C: float, w0_sq: float):

@@ -1,11 +1,16 @@
 """The benchmark's layer tracer (perfbench/tracer.py) rebinds package names by
-attribute; a rename or deletion of one of them breaks `perfbench/run.py
---trace 1`, so it must fail here too."""
+attribute, and its workloads (perfbench/workloads.py) read package names and
+result fields; a rename or deletion of one of them breaks `perfbench/run.py`,
+so it must fail here too."""
 
+import contextlib
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOAD_NAMES = ["flat-ensemble", "flat-trace", "matrix-ensemble", "matrix-posterior"]
 
 
 def test_tracer_installs_and_restores_every_target(monkeypatch):
@@ -28,3 +33,20 @@ def test_tracer_installs_and_restores_every_target(monkeypatch):
         t.restore()
     assert all(rebound)
     assert all(vars(owner)[attr] is fn for (owner, attr), fn in originals.items())
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_each_workload_runs_one_clean_untraced_call(name, monkeypatch, tmp_path):
+    """One call per workload at a tenth of its size, outside perfbench/run.py
+    (which pins BLAS threads at import): neither the exact references nor the
+    call may report a problem."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    assert sorted(workloads.WORKLOADS) == WORKLOAD_NAMES
+    wl = workloads.WORKLOADS[name](3, scale=0.1)
+    wl.prepare()
+    assert wl.problems == []
+    res = wl.call(0, str(tmp_path / "out"), lambda _name: contextlib.nullcontext())
+    assert res.problems == []

@@ -168,14 +168,24 @@ _special_entries = st.sampled_from([0.0, -0.0, np.nan, 5e-324, -5e-324, 1e-300, 
     ),
 )
 def test_log_barrier_prox_equals_its_where_closed_form_bitwise(alpha, beta, gamma, x):
-    """Every entry keeps the closed form's arithmetic, whichever branches its
-    stack takes: mixed signs, +-0.0, tiny and huge magnitudes and NaN; a 0-d
-    point keeps the 0-d array np.where returns."""
+    """Every entry whose u * u + 4 gamma alpha is finite keeps the closed
+    form's arithmetic, whichever branches its stack takes: mixed signs,
+    +-0.0, tiny and huge magnitudes and NaN; a 0-d point keeps the 0-d array
+    np.where returns.  Where u * u overflows, where the closed form would
+    give inf or 0, the prox is u for u > 0 and gamma alpha / |u| for u < 0,
+    to rounding."""
     g = LogBarrier(alpha, beta)
+    out = g.prox(gamma, x)
     with np.errstate(all="ignore"):
-        out, ref = g.prox(gamma, x), _log_barrier_prox_reference(g, gamma, x)
+        ref = _log_barrier_prox_reference(g, gamma, x)
+        u = x - gamma * beta
+        wide = (alpha > 0) & np.isinf(u * u + 4.0 * gamma * alpha) & np.isfinite(u)
     assert type(out) is type(ref) and out.shape == ref.shape
-    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(out[~wide].view(np.uint64), ref[~wide].view(np.uint64))
+    uw = u[wide]
+    far = np.where(uw > 0, uw, gamma * alpha / np.abs(uw))
+    assert np.allclose(out[wide], far, rtol=4e-16, atol=1e-323)
+    assert np.all(out[wide] > 0)
 
 
 @settings(max_examples=300)
@@ -211,6 +221,23 @@ def test_log_barrier_prox_of_a_valid_mixed_point_does_not_warn():
     assert flat[0] == 1e10 and 0 < flat[1] < 0.1
     assert zero_d.shape == () and zero_d == 1e10
     assert np.allclose(matrix, np.diag(flat), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("big", [1e200, 1e300])
+def test_log_barrier_prox_of_entries_whose_square_overflows(big):
+    """u * u overflows past ~1.3e154; the prox still lands near u, or near
+    gamma alpha / |u| inside the open domain, without a warning, and the
+    other entries of the stack keep their bits."""
+    g = LogBarrier(1.0, 0.0)
+    out = g.prox(0.1, np.array([big, -big, 2.0, -3.0]))
+    assert np.allclose(out[:2], [big, 0.1 / big], rtol=1e-15, atol=0.0) and out[1] > 0
+    assert np.array_equal(out[2:], g.prox(0.1, np.array([2.0, -3.0])))
+    assert g.prox(0.1, big) == big and g.prox(0.1, -big) > 0
+    assert np.array_equal(g.prox(0.1, np.array([np.inf, -np.inf, np.nan]))[:2], [np.inf, 0.0])
+    for lam in (big, -big):
+        matrix = SpectralLogBarrier(1.0, 0.0, 2).prox(0.1, np.diag([lam, 2.0]))
+        expected = np.diag(g.prox(0.1, np.array([lam, 2.0])))
+        assert np.allclose(matrix, expected, rtol=1e-15, atol=0.0)
 
 
 def test_prox_logdet_matches_scalar_prox_on_eigenvalues():
@@ -389,6 +416,12 @@ def test_box_conjugate_is_the_support_function():
     # sup_x <y, x> over the box, coordinatewise max(lo y, hi y)
     assert g.conjugate(np.array([1.0, -3.0])) == pytest.approx(2.0 + 0.0)
     assert g.conjugate(np.array([-2.0, 4.0])) == pytest.approx(2.0 + 4.0)
+    # an infinite side contributes 0 at y_i = 0, not 0 * inf = NaN
+    half_line = BoxIndicator(np.array([0.0]), np.array([np.inf]))
+    assert [half_line.conjugate(np.array([y])) for y in (0.0, 1.0, -1.0)] == [0.0, np.inf, 0.0]
+    line = BoxIndicator(np.array([-np.inf, -1.0]), np.array([np.inf, 2.0]))
+    assert line.conjugate(np.array([0.0, -3.0])) == 3.0
+    assert line.conjugate(np.array([0.5, 0.0])) == np.inf
 
 
 def test_zero_potential_conjugate():
@@ -656,7 +689,7 @@ def test_feasible_trace_needs_no_eigendecomposition(monkeypatch):
     asm = assemble_experiment(WishartExperimentSpec("precision", d=3, nu=5.0, data=data))
     cfg = SamplerConfig(gamma=0.02, num_steps=1200, seed=23)
     trace = run_chain("psgla", asm.smooth, asm.nonsmooth, cfg, asm.default_x0(cfg.gamma))
-    assert calls == [] and trace.feasible_flags.all()
+    assert asm.nonsmooth.domain_mask(trace.primal).all() and calls == []
 
     stack = trace.primal.copy()
     stack[700] = np.diag([0.0, 1.0, 2.0])

@@ -26,6 +26,7 @@ from proxlmc import (
     step_size_warning,
     tune_for_epsilon,
 )
+from proxlmc import samplers
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,9 @@ def test_non_integer_steps_rejected(box_quadratic, bad):
     with pytest.raises(ValueError, match=f"snapshot step must be an integer, got {named}"):
         run_ensemble("psgla", smooth, box, cfg, 3, [bad, 5], np.zeros(2))
     res = run_ensemble("psgla", smooth, box, cfg, 3, np.array([10, 3]), np.zeros(2))
-    assert res.snapshot_steps == [3, 10] and all(type(s) is int for s in res.snapshot_steps)
+    assert list(res.snapshots) == [3, 10]
+    steps = samplers._step_list(np.array([10, 3]), "snapshot step", 0, 10)
+    assert steps == [3, 10] and all(type(s) is int for s in steps)
 
 
 def test_step_size_warning_predicate():
@@ -122,6 +125,9 @@ def test_psgla_step_reproduces_its_formula(box_quadratic):
 
 
 def test_dual_consistency_of_prox_steps(box_quadratic):
+    """A dual point y' = (x_half - x') / gamma lies in the subdifferential of
+    G at x': for the box, the normal cone, zero inside and pointing out of
+    each face the iterate sits on."""
     smooth, box = box_quadratic
     cfg = SamplerConfig(gamma=0.35, num_steps=50, seed=4, record_duals=True)
     term = absolute_entries_term(0.5, (2,))
@@ -130,8 +136,11 @@ def test_dual_consistency_of_prox_steps(box_quadratic):
     spla = run_chain("spla", smooth, box, cfg, x0, lipschitz_term=term, stream_id=1)
     for trace in (psgla, spla):
         assert len(trace.duals) == 50
-        for x_half, x_new, y_new in zip(trace.half_steps, trace.primal, trace.duals):
-            assert np.allclose(x_half, x_new + cfg.gamma * y_new, atol=1e-14)
+        x, y = trace.primal, trace.duals
+        at_lo, at_hi = x == box.lo, x == box.hi
+        assert at_lo.any() and at_hi.any() and (y != 0).any()
+        assert np.all(y[~at_lo & ~at_hi] == 0)
+        assert np.all(y[at_lo] <= 0) and np.all(y[at_hi] >= 0)
 
 
 def test_reduction_chains_are_bitwise(box_quadratic):
@@ -178,8 +187,8 @@ def test_myula_differs_from_psgla_and_can_leave_the_domain(box_quadratic):
     myula = run_chain("myula", smooth, box, cfg_m, x0)
     psgla = run_chain("psgla", smooth, box, cfg_p, x0)
     assert not np.array_equal(myula.primal[-1], psgla.primal[-1])
-    assert not all(myula.feasible_flags)
-    assert all(psgla.feasible_flags)
+    assert not box.domain_mask(myula.primal).all()
+    assert box.domain_mask(psgla.primal).all()
 
 
 def test_unknown_sampler_rejected(box_quadratic):
@@ -195,11 +204,12 @@ def test_unknown_sampler_rejected(box_quadratic):
 
 def test_recording_arithmetic(box_quadratic):
     smooth, box = box_quadratic
-    cfg = SamplerConfig(gamma=0.1, num_steps=10, burn_in=3, record_every=2, seed=7)
+    cfg = SamplerConfig(gamma=0.1, num_steps=10, burn_in=3, record_every=2, seed=7,
+                        record_duals=True)
     trace = run_chain("psgla", smooth, box, cfg, np.zeros(2))
     assert trace.steps == [5, 7, 9]
-    assert len(trace) == 3
-    assert len(trace.half_steps) == 3
+    assert len(trace.primal) == 3
+    assert len(trace.duals) == 3
 
 
 def test_mean_checkpoints_average_post_burn_in_iterates(box_quadratic):
@@ -331,7 +341,11 @@ def test_duals_recorded_only_on_request(box_quadratic):
         "ula", smooth, box, SamplerConfig(0.1, 20, seed=9, record_duals=True), x0
     )
     assert len(ula.duals) == 0
-    assert len(ula.half_steps) == 0
+    myula = run_chain(
+        "myula", smooth, box,
+        SamplerConfig(0.1, 20, seed=9, record_duals=True, myula_lambda=0.1), x0,
+    )
+    assert len(myula.duals) == 0
 
 
 def test_divergence_aborts_with_step_index():
@@ -405,7 +419,7 @@ def test_a_finite_chain_whose_sum_overflows_runs_on():
     x0 = np.array([1e308, 1e308])
     cfg = SamplerConfig(0.01, 20, seed=4)
     trace = run_chain("ula", ZeroSmooth(), ZeroPotential(), cfg, x0)
-    assert len(trace) == 20 and np.isfinite(trace.primal).all()
+    assert len(trace.primal) == 20 and np.isfinite(trace.primal).all()
     res = run_ensemble("ula", ZeroSmooth(), ZeroPotential(), cfg, 4, [20], x0)
     assert np.isfinite(res.snapshot(20)).all()
 
@@ -613,15 +627,16 @@ def test_run_chain_matches_the_reference_update_bitwise(sampler, space, minibatc
     if sampler == "projected" and space != "flat":
         g = PsdIndicator(3) if space == "sym" else LogBarrier(0.0, 0.0)  # indicators
     r = absolute_entries_term(0.4, x0.shape)
-    cfg = SamplerConfig(0.02, 30, seed=24, minibatch=minibatch, myula_lambda=0.3)
+    cfg = SamplerConfig(0.02, 30, seed=24, minibatch=minibatch, myula_lambda=0.3,
+                        record_duals=True)
     trace = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r)
     ref = _reference_chain(sampler, smooth, g, cfg, x0, r)
     assert len(trace.primal) == len(ref) == 30
     for k, (x_half, x_new) in enumerate(ref):
         assert np.array_equal(trace.primal[k], x_new)
         if x_half is not None:
-            assert np.array_equal(trace.half_steps[k], x_half)
-    assert len(trace.half_steps) == (0 if sampler in ("ula", "myula") else 30)
+            assert np.array_equal(trace.duals[k], (x_half - x_new) / cfg.gamma)
+    assert len(trace.duals) == (0 if sampler in ("ula", "myula") else 30)
 
 
 def test_ula_ensemble_reaches_the_biased_stationary_variance():
