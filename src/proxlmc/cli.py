@@ -75,7 +75,8 @@ def _require(condition, message):
 @dataclass(kw_only=True)
 class RunConfig(SamplerConfig):
     """A CLI run: the sampler config plus the experiment, ensemble and output
-    fields.  Construction checks every range and raises ConfigError."""
+    fields.  Construction checks the run's own fields and raises ConfigError;
+    the experiment checks its parameters when _build assembles it."""
 
     experiment: str
     sampler: str = "psgla"
@@ -102,13 +103,8 @@ class RunConfig(SamplerConfig):
         except ValueError as err:
             raise ConfigError(str(err)) from err
         _require(self.snapshot_steps, "snapshot_steps must be a non-empty list of step indices")
-        _require(self.experiment in EXPERIMENT_IDS,
-                 f"experiment must be one of {EXPERIMENT_IDS}, got {self.experiment!r}")
         _require(self.sampler in SAMPLER_IDS,
                  f"sampler must be one of {SAMPLER_IDS}, got {self.sampler!r}")
-        _require(self.sampler != "projected" or self.experiment == "trunc-gauss",
-                 f"sampler 'projected' needs an indicator G, but {self.experiment}'s G "
-                 "is a log barrier")
         _require(self.record_every <= self.num_steps - self.burn_in,
                  f"record_every = {self.record_every} exceeds num_steps - burn_in = "
                  f"{self.num_steps - self.burn_in}, so no step would be recorded")
@@ -125,23 +121,6 @@ class RunConfig(SamplerConfig):
         _require(self.num_chains >= 1, "num_chains must be >= 1")
         _require(self.d >= 1, "d must be >= 1")
         _require(self.n >= 1, "n must be >= 1")
-        # Ensemble snapshots are scored against an exact quantile oracle.
-        _require(self.num_chains == 1 or self.experiment == "trunc-gauss"
-                 or (self.experiment == "wishart-precision" and self.d == 1),
-                 f"num_chains >= 2 needs an exact quantile oracle (trunc-gauss or "
-                 f"wishart-precision with d = 1), which {self.experiment} lacks here")
-        if self.experiment == "trunc-gauss":
-            _require(self.lo < self.hi, "trunc-gauss needs lo < hi")
-            return
-        # The Wishart prior needs nu > d - 1, and the target's log-barrier
-        # weight alpha = ((nu + n) - d - 1)/2 must be >= 0 for it to be
-        # normalizable; wishart-mean-1d's barrier is the prior's, so n is 0.
-        _require(self.nu > self.d - 1,
-                 f"{self.experiment} needs nu > d - 1 = {self.d - 1}, got nu = {self.nu}")
-        n = self.n if self.experiment == "wishart-precision" else 0
-        alpha = ((self.nu + n) - self.d - 1) / 2.0
-        _require(alpha >= 0, f"{self.experiment} needs nu >= {self.d + 1 - n}, got nu = "
-                 f"{self.nu}: the log-barrier weight alpha would be {alpha} < 0")
 
 
 _EXPERIMENT_KEYS = {
@@ -234,16 +213,25 @@ def resolve_config(raw: dict, seed_override=None, chains_override=None) -> RunCo
 
 
 def _build(cfg: RunConfig):
-    """Assemble the experiment, R term, and initial point for a run config."""
-    if cfg.experiment == "trunc-gauss":
-        spec = TruncGaussSpec(mean=cfg.mean, lo=cfg.lo, hi=cfg.hi)
-    elif cfg.experiment == "wishart-mean-1d":
-        data = generate_gaussian_data(cfg.n, 1, RngStream(cfg.data_seed, 0))
-        spec = WishartExperimentSpec(kind="mean-1d", d=1, nu=cfg.nu, data=data)
-    else:
-        data = generate_gaussian_data(cfg.n, cfg.d, RngStream(cfg.data_seed, 0))
-        spec = WishartExperimentSpec(kind="precision", d=cfg.d, nu=cfg.nu, data=data)
-    assembled = assemble_experiment(spec)
+    """Assemble the experiment, R term, and initial point for a run config.
+    The experiment checks its own parameters; their errors, and a run the
+    assembled experiment cannot serve, raise ConfigError."""
+    try:
+        if cfg.experiment == "trunc-gauss":
+            spec = TruncGaussSpec(mean=cfg.mean, lo=cfg.lo, hi=cfg.hi)
+        else:  # d is 1 for wishart-mean-1d, which takes no d key
+            data = generate_gaussian_data(cfg.n, cfg.d, RngStream(cfg.data_seed, 0))
+            spec = WishartExperimentSpec(kind=cfg.experiment.removeprefix("wishart-"),
+                                         d=cfg.d, nu=cfg.nu, data=data)
+        assembled = assemble_experiment(spec)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    _require(cfg.sampler != "projected" or assembled.nonsmooth.is_indicator,
+             f"sampler 'projected' needs an indicator G, which {cfg.experiment} lacks")
+    # ensemble snapshots are scored against an exact quantile oracle
+    _require(cfg.num_chains == 1 or assembled.quantile_oracle is not None,
+             f"num_chains >= 2 needs an exact quantile oracle, which {cfg.experiment} "
+             f"with d = {cfg.d} lacks")
     shape = assembled.shape
 
     # RunConfig allows spla_r_weight for spla only
@@ -430,7 +418,7 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
                    ([str(step), _fmt(dist)] for step, dist in conv))
         filenames.append("convergence.csv")
 
-    if cfg.num_chains >= 2:  # RunConfig allows chains only with a quantile oracle
+    if cfg.num_chains >= 2:  # _build allows chains only with a quantile oracle
         ensemble = run_ensemble(
             cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg,
             cfg.num_chains, cfg.snapshot_steps, x0, lipschitz_term=lipschitz,

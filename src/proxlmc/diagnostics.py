@@ -235,8 +235,6 @@ def pdpg_gap_check(
     gamma: float,
     x0,
     num_iters: int,
-    x_star=None,
-    y_star=None,
 ) -> PdpgReport:
     """Check the descent inequality of deterministic proximal gradient.
 
@@ -251,19 +249,15 @@ def pdpg_gap_check(
     with Lag(x, y) = F(x) - G*(y) + <x, y>, the half step
     x^{k+1/2} = x^k - gamma grad F(x^k), and y^{k+1} the dual of the prox at
     the half step.  Also records the Lagrangian gap terms, which are
-    nonnegative in their own right.  The fixed point is computed by running
-    proximal gradient to convergence when not supplied; y* = -grad F(x*).
+    nonnegative in their own right.  The fixed point x* comes from running
+    proximal gradient to convergence; y* = -grad F(x*).
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     if smooth.L > 0 and gamma > 1.0 / smooth.L:
         raise ValueError(f"gamma = {gamma} exceeds 1/L = {1.0 / smooth.L}")
-    if x_star is None:
-        x_star = _proximal_gradient_fixed_point(smooth, nonsmooth, x0)
-    x_star = np.asarray(x_star, dtype=float)
-    if y_star is None:
-        y_star = -smooth.full_gradient(x_star)
-    y_star = np.asarray(y_star, dtype=float)
+    x_star = _proximal_gradient_fixed_point(smooth, nonsmooth, x0)
+    y_star = -smooth.full_gradient(x_star)
     gstar_at_ystar = nonsmooth.conjugate(y_star)
     if not np.isfinite(gstar_at_ystar):
         raise ValueError("conjugate infinite at y_star; check the fixed point")

@@ -39,6 +39,8 @@ from .potentials import (
 from .diagnostics import QuantileOracle
 from .space import RngStream
 
+_MIN_BOX_MASS = 1e-6  # of a trunc-gauss box; below it the erf-based quantile errs
+
 
 @dataclass
 class TruncGaussSpec:
@@ -51,6 +53,10 @@ class TruncGaussSpec:
             raise ValueError(f"need finite mean, lo, hi, got {self.mean}, {self.lo}, {self.hi}")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        mass = _std_normal_cdf(self.hi - self.mean) - _std_normal_cdf(self.lo - self.mean)
+        if not mass >= _MIN_BOX_MASS:
+            raise ValueError(f"trunc-gauss box [{self.lo}, {self.hi}] holds Gaussian mass "
+                             f"{mass:.3g} < {_MIN_BOX_MASS:g} around mean {self.mean}")
 
 
 @dataclass
@@ -212,6 +218,8 @@ def assemble_experiment(spec) -> AssembledExperiment:
         return AssembledExperiment(smooth=smooth, nonsmooth=nonsmooth, quantile_oracle=oracle)
     if not isinstance(spec, WishartExperimentSpec):
         raise ValueError(f"cannot assemble an experiment from {type(spec).__name__}")
+    # mean-1d's barrier is the prior's alone, so its n counts as 0
+    nonsmooth = build_gamma_potential(spec.nu, spec.n if spec.kind == "precision" else 0, spec.d)
     if spec.n + spec.nu <= spec.d + 3:
         warnings.warn(
             f"n + nu = {spec.n + spec.nu} <= d + 3 = {spec.d + 3}: outside the "
@@ -220,13 +228,10 @@ def assemble_experiment(spec) -> AssembledExperiment:
             stacklevel=2,
         )
     if spec.kind == "mean-1d":
-        smooth = QuadraticSum(spec.data)
-        nonsmooth = build_gamma_potential(spec.nu, 0, 1)
-        return AssembledExperiment(smooth=smooth, nonsmooth=nonsmooth)
+        return AssembledExperiment(smooth=QuadraticSum(spec.data), nonsmooth=nonsmooth)
     # precision
     truth = posterior_ground_truth(spec)
     smooth = PrecisionLikelihood(spec.data, spec.d)
-    nonsmooth = build_gamma_potential(spec.nu, spec.n, spec.d)
     oracle = None
     if spec.d == 1:
         oracle = QuantileOracle(

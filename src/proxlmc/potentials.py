@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .space import norm, spectral_apply, sym_eigendecomposition
+from .space import frobenius, norm, spectral_apply, sym_eigendecomposition
 
 _PSD_TOL = 1e-10
 # Shift of the Cholesky domain certificate, relative to ||x||_F (Spectral.domain_mask)
@@ -60,13 +60,6 @@ def _finite(x, method):
 def _each(cond):
     """Reduce an elementwise condition on a stack to one flag per point."""
     return np.all(cond, axis=tuple(range(1, cond.ndim)))
-
-
-def _frobenius(x):
-    """||x||_F of a matrix or of each matrix of a stack, as np.linalg.norm(x)
-    computes it: a dot product per matrix."""
-    flat = x.reshape(*x.shape[:-2], -1)
-    return np.sqrt(np.vecdot(flat, flat))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +282,7 @@ def _cholesky_certifies(block) -> bool:
     if not (block == block.mT).all():  # Cholesky reads one triangle only
         return False
     with np.errstate(over="ignore"):  # an overflowing norm is out of range below
-        norms = _frobenius(block)
+        norms = frobenius(block)
     if not np.all((norms >= _CHOL_NORMS[0]) & (norms <= _CHOL_NORMS[1])):  # NaN, inf too
         return False
     shifted = block.copy()
@@ -386,7 +379,7 @@ class PsdIndicator(Spectral):
         super().__init__(LogBarrier(0.0, 0.0), d)
 
     def _tol(self, x, w):
-        return _PSD_TOL * np.fmax(1.0, _frobenius(x))
+        return _PSD_TOL * np.fmax(1.0, frobenius(x))
 
 
 class SpectralLogBarrier(Spectral):
@@ -706,8 +699,8 @@ def build_gamma_potential(nu: float, n: int, d: int):
     alpha = ((nu + n) - d - 1) / 2.0
     if alpha < 0:
         raise ValueError(
-            f"alpha = ((nu + n) - d - 1)/2 = {alpha} < 0; "
-            "outside the normalizable Wishart regime (nu > d - 1)"
+            f"the Wishart log barrier needs nu >= d + 1 - n = {d + 1 - n}, got nu = {nu}: "
+            f"its weight alpha = ((nu + n) - d - 1)/2 would be {alpha} < 0"
         )
     if d == 1:
         return LogBarrier(alpha=alpha, beta=0.5)

@@ -118,7 +118,7 @@ def _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
     if sampler not in SAMPLER_IDS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_IDS}")
     if sampler == "projected" and not nonsmooth.is_indicator:
-        raise ValueError("projected Langevin requires an indicator nonsmooth term")
+        raise ValueError("sampler 'projected' needs an indicator G")
     if sampler == "myula" and not (cfg.myula_lambda or 0) > 0:
         raise ValueError("myula requires myula_lambda > 0 in the sampler config")
     x = check_point(x0)

@@ -133,6 +133,16 @@ def norm(a: np.ndarray) -> float:
     return float(np.sqrt(inner(a, a)))
 
 
+def frobenius(x: np.ndarray) -> np.ndarray:
+    """||x||_F of a matrix or of each matrix of a stack, scaled by a power of
+    two before squaring: no entry's square over- or underflows, and an
+    in-range norm has the bits of the unscaled dot product."""
+    flat = x.reshape(*x.shape[:-2], -1)
+    _, e = np.frexp(np.abs(flat).max(axis=-1))
+    scaled = np.ldexp(flat, -e[..., None])
+    return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), e)
+
+
 class EigenFailure(RuntimeError):
     """Eigendecomposition did not converge; signals numerical pathology."""
 
@@ -152,7 +162,7 @@ def sym_eigendecomposition(m: np.ndarray):
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if not (m == m.mT).all():
-        scale = np.fmax(1.0, np.linalg.norm(m, axis=(-2, -1)))  # max(1.0, nan) is 1.0
+        scale = np.fmax(1.0, frobenius(m))  # max(1.0, nan) is 1.0
         if (np.max(np.abs(m - m.mT), axis=(-2, -1)) > 1e-8 * scale).any():
             raise ValueError("matrix is not symmetric")
         m = (m + m.mT) / 2.0

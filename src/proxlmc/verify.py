@@ -32,7 +32,6 @@ from .space import RngStream, gaussian, norm, sym_eigendecomposition
 class SuiteResult:
     name: str
     passed: bool
-    worst: float
     detail: str
     trials: int
     seed: int
@@ -114,7 +113,6 @@ def suite_moreau(trials: int = 1000, seed: int = 7) -> SuiteResult:
     return SuiteResult(
         name="moreau-identity",
         passed=passed,
-        worst=worst,
         detail=f"worst relative residual {worst:.3e}" + (f" at {culprit}" if not passed else ""),
         trials=trials,
         seed=seed,
@@ -156,7 +154,6 @@ def suite_spectral_prox(trials: int = 200, seed: int = 11) -> SuiteResult:
     return SuiteResult(
         name="spectral-prox-vs-golden-section",
         passed=passed,
-        worst=worst,
         detail=f"worst entry deviation {worst:.3e}",
         trials=trials,
         seed=seed,
@@ -192,7 +189,6 @@ def suite_lemma2(trials: int = 10000, seed: int = 13) -> SuiteResult:
     return SuiteResult(
         name="prox-step-contraction",
         passed=passed,
-        worst=worst,
         detail=f"min residual {worst:.3e}",
         trials=trials,
         seed=seed,
@@ -222,7 +218,6 @@ def suite_pdpg(trials: int = 100, seed: int = 17) -> SuiteResult:
     return SuiteResult(
         name="pdpg-descent-inequality",
         passed=passed,
-        worst=worst,
         detail=f"min residual/gap {worst:.3e}",
         trials=trials,
         seed=seed,
@@ -252,7 +247,6 @@ def suite_reductions(trials: int = 1000, seed: int = 23) -> SuiteResult:
     return SuiteResult(
         name="reduction-bit-identity",
         passed=passed,
-        worst=0.0 if passed else 1.0,
         detail="all reductions bitwise equal" if passed else "; ".join(bad),
         trials=steps,
         seed=seed,

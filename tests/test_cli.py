@@ -1,10 +1,21 @@
 import csv
 import hashlib
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from proxlmc import (
+    LogBarrier,
+    QuadraticSum,
+    SamplerConfig,
+    TruncGaussSpec,
+    WishartExperimentSpec,
+    assemble_experiment,
+    run_chain,
+)
 from proxlmc.cli import (
     ConfigError,
     _build,
@@ -120,7 +131,7 @@ def test_type_checking_of_fields():
     with pytest.raises(ConfigError, match="record_duals"):
         resolve_config({"experiment": "trunc-gauss", "record_duals": 1})
     with pytest.raises(ConfigError, match="lo < hi"):
-        resolve_config({"experiment": "trunc-gauss", "lo": 1.0, "hi": -1.0})
+        _build(resolve_config({"experiment": "trunc-gauss", "lo": 1.0, "hi": -1.0}))
     with pytest.raises(ConfigError, match="gamma"):
         resolve_config({"experiment": "wishart-precision", "gamma": float("inf")})
 
@@ -160,7 +171,7 @@ def test_unnormalizable_wishart_nu_is_a_config_error(tmp_path, capsys, body):
     """nu > d - 1 and a log-barrier weight alpha = ((nu + n) - d - 1)/2 >= 0
     (n = 0 for the prior-only mean-1d barrier) are checked at the boundary."""
     with pytest.raises(ConfigError, match="nu"):
-        resolve_config(body)
+        _build(resolve_config(body))
     cfg = write_config(tmp_path, body)
     assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
@@ -187,10 +198,70 @@ def test_runs_that_cannot_do_what_they_ask_are_config_errors(tmp_path, capsys, b
     """Each of these used to exit 1 mid-run, write a header-only trace, or
     drop the ensemble without a word."""
     with pytest.raises(ConfigError, match=message):
-        resolve_config(body)
+        _build(resolve_config(body))
     cfg = write_config(tmp_path, body)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+def _wishart(kind, d, nu, n=50):
+    return WishartExperimentSpec(kind=kind, d=d, nu=nu, data=np.ones((n, d)))
+
+
+# Rules stated once, in the library, that a CLI run reaches through _build:
+# (config, message, the library call that raises it).  The chains rule is the
+# CLI's own, so its library call shows the missing oracle instead.
+_STATED_ONCE = {
+    "lo-not-below-hi": ({"experiment": "trunc-gauss", "lo": 1.0, "hi": 1.0}, "lo < hi",
+                        lambda: TruncGaussSpec(lo=1.0, hi=1.0)),
+    "low-mass-box": ({"experiment": "trunc-gauss", "lo": 10.0, "hi": 11.0}, "mass 0 < 1e-06",
+                     lambda: TruncGaussSpec(lo=10.0, hi=11.0)),
+    "nu-below-d-1": ({"experiment": "wishart-precision", "d": 3, "nu": 2.0}, "nu > d - 1",
+                     lambda: _wishart("precision", 3, 2.0)),
+    "precision-negative-alpha": ({"experiment": "wishart-precision", "d": 3, "n": 1, "nu": 2.5},
+                                 r"nu >= d \+ 1 - n = 3",
+                                 lambda: assemble_experiment(_wishart("precision", 3, 2.5, n=1))),
+    "mean-1d-negative-alpha": ({"experiment": "wishart-mean-1d", "nu": 1.0},
+                               r"nu >= d \+ 1 - n = 2",
+                               lambda: assemble_experiment(_wishart("mean-1d", 1, 1.0))),
+    "projected-on-a-barrier": ({"experiment": "wishart-mean-1d", "sampler": "projected"},
+                               "needs an indicator G",
+                               lambda: run_chain("projected", QuadraticSum(np.ones((5, 1))),
+                                                 LogBarrier(1.0, 0.5),
+                                                 SamplerConfig(gamma=0.01, num_steps=1),
+                                                 np.ones(1))),
+    "chains-without-oracle": ({"experiment": "wishart-mean-1d", "num_chains": 4},
+                              "quantile oracle",
+                              lambda: assemble_experiment(_wishart("mean-1d", 1, 3.0))),
+}
+
+
+@pytest.mark.parametrize("command", ["sample", "experiment"])
+@pytest.mark.parametrize("rule", list(_STATED_ONCE))
+def test_a_rule_stated_once_reaches_the_cli(tmp_path, capsys, rule, command):
+    body, message, library = _STATED_ONCE[rule]
+    if rule == "chains-without-oracle":
+        assert library().quantile_oracle is None
+    else:
+        with pytest.raises(ValueError, match=message):
+            library()
+    cfg = resolve_config(body)
+    with pytest.raises(ConfigError, match=message):
+        _build(cfg)
+    path = write_config(tmp_path, body)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert re.search(message, err)
+
+
+def test_a_rejected_wishart_config_does_not_warn():
+    """n + nu <= d + 3 would warn, but the negative barrier weight is found first."""
+    cfg = resolve_config({"experiment": "wishart-precision", "d": 3, "n": 1, "nu": 2.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="nu"):
+            _build(cfg)
 
 
 def test_record_every_may_record_exactly_one_step():

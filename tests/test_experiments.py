@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from proxlmc import (
     BoxIndicator,
@@ -42,6 +42,25 @@ def test_trunc_gauss_spec_rejects_non_finite_parameters(field, value):
     """A NaN mean would give NaN quantiles and lo = -inf a quantile of -inf."""
     with pytest.raises(ValueError, match="finite"):
         TruncGaussSpec(**{field: value})
+
+
+def test_trunc_gauss_spec_rejects_a_box_of_too_little_mass():
+    """Below a Gaussian mass of 1e-6 the erf-based quantile is off: on
+    [10, 11] its median would be 10.0000000000005 where the law's is 10.068."""
+    for lo, hi in [(10.0, 11.0), (6.0, 7.0), (-7.0, -6.0), (-11.0, -10.0)]:
+        with pytest.raises(ValueError, match="mass"):
+            TruncGaussSpec(mean=0.0, lo=lo, hi=hi)
+    with pytest.raises(ValueError, match="mass"):
+        TruncGaussSpec(mean=-3.0, lo=2.0, hi=3.0)  # mass 2.9e-7 around mean -3
+    TruncGaussSpec(mean=10.0, lo=10.0, hi=11.0)  # the same box around its own mean
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-1.5, 0.5), (0.0, 40.0), (3.0, 100.0),
+                                    (4.0, 5.0), (4.7, 40.0)])
+def test_trunc_gauss_quantile_matches_scipy(lo, hi):
+    u = (np.arange(4096) + 0.5) / 4096
+    q = trunc_gauss_quantile(TruncGaussSpec(mean=0.0, lo=lo, hi=hi), u)
+    assert np.max(np.abs(q - stats.truncnorm(lo, hi).ppf(u))) <= 1e-7
 
 
 def test_wishart_spec_validation():

@@ -506,6 +506,16 @@ def test_psd_domain_tolerance():
         g.subgradient_min(np.diag([1.0, 0.0]))
 
 
+def test_domain_tolerances_of_huge_matrices_do_not_overflow():
+    """The symmetry and PSD tolerances scale with ||x||_F, whose squared
+    entries overflow here: the PSD tolerance of diag(1e200, .) is 1e190."""
+    p = SpectralLogBarrier(1.0, 0.0, 2).prox(0.1, np.array([[1e200, 1.0], [1.0 + 1e-12, 2.0]]))
+    assert np.isfinite(p).all() and p[0, 0] == 1e200
+    g = PsdIndicator(2)
+    assert not g.in_domain(np.diag([1e200, -1e195]))
+    assert g.in_domain(np.diag([1e200, -1e185]))
+
+
 def test_log_barrier_domain_and_gradient():
     g = LogBarrier(1.5, 0.5)
     assert g.in_domain(np.array([0.2]))

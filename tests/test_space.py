@@ -17,7 +17,7 @@ from proxlmc import (
     spectral_apply,
     sym_eigendecomposition,
 )
-from proxlmc.space import flatten_points
+from proxlmc.space import flatten_points, frobenius
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +250,19 @@ def test_eigendecomposition_rejects_bad_input():
         sym_eigendecomposition(np.zeros(3))
     near = np.stack([np.eye(2), np.eye(2) + 1e-10 * asym])
     assert sym_eigendecomposition(near).eigenvalues.shape == (2, 2)
+
+
+def test_frobenius_scales_before_squaring():
+    """In range it has the bits of the unscaled dot product; entries whose
+    squares over- or underflow still give their norm, without a warning."""
+    xs = RngStream(5, 0).standard_normal((50, 4, 4))
+    flat = xs.reshape(50, -1)
+    assert np.array_equal(frobenius(xs), np.sqrt(np.vecdot(flat, flat)))
+    for scale in (1e-300, 1e-200, 1e200, 1e300):
+        assert frobenius(scale * xs) == pytest.approx(scale * frobenius(xs), rel=1e-15, abs=0)
+    assert frobenius(np.zeros((2, 2))) == 0.0
+    assert np.isnan(frobenius(np.array([[np.nan, 1.0], [1.0, 1.0]])))
+    assert frobenius(np.array([[np.inf, 1.0], [1.0, 1.0]])) == np.inf
 
 
 def test_eigen_failure_is_a_runtime_error():
