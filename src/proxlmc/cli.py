@@ -48,6 +48,7 @@ from .samplers import (
     SAMPLER_IDS,
     SamplerConfig,
     _step_list,
+    check_sampler_fits,
     run_chain,
     run_ensemble,
     step_size_warning,
@@ -224,10 +225,9 @@ def _build(cfg: RunConfig):
             spec = WishartExperimentSpec(kind=cfg.experiment.removeprefix("wishart-"),
                                          d=cfg.d, nu=cfg.nu, data=data)
         assembled = assemble_experiment(spec)
+        check_sampler_fits(cfg.sampler, assembled.nonsmooth)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    _require(cfg.sampler != "projected" or assembled.nonsmooth.is_indicator,
-             f"sampler 'projected' needs an indicator G, which {cfg.experiment} lacks")
     # ensemble snapshots are scored against an exact quantile oracle
     _require(cfg.num_chains == 1 or assembled.quantile_oracle is not None,
              f"num_chains >= 2 needs an exact quantile oracle, which {cfg.experiment} "
@@ -322,9 +322,7 @@ def _artifact_version() -> str:
 
 
 def _resolve_out_dir(flag_value, cfg_out) -> str:
-    out = flag_value or os.environ.get(ENV_OUT) or cfg_out or "./out"
-    os.makedirs(out, exist_ok=True)
-    return out
+    return flag_value or os.environ.get(ENV_OUT) or cfg_out or "./out"
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +331,7 @@ def _resolve_out_dir(flag_value, cfg_out) -> str:
 
 def cmd_sample(cfg: RunConfig, out_dir: str) -> int:
     assembled, lipschitz, x0 = _build(cfg)
+    os.makedirs(out_dir, exist_ok=True)  # only once the config is known to run
     t0 = time.perf_counter()
     trace = run_chain(
         cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg,
@@ -352,15 +351,15 @@ def _c_estimate_samples(cfg: RunConfig, assembled, trace):
         return assembled.quantile_oracle.midpoint_quantiles(_ORACLE_GRID)[:, None]
     if assembled.ground_truth is not None:
         truth = assembled.ground_truth
-        draws = sample_wishart(
+        return sample_wishart(
             truth.nu_post, truth.v_post_inv, RngStream(_WISHART_SAMPLE_SEED, 0), size=400
         )
-        return draws
     return trace.primal
 
 
 def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
     assembled, lipschitz, x0 = _build(cfg)
+    os.makedirs(out_dir, exist_ok=True)  # only once the config is known to run
     t0 = time.perf_counter()
     trace = run_chain(
         cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg,
@@ -423,19 +422,14 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
             cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg,
             cfg.num_chains, cfg.snapshot_steps, x0, lipschitz_term=lipschitz,
         )
+        oracle = assembled.quantile_oracle
         report["snapshots"] = [
-            {
-                "step": step,
-                "w2_sq": wasserstein2_1d(
-                    ensemble.snapshot(step)[:, 0], assembled.quantile_oracle
-                ),
-            }
+            {"step": step, "w2_sq": wasserstein2_1d(ensemble.snapshot(step)[:, 0], oracle)}
             for step in cfg.snapshot_steps
         ]
 
     if assembled.shape == (1,):
-        samples = trace.primal[:, 0]
-        _write_histogram_csv(os.path.join(out_dir, "histogram.csv"), samples)
+        _write_histogram_csv(os.path.join(out_dir, "histogram.csv"), trace.primal[:, 0])
         filenames.append("histogram.csv")
 
     _write_json(os.path.join(out_dir, "report.json"), report)

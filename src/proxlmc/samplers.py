@@ -111,14 +111,19 @@ def _step_list(steps, what, lo, num_steps) -> list:
     return out
 
 
+def check_sampler_fits(sampler, nonsmooth):
+    """ValueError unless the sampler can run on G: projected Langevin needs an indicator G."""
+    if sampler == "projected" and not nonsmooth.is_indicator:
+        raise ValueError(f"sampler 'projected' needs an indicator G, not {type(nonsmooth).__name__}")
+
+
 def _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
     """Start-up checks of both drivers, before any step; returns the checked
     start x0, which must be a finite point of the shape the potentials, and
     for spla the components of the R term, act on."""
     if sampler not in SAMPLER_IDS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_IDS}")
-    if sampler == "projected" and not nonsmooth.is_indicator:
-        raise ValueError("sampler 'projected' needs an indicator G")
+    check_sampler_fits(sampler, nonsmooth)
     if sampler == "myula" and not (cfg.myula_lambda or 0) > 0:
         raise ValueError("myula requires myula_lambda > 0 in the sampler config")
     x = check_point(x0)

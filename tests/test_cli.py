@@ -175,6 +175,7 @@ def test_unnormalizable_wishart_nu_is_a_config_error(tmp_path, capsys, body):
     cfg = write_config(tmp_path, body)
     assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before anything is written
 
 
 @pytest.mark.parametrize("command", ["sample", "experiment"])
@@ -202,6 +203,7 @@ def test_runs_that_cannot_do_what_they_ask_are_config_errors(tmp_path, capsys, b
     cfg = write_config(tmp_path, body)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before anything is written
 
 
 def _wishart(kind, d, nu, n=50):
@@ -251,6 +253,7 @@ def test_a_rule_stated_once_reaches_the_cli(tmp_path, capsys, rule, command):
     path = write_config(tmp_path, body)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before anything is written
     assert err.startswith("config error: ")
     assert re.search(message, err)
 
