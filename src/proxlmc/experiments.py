@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .potentials import (
     BoxIndicator,
@@ -149,9 +148,12 @@ def _bisect(cdf, p, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0):
 def gamma_quantile(shape: float, rate: float, u) -> np.ndarray:
     """Quantile of Gamma(shape, rate) by bisection on the regularized
     incomplete gamma CDF.  Vectorized in u; CDF round-trip error <= 1e-8."""
-    if not (shape > 0 and rate > 0):
-        raise ValueError("gamma quantile needs shape > 0 and rate > 0")
+    if not (0 < shape < np.inf and 0 < rate < np.inf):  # NaN fails too
+        raise ValueError(f"gamma quantile needs finite shape > 0 and rate > 0, "
+                         f"got shape={shape}, rate={rate}")
     u = _check_u(u)
+    from scipy import special  # loaded here: it is most of a fresh process's set-up
+
     hi = (shape + 10.0 * np.sqrt(shape) + 10.0) / rate
     while special.gammainc(shape, rate * hi) < u.max():
         hi *= 2.0
@@ -169,6 +171,8 @@ def gamma_posterior_quantile(spec: WishartExperimentSpec, u):
 
 
 def _std_normal_cdf(t):
+    from scipy import special  # loaded here, as in gamma_quantile
+
     return 0.5 * (1.0 + special.erf(np.asarray(t, dtype=float) / np.sqrt(2.0)))
 
 

@@ -25,7 +25,7 @@ from .potentials import (
     dual_from_primal,
 )
 from .samplers import SamplerConfig, run_chain
-from .space import RngStream, gaussian, norm, sym_eigendecomposition
+from .space import RngStream, _integer, gaussian, norm, sym_eigendecomposition
 
 
 @dataclass
@@ -263,13 +263,16 @@ SUITES = {
 
 
 def run_suites(names=None, trials: int | None = None):
-    """Run the named suites (all by default); returns a list of SuiteResult."""
+    """Run the named suites (all by default); returns a list of SuiteResult.
+    Every name and the trial count are checked before any suite runs."""
     if names is None or names == ["all"] or names == "all":
         names = list(SUITES)
-    results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown verify suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-        kwargs = {} if trials is None else {"trials": trials}
-        results.append(SUITES[name](**kwargs))
-    return results
+    kwargs = {}
+    if trials is not None:
+        kwargs["trials"] = _integer(trials, "trials")
+        if kwargs["trials"] < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+    return [SUITES[name](**kwargs) for name in names]

@@ -575,6 +575,38 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--suite", "lemma2", "--trials", "-5"],
+    ["--suite", "moreau", "--trials", "0"],
+    ["--suite", "spectral", "--trials", "0"],
+    ["--trials", "0"],
+])
+def test_verify_without_trials_is_a_config_error(argv, capsys):
+    """A suite that would check nothing must not PASS."""
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "config error: trials must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("names, trials, message", [
+    (["lemma2"], True, "trials must be an integer"),
+    (["lemma2"], 2.0, "trials must be an integer"),
+    (["lemma2"], 0, "trials must be >= 1"),
+    (["moreau", "nonsense"], 5, "unknown verify suite 'nonsense'"),
+])
+def test_run_suites_checks_its_arguments_before_running(names, trials, message, monkeypatch):
+    from proxlmc import verify
+
+    ran = []
+    monkeypatch.setattr(verify, "SUITES", {
+        name: lambda name=name, **kw: ran.append(name) for name in verify.SUITES
+    })
+    with pytest.raises(ValueError, match=message):
+        verify.run_suites(names, trials=trials)
+    assert ran == []
+
+
 def test_verify_detects_a_corrupted_prox(monkeypatch, capsys):
     """A prox that drifts between calls must fail the identity suite."""
     from proxlmc.potentials import BoxIndicator

@@ -1,3 +1,8 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -131,11 +136,19 @@ def test_gamma_quantile_cdf_round_trip():
         assert np.max(np.abs(special.gammainc(shape, rate * q) - u)) < 1e-8
 
 
+@pytest.mark.parametrize("shape, rate", [
+    (0.0, 1.0), (1.0, -1.0), (np.inf, 1.0), (2.0, np.inf), (np.nan, 1.0), (2.0, np.nan),
+])
+def test_gamma_quantile_rejects_bad_parameters(shape, rate):
+    """A non-finite shape or rate has no Gamma law: a ValueError, not inf
+    quantiles or a RuntimeWarning from the CDF."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite shape > 0 and rate > 0"):
+            gamma_quantile(shape, rate, np.array([0.1, 0.5, 0.9]))
+
+
 def test_gamma_quantile_validation():
-    with pytest.raises(ValueError):
-        gamma_quantile(0.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        gamma_quantile(1.0, -1.0, 0.5)
     with pytest.raises(ValueError):
         gamma_quantile(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
@@ -187,6 +200,66 @@ def test_trunc_gauss_quantile_cdf_round_trip():
     pa, pb = phi(4.0 - 5.0), phi(6.0 - 5.0)
     back = (phi(q - 5.0) - pa) / (pb - pa)
     assert np.max(np.abs(back - u)) < 1e-8
+
+
+_LEVELS = [0.01, 0.2, 0.5, 0.8, 0.99]
+_D1_SPEC = dict(kind="precision", d=1, nu=4.0, data=[[0.3], [-1.2], [2.0]])
+_TG_SPEC = dict(mean=0.3, lo=-0.5, hi=1.2)
+
+# A fresh interpreter makes Wishart runs and a verify suite, which evaluate no
+# quantile, then the two exact quantiles; it prints the scipy modules it had
+# loaded before the quantiles, and the quantiles' bytes.
+_FRESH_PROCESS = """
+import json, sys
+import numpy as np
+import proxlmc
+from proxlmc import cli
+
+levels, d1_spec, tg_spec, sample_cfg, experiment_cfg, out = json.loads(sys.argv[1])
+codes = [
+    cli.main(["sample", "--config", sample_cfg, "--out", out + "/sample"]),
+    cli.main(["experiment", "--config", experiment_cfg, "--out", out + "/experiment"]),
+    cli.main(["verify", "--suite", "reductions", "--trials", "5"]),
+]
+scipy_before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+u = np.array(levels)
+tg = proxlmc.trunc_gauss_quantile(proxlmc.TruncGaussSpec(**tg_spec), u)
+d1 = proxlmc.gamma_posterior_quantile(proxlmc.WishartExperimentSpec(**d1_spec), u)
+print(json.dumps({"codes": codes, "scipy_before": scipy_before,
+                  "tg": tg.tobytes().hex(), "d1": d1.tobytes().hex()}))
+"""
+
+
+def test_runs_without_a_quantile_never_load_scipy(tmp_path):
+    """scipy is most of a fresh process's set-up and only the exact quantiles
+    use it: importing proxlmc, Wishart sample/experiment runs that evaluate no
+    quantile and verify must not load it, and the quantiles that load it on
+    first use keep their bits."""
+    configs = []
+    for name, body in (
+        ("sample", {"experiment": "wishart-precision", "d": 1, "n": 20, "minibatch": 5,
+                    "num_steps": 200}),
+        ("experiment", {"experiment": "wishart-precision", "d": 3, "num_steps": 200}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(body))
+        configs.append(str(path))
+    args = [_LEVELS, _D1_SPEC, _TG_SPEC, *configs, str(tmp_path / "out")]
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, json.dumps(args)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0]
+    assert report["scipy_before"] == []
+    u = np.array(_LEVELS)
+    tg = trunc_gauss_quantile(TruncGaussSpec(**_TG_SPEC), u)
+    d1 = gamma_posterior_quantile(WishartExperimentSpec(**_D1_SPEC), u)
+    assert report["tg"] == tg.tobytes().hex()
+    assert report["d1"] == d1.tobytes().hex()
 
 
 # ---------------------------------------------------------------------------
