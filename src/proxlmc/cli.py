@@ -333,10 +333,7 @@ def cmd_sample(cfg: RunConfig, out_dir: str) -> int:
     assembled, lipschitz, x0 = _build(cfg)
     os.makedirs(out_dir, exist_ok=True)  # only once the config is known to run
     t0 = time.perf_counter()
-    trace = run_chain(
-        cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg,
-        x0, lipschitz_term=lipschitz, stream_id=0,
-    )
+    trace = run_chain(cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg, x0, lipschitz)
     flags = assembled.nonsmooth.domain_mask(trace.primal)
     _write_trace_csv(os.path.join(out_dir, "trace.csv"), trace, flags)
     warn = step_size_warning(assembled.smooth, cfg.gamma)
@@ -361,11 +358,13 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
     assembled, lipschitz, x0 = _build(cfg)
     os.makedirs(out_dir, exist_ok=True)  # only once the config is known to run
     t0 = time.perf_counter()
-    trace = run_chain(
-        cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg,
-        x0, lipschitz_term=lipschitz, stream_id=0,
-        mean_checkpoints=cfg.snapshot_steps,
-    )
+    args = (cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg)
+    if cfg.num_chains >= 2:  # one kernel pass: the ensemble's chain 0 is the recorded chain
+        ensemble = run_ensemble(*args, cfg.num_chains, cfg.snapshot_steps, x0, lipschitz,
+                                mean_checkpoints=cfg.snapshot_steps)
+        trace = ensemble.trace
+    else:
+        trace = run_chain(*args, x0, lipschitz, mean_checkpoints=cfg.snapshot_steps)
 
     report = {
         "experiment": cfg.experiment,
@@ -418,10 +417,6 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
         filenames.append("convergence.csv")
 
     if cfg.num_chains >= 2:  # _build allows chains only with a quantile oracle
-        ensemble = run_ensemble(
-            cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg,
-            cfg.num_chains, cfg.snapshot_steps, x0, lipschitz_term=lipschitz,
-        )
         oracle = assembled.quantile_oracle
         report["snapshots"] = [
             {"step": step, "w2_sq": wasserstein2_1d(ensemble.snapshot(step)[:, 0], oracle)}
@@ -439,9 +434,8 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_verify(suite: str | None, trials: int | None) -> int:
-    names = None if suite in (None, "all") else [suite]
     try:
-        results = run_suites(names, trials=trials)
+        results = run_suites(suite, trials=trials)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     for res in results:

@@ -34,6 +34,7 @@ from .potentials import EntryAbsolute, LipschitzProxTerm
 from .space import RngStream, _integer, check_point, gaussian
 
 SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
+_TILE_BYTES = 1 << 18  # pre-drawn noise per tile of chains, which fits in the L2 cache
 
 
 class ChainDivergence(RuntimeError):
@@ -91,6 +92,7 @@ class ChainTrace:
 @dataclass
 class EnsembleResult:
     snapshots: dict  # step -> array with leading chain axis
+    trace: ChainTrace | None = None  # chain 0's, when run_ensemble got mean_checkpoints
 
     def snapshot(self, step: int) -> np.ndarray:
         return self.snapshots[step]
@@ -164,20 +166,21 @@ def _raise_if_diverged(xs, k, sampler):
         raise ChainDivergence(step=k, sampler=sampler, chain=chain)
 
 
-def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps):
+def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps, done=0):
     """Advance the stack xs (leading chain axis; chain c draws from gens[c])
-    by num_steps steps, yielding (k, x_half, xs) after step k.
+    from step done to step num_steps, yielding (k, x_half, xs) after step k.
 
     x_half is the stack handed to the G-prox, or None for ula and myula.
     Each step makes one gradient batch and one prox_batch (one stacked
     eigendecomposition for matrices).  Only the draw schedule varies.  With a
     full gradient and no SPLA index draw, each chain's noise is pre-drawn in
-    chunks of at most 1024 numbers, and each chunk is scaled by sqrt(2 gamma)
-    once; otherwise each chain draws per step in kernel order (minibatch
-    indices, noise, SPLA index) into preallocated buffers and the R-prox runs
-    per chain.  A non-finite iterate, or a G-prox that fails on a non-finite
-    x_half, raises ChainDivergence, naming the lowest such chain of a stack
-    of several.
+    chunks of at most 1024 numbers, a cache-sized tile of chains at a time
+    scaled by sqrt(2 gamma) and copied transposed into a step-major block, so
+    step j reads the contiguous slab block[j]; otherwise each chain draws per
+    step in kernel order (minibatch indices, noise, SPLA index) into buffers
+    and the R-prox runs per chain.  A non-finite iterate, or a G-prox that
+    fails on a non-finite x_half, raises ChainDivergence, naming the lowest
+    such chain of a stack of several.
     """
     n = len(gens)
     gamma, noise_scale = cfg.gamma, math.sqrt(2.0 * cfg.gamma)
@@ -185,29 +188,33 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps
     r_term = lipschitz_term if sampler == "spla" else None
     per_step = minibatch != "full" or (r_term is not None and len(r_term.components) > 1)
     g_prox = sampler not in ("ula", "myula")
+    size = xs[0].size
     if per_step:
         grads, noise = np.empty_like(xs), np.empty_like(xs)
+    else:  # one block and one tile, refilled chunk by chunk
+        chunk = max(1, min(1024 // size, int(5e6 / (n * size)), num_steps - done))
+        block = np.empty((chunk, n) + shape)
+        tile = np.empty((min(n, max(1, _TILE_BYTES // (8 * chunk * size))), chunk) + shape)
     # x * 0 is 0 for finite x and NaN otherwise, so this dot is NaN exactly
     # when xs has a non-finite entry; unlike a sum, it cannot overflow
     zeros = np.zeros(xs.size)
-    size = xs[0].size
-    chunk = max(1, min(1024 // size, int(5e6 / (n * size))))
     x_half = None
-    for k in range(1, num_steps + 1):
+    for k in range(done + 1, num_steps + 1):
         if per_step:
             for c, g in enumerate(gens):
                 grads[c] = smooth.stochastic_gradient(xs[c], g, minibatch)
                 noise[c] = gaussian(g, shape)
             scaled_noise = noise_scale * noise
         else:
-            j = (k - 1) % chunk
+            j = (k - done - 1) % chunk
             if j == 0:
                 m = min(chunk, num_steps - k + 1)
-                block = np.empty((n, m) + shape)
-                for c, g in enumerate(gens):
-                    block[c] = gaussian(g, shape, size=m)
-                block *= noise_scale
-            grads, scaled_noise = smooth.full_gradient(xs), block[:, j]
+                for c0 in range(0, n, len(tile)):
+                    rows, cols = tile[: n - c0, :m], block[:m, c0 : c0 + len(tile)]
+                    for row, g in zip(rows, gens[c0 : c0 + len(tile)]):
+                        row[...] = gaussian(g, shape, size=m)
+                    np.multiply(rows.swapaxes(0, 1), noise_scale, out=cols)
+            grads, scaled_noise = smooth.full_gradient(xs), block[j]
         if sampler == "myula":
             lam = cfg.myula_lambda
             grads = grads + (xs - nonsmooth.prox_batch(lam, xs)) / lam
@@ -244,6 +251,40 @@ def step_psgla(x, smooth, nonsmooth, cfg, rng):
 # drivers
 # ---------------------------------------------------------------------------
 
+def _record(steps, sampler, cfg, x0, mean_checkpoints) -> ChainTrace:
+    """run_chain's recording of chain 0 of the stacks that steps yields from x0."""
+    checkpoints = _step_list(mean_checkpoints, "mean checkpoint", cfg.burn_in + 1, cfg.num_steps)
+    burn_in, every = cfg.burn_in, cfg.record_every
+    num_recorded = (cfg.num_steps - burn_in) // every
+    primal = np.empty((num_recorded, *x0.shape))
+    record_duals = cfg.record_duals and sampler not in ("ula", "myula")
+    half = np.empty((num_recorded if record_duals else 0, *x0.shape))
+    means = []
+    # the running sum of post-burn-in iterates is kept up to the last checkpoint only
+    last_cp = checkpoints[-1] if checkpoints else 0
+    running_sum = np.zeros_like(x0)
+    next_cp = 0
+    for k, x_half, xs in steps:
+        if k <= burn_in:
+            continue
+        if k <= last_cp:
+            running_sum += xs[0]
+            if k == checkpoints[next_cp]:
+                means.append((k, running_sum / (k - burn_in)))
+                next_cp += 1
+        i, off = divmod(k - burn_in, every)
+        if off == 0:
+            primal[i - 1] = xs[0]
+            if record_duals:
+                half[i - 1] = x_half[0]
+    return ChainTrace(
+        steps=list(range(burn_in + every, cfg.num_steps + 1, every)),
+        primal=primal,
+        duals=(half - primal) / cfg.gamma if record_duals else half,
+        mean_checkpoints=means,
+    )
+
+
 def run_chain(
     sampler: str,
     smooth,
@@ -267,38 +308,9 @@ def run_chain(
     non-finite iterate.
     """
     x = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
-    checkpoints = _step_list(mean_checkpoints, "mean checkpoint", cfg.burn_in + 1, cfg.num_steps)
     gens = [RngStream(cfg.seed, stream_id)]
-    burn_in, every = cfg.burn_in, cfg.record_every
-    num_recorded = (cfg.num_steps - burn_in) // every
-    primal = np.empty((num_recorded, *x.shape))
-    record_duals = cfg.record_duals and sampler not in ("ula", "myula")
-    half = np.empty((num_recorded if record_duals else 0, *x.shape))
-    means = []
-    # the running sum of post-burn-in iterates is kept up to the last checkpoint only
-    last_cp = checkpoints[-1] if checkpoints else 0
-    running_sum = np.zeros_like(x)
-    next_cp = 0
     steps = _kernel(sampler, smooth, nonsmooth, cfg, x[None], gens, lipschitz_term, cfg.num_steps)
-    for k, x_half, xs in steps:
-        if k <= burn_in:
-            continue
-        if k <= last_cp:
-            running_sum += xs[0]
-            if k == checkpoints[next_cp]:
-                means.append((k, running_sum / (k - burn_in)))
-                next_cp += 1
-        i, off = divmod(k - burn_in, every)
-        if off == 0:
-            primal[i - 1] = xs[0]
-            if record_duals:
-                half[i - 1] = x_half[0]
-    return ChainTrace(
-        steps=list(range(burn_in + every, cfg.num_steps + 1, every)),
-        primal=primal,
-        duals=(half - primal) / cfg.gamma if record_duals else half,
-        mean_checkpoints=means,
-    )
+    return _record(steps, sampler, cfg, x, mean_checkpoints)
 
 
 def run_ensemble(
@@ -310,14 +322,16 @@ def run_ensemble(
     snapshot_steps,
     x0,
     lipschitz_term: LipschitzProxTerm | None = None,
+    mean_checkpoints=None,
 ) -> EnsembleResult:
     """Run num_chains independent chains, keeping only snapshot cross-sections.
 
     Chain c runs on stream (cfg.seed, c) and equals run_chain(..., stream_id=c)
-    bit for bit: both drive the same kernel.  Memory is O(num_chains) per
-    snapshot, not O(num_chains * num_steps).  Snapshot step 0 stores the
-    shared initial point.  A divergence reports the earliest step at which
-    any chain went non-finite and the lowest such chain.
+    bit for bit: both drive the same kernel.  Memory is the snapshots plus one
+    chunk of noise, O(num_chains * chunk).  Snapshot step 0 stores x0.  Given
+    mean_checkpoints, trace is run_chain's trace of chain 0: the ensemble
+    stops at its last snapshot and chain 0 goes on alone.  A divergence
+    reports the earliest non-finite step and the lowest chain there.
     """
     if num_chains < 2:
         raise ValueError(f"an ensemble needs num_chains >= 2, got {num_chains}")
@@ -327,12 +341,23 @@ def run_ensemble(
         raise ValueError("snapshot_steps must be non-empty")
     gens = [RngStream(cfg.seed, c) for c in range(num_chains)]
     xs = np.repeat(x0[None], num_chains, axis=0)
-    wanted = set(steps)
-    snaps = {0: xs} if 0 in wanted else {}
-    for k, _, xs in _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, steps[-1]):
-        if k in wanted:
-            snaps[k] = xs
-    return EnsembleResult(snapshots=snaps)
+    snaps = dict.fromkeys(steps, xs)  # step 0 keeps x0, the kernel fills the others
+
+    def advance(xs):  # to the last snapshot; then chain 0 alone, if it is recorded
+        for k, x_half, xs in _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term,
+                                     steps[-1]):
+            if k in snaps:
+                snaps[k] = xs
+            yield k, x_half, xs
+        if mean_checkpoints is not None:
+            yield from _kernel(sampler, smooth, nonsmooth, cfg, xs[:1], gens[:1], lipschitz_term,
+                               cfg.num_steps, done=steps[-1])
+
+    run = advance(xs)
+    trace = None if mean_checkpoints is None else _record(run, sampler, cfg, x0, mean_checkpoints)
+    for _ in run:  # without a trace, the steps to the last snapshot
+        pass
+    return EnsembleResult(snapshots=snaps, trace=trace)
 
 
 def tune_for_epsilon(eps: float, L: float, lambda_f: float, C: float, w0_sq: float):

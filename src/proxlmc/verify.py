@@ -263,9 +263,10 @@ SUITES = {
 
 
 def run_suites(names=None, trials: int | None = None):
-    """Run the named suites (all by default); returns a list of SuiteResult.
-    Every name and the trial count are checked before any suite runs."""
-    if names is None or names == ["all"] or names == "all":
+    """Run the named suites (one name, a list or, by default, all); returns a list
+    of SuiteResult.  Every name and the trial count are checked before any suite runs."""
+    names = [names] if isinstance(names, str) else names
+    if names is None or names == ["all"]:
         names = list(SUITES)
     for name in names:
         if name not in SUITES:

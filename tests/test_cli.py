@@ -545,6 +545,40 @@ def test_divergence_exits_1(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_experiment_with_chains_records_chain_zero_in_the_ensemble_pass(tmp_path, monkeypatch):
+    """With --chains, one kernel pass also records chain 0: the run writes
+    the bytes it wrote when a separate run_chain recorded that chain, and
+    never calls run_chain."""
+    from proxlmc import cli
+
+    def no_lone_chain(*args, **kwargs):
+        raise AssertionError("experiment --chains called run_chain")
+
+    monkeypatch.setattr(cli, "run_chain", no_lone_chain)
+    cfg = write_config(tmp_path, {"experiment": "trunc-gauss", "mean": 0.5, "burn_in": 10,
+                                  "num_steps": 300, "snapshot_steps": [100, 200], "seed": 8})
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out", str(out), "--chains", "8"]) == 0
+    assert sha256(out / "report.json") == (
+        "bd276b15d9a1012f3d5f8bd89b7e3c2d1b035713ecb17cf9c1969fa9d7bbad09")
+    assert sha256(out / "histogram.csv") == (
+        "064114337d49d023f23145546310e342dbbc9cdc8557cc0f296b35ddfe6fd224")
+
+
+def test_diverging_ensemble_exits_1_and_names_the_step(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {"experiment": "trunc-gauss", "sampler": "ula", "gamma": 50.0, "num_steps": 400},
+    )
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning):
+        code = main(["experiment", "--config", cfg, "--out", str(out), "--chains", "8"])
+    assert code == 1
+    assert not (out / "report.json").exists()
+    assert re.search(r"runtime error: ula produced a non-finite iterate at step \d+",
+                     capsys.readouterr().err)
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main([])
@@ -594,6 +628,8 @@ def test_verify_without_trials_is_a_config_error(argv, capsys):
     (["lemma2"], 2.0, "trials must be an integer"),
     (["lemma2"], 0, "trials must be >= 1"),
     (["moreau", "nonsense"], 5, "unknown verify suite 'nonsense'"),
+    ("nonsense", 5, "unknown verify suite 'nonsense'"),
+    ("lemma2", 0, "trials must be >= 1"),
 ])
 def test_run_suites_checks_its_arguments_before_running(names, trials, message, monkeypatch):
     from proxlmc import verify
@@ -605,6 +641,23 @@ def test_run_suites_checks_its_arguments_before_running(names, trials, message, 
     with pytest.raises(ValueError, match=message):
         verify.run_suites(names, trials=trials)
     assert ran == []
+
+
+@pytest.mark.parametrize("names, expected", [
+    ("moreau", ["moreau"]),
+    (["spectral", "moreau"], ["spectral", "moreau"]),
+    ("all", None),
+    (None, None),
+])
+def test_run_suites_takes_a_bare_name_as_one_suite(names, expected, monkeypatch):
+    from proxlmc import verify
+
+    ran = []
+    monkeypatch.setattr(verify, "SUITES", {
+        name: lambda name=name, **kw: ran.append(name) for name in verify.SUITES
+    })
+    verify.run_suites(names, trials=1)
+    assert ran == (list(verify.SUITES) if expected is None else expected)
 
 
 def test_verify_detects_a_corrupted_prox(monkeypatch, capsys):

@@ -1,8 +1,8 @@
-"""Golden digests: the data files of two small CLI runs, pinned by sha256.
+"""Golden digests: the data files of four small CLI runs, pinned by sha256.
 
 Per-step changes to the kernel, the potentials and the writers must keep
 every output byte.  Every run is flat and one-dimensional, a minibatch
-chain and two ensembles: no eigensolve is on their path and every BLAS
+chain and three ensembles: no eigensolve is on their path and every BLAS
 product they make has one term.  Their bytes depend on numpy's Philox
 stream, its ziggurat normal and bounded-integer samplers, IEEE double
 arithmetic and Python's float repr, and the ensembles' reports also on the
@@ -11,7 +11,12 @@ scipy.special.gammainc for the d = 1 Wishart posterior, whose report also
 holds the C estimate over the oracle's quantile grid.  The first two
 digests were computed before the per-step optimizations of the kernel,
 LogBarrier.prox, the minibatch gradient and the trace writer, the third
-before the two quantile bisections became one.
+before the two quantile bisections became one, the fourth while
+`experiment --chains` still ran the recorded chain on its own, before the
+ensemble's pass began to record chain 0 and the noise block became
+step-major.  Two ensembles take their last snapshot at num_steps; the
+fourth takes it at step 700 of 1500, so its recorded chain goes on alone
+past the first 1024-step noise chunk of a lone chain.
 """
 
 import hashlib
@@ -42,6 +47,14 @@ RUNS = {
         {"convergence.csv": "9cfedc29a58a3964397b3ca87dc623f793c545172cab43458202c875cb758550",
          "histogram.csv": "60eade1b032dbc0c0f3220f874cc797d20b7f10d1506e5162107911404f8e971",
          "report.json": "9f45bfc72477cf6180d97dc0935792a107bb031f0d115f1dd4ae788480f72c8d"},
+    ),
+    "experiment-wishart-d1-ensemble-recorded-past-snapshots": (
+        ["experiment", "--chains", "70"],
+        {"experiment": "wishart-precision", "d": 1, "burn_in": 50, "record_every": 3,
+         "num_steps": 1500, "snapshot_steps": [300, 700], "seed": 6},
+        {"convergence.csv": "c8534a5b1628dcea398baa1b0a7b9d03434a779d350316517057a4ab83dce5d2",
+         "histogram.csv": "6b5bbd4e9d495628ee22fa1b6aa7c5efc5c1fe25fe7d069b9cd85db465546548",
+         "report.json": "51e6339ef702c99b5996fe0143808445453182abecfa1ad181f622a3dd35e162"},
     ),
 }
 

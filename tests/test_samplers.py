@@ -569,6 +569,73 @@ def test_batched_ensemble_matches_per_chain_runs(sampler, space, minibatch, term
         assert np.array_equal(res.snapshot(25)[c], trace.primal[24])
 
 
+def _tile_chains(point_size):
+    """Chains per tile of a full noise chunk, sized as the kernel sizes it,
+    for ensembles small enough to take 1024-number chunks."""
+    chunk = 1024 // point_size
+    return max(1, samplers._TILE_BYTES // (8 * chunk * point_size))
+
+
+@pytest.mark.parametrize("space", ["flat", "sym"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_batched_ensemble_matches_per_chain_runs_across_chunks_and_tiles(space, offset):
+    """Pre-drawn noise goes through tiles of chains into a step-major block:
+    one chain below, at and above a tile, over three noise chunks, every
+    chain still equals its lone run bit for bit."""
+    smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
+    chunk = 1024 // x0.size
+    num_chains = _tile_chains(x0.size) + offset
+    num_steps = 2 * chunk + 7
+    cfg = SamplerConfig(0.02, num_steps, seed=24)
+    steps = [chunk, chunk + 1, num_steps]
+    res = run_ensemble("psgla", smooth, g, cfg, num_chains, steps, x0)
+    for c in range(num_chains):
+        trace = run_chain("psgla", smooth, g, cfg, x0, stream_id=c)
+        for k in steps:
+            assert np.array_equal(res.snapshot(k)[c], trace.primal[k - 1])
+
+
+@pytest.mark.parametrize(
+    "sampler, space, minibatch, term",
+    [
+        ("psgla", "flat", "full", None),
+        ("psgla", "sym", "full", None),
+        ("ula", "flat", "full", None),
+        ("psgla", "sym", 3, None),
+        ("spla", "flat", 2, absolute_entries_term),
+        ("spla", "sym", "full", absolute_entries_term),
+    ],
+)
+def test_ensemble_trace_of_chain_zero_equals_run_chain(sampler, space, minibatch, term):
+    """Given mean checkpoints, the ensemble also records chain 0; past the
+    last snapshot chain 0 goes on alone on its stream, across a noise chunk
+    boundary, and its trace equals run_chain's on stream 0 bit for bit."""
+    smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
+    r = term(0.4, x0.shape) if term else None
+    chunk = 1024 // x0.size
+    cfg = SamplerConfig(0.02, chunk + 40, burn_in=5, record_every=3, record_duals=True,
+                        seed=25, minibatch=minibatch)
+    checkpoints = [6, chunk // 2, chunk + 1, chunk + 40]
+    res = run_ensemble(sampler, smooth, g, cfg, 5, [0, chunk // 2], x0, lipschitz_term=r,
+                       mean_checkpoints=checkpoints)
+    ref = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, mean_checkpoints=checkpoints)
+    assert res.trace.steps == ref.steps
+    assert np.array_equal(res.trace.primal, ref.primal)
+    assert np.array_equal(res.trace.duals, ref.duals)
+    assert [k for k, _ in res.trace.mean_checkpoints] == checkpoints
+    for (_, ours), (_, theirs) in zip(res.trace.mean_checkpoints, ref.mean_checkpoints):
+        assert np.array_equal(ours, theirs)
+    assert run_ensemble(sampler, smooth, g, cfg, 5, [chunk // 2], x0, lipschitz_term=r).trace is None
+
+
+def test_ensemble_checks_its_mean_checkpoints_before_any_step(box_quadratic, monkeypatch):
+    smooth, box = box_quadratic
+    cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
+    monkeypatch.setattr(samplers, "gaussian", lambda *a, **k: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match="distinct"):
+        run_ensemble("psgla", smooth, box, cfg, 3, [4], np.zeros(2), mean_checkpoints=[5, 5])
+
+
 @pytest.mark.parametrize("d", [2, 5, 10])
 @pytest.mark.parametrize("sampler", ["ula", "psgla", "projected", "myula", "spla"])
 def test_ensemble_matches_chains_on_a_non_diagonal_quadratic(sampler, d):
