@@ -45,10 +45,9 @@ from .experiments import (
 )
 from .potentials import absolute_entries_term
 from .samplers import (
-    SAMPLER_IDS,
     SamplerConfig,
     _step_list,
-    check_sampler_fits,
+    check_run,
     run_chain,
     run_ensemble,
     step_size_warning,
@@ -77,7 +76,7 @@ def _require(condition, message):
 class RunConfig(SamplerConfig):
     """A CLI run: the sampler config plus the experiment, ensemble and output
     fields.  Construction checks the run's own fields and raises ConfigError;
-    the experiment checks its parameters when _build assembles it."""
+    the experiment and samplers.check_run make theirs in _build."""
 
     experiment: str
     sampler: str = "psgla"
@@ -104,24 +103,14 @@ class RunConfig(SamplerConfig):
         except ValueError as err:
             raise ConfigError(str(err)) from err
         _require(self.snapshot_steps, "snapshot_steps must be a non-empty list of step indices")
-        _require(self.sampler in SAMPLER_IDS,
-                 f"sampler must be one of {SAMPLER_IDS}, got {self.sampler!r}")
         _require(self.record_every <= self.num_steps - self.burn_in,
                  f"record_every = {self.record_every} exceeds num_steps - burn_in = "
                  f"{self.num_steps - self.burn_in}, so no step would be recorded")
-        if self.sampler == "myula":
-            _require(self.myula_lambda is not None,
-                     "sampler 'myula' requires the config field myula_lambda")
-            _require(self.myula_lambda > 0, "myula_lambda must be > 0")
-        else:
-            _require(self.myula_lambda is None,
-                     "myula_lambda is only meaningful for sampler 'myula'")
-        if self.spla_r_weight is not None:
-            _require(self.sampler == "spla", "spla_r_weight is only meaningful for sampler 'spla'")
-            _require(self.spla_r_weight >= 0, "spla_r_weight must be >= 0")
+        _require(self.myula_lambda is None or self.sampler == "myula",
+                 "myula_lambda is only meaningful for sampler 'myula'")
+        _require(self.spla_r_weight is None or self.sampler == "spla",
+                 "spla_r_weight is only meaningful for sampler 'spla'")
         _require(self.num_chains >= 1, "num_chains must be >= 1")
-        _require(self.d >= 1, "d must be >= 1")
-        _require(self.n >= 1, "n must be >= 1")
 
 
 _EXPERIMENT_KEYS = {
@@ -161,7 +150,7 @@ def _as_path(raw, key):
 
 
 # JSON type checks by declared field type.  experiment and sampler pass as
-# they are: RunConfig checks them against their ids.
+# they are: resolve_config and _build's start-up check test them against their ids.
 _COERCE = {
     "int": _as_int,
     "float": _as_number,
@@ -215,8 +204,9 @@ def resolve_config(raw: dict, seed_override=None, chains_override=None) -> RunCo
 
 def _build(cfg: RunConfig):
     """Assemble the experiment, R term, and initial point for a run config.
-    The experiment checks its own parameters; their errors, and a run the
-    assembled experiment cannot serve, raise ConfigError."""
+    The experiment checks its own parameters and check_run, the start-up
+    check of run_chain and run_ensemble, the sampler's; their errors, and a
+    run the assembled experiment cannot serve, raise ConfigError."""
     try:
         if cfg.experiment == "trunc-gauss":
             spec = TruncGaussSpec(mean=cfg.mean, lo=cfg.lo, hi=cfg.hi)
@@ -225,24 +215,22 @@ def _build(cfg: RunConfig):
             spec = WishartExperimentSpec(kind=cfg.experiment.removeprefix("wishart-"),
                                          d=cfg.d, nu=cfg.nu, data=data)
         assembled = assemble_experiment(spec)
-        check_sampler_fits(cfg.sampler, assembled.nonsmooth)
+        shape = assembled.shape
+        # RunConfig allows spla_r_weight for spla only
+        lipschitz = absolute_entries_term(cfg.spla_r_weight, shape) if cfg.spla_r_weight else None
+        if cfg.x0 is None:
+            x0 = assembled.default_x0(cfg.gamma)
+        elif len(shape) == 1:
+            x0 = np.full(shape, cfg.x0)
+        else:
+            x0 = cfg.x0 * np.eye(shape[0])
+        x0 = check_run(cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg, x0, lipschitz)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     # ensemble snapshots are scored against an exact quantile oracle
     _require(cfg.num_chains == 1 or assembled.quantile_oracle is not None,
              f"num_chains >= 2 needs an exact quantile oracle, which {cfg.experiment} "
              f"with d = {cfg.d} lacks")
-    shape = assembled.shape
-
-    # RunConfig allows spla_r_weight for spla only
-    lipschitz = absolute_entries_term(cfg.spla_r_weight, shape) if cfg.spla_r_weight else None
-
-    if cfg.x0 is None:
-        x0 = assembled.default_x0(cfg.gamma)
-    elif len(shape) == 1:
-        x0 = np.full(shape, cfg.x0)
-    else:
-        x0 = cfg.x0 * np.eye(shape[0])
     return assembled, lipschitz, x0
 
 

@@ -32,7 +32,6 @@ class QuantileOracle:
     """Analytic quantile function of a 1-d law; quantile(u) for u in (0,1)."""
 
     quantile: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def midpoint_quantiles(self, n: int) -> np.ndarray:

@@ -75,6 +75,8 @@ class WishartExperimentSpec:
     def __post_init__(self):
         if self.kind not in ("mean-1d", "precision"):
             raise ValueError(f"unknown wishart experiment kind {self.kind!r}")
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
         if self.kind == "mean-1d" and self.d != 1:
             raise ValueError("mean-1d experiment is defined for d = 1 only")
         if not self.nu > self.d - 1:
@@ -98,9 +100,9 @@ class GroundTruth:
 
 
 def generate_gaussian_data(n: int, d: int, rng: RngStream) -> np.ndarray:
-    """n standard Gaussian rows in R^d."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 data points, got {n}")
+    """n standard Gaussian rows in R^d, an (n, d) array."""
+    if n < 1 or d < 0:
+        raise ValueError(f"need n >= 1 data points of d >= 0 entries, got n = {n}, d = {d}")
     return rng.standard_normal((n, d))
 
 
@@ -215,10 +217,7 @@ def assemble_experiment(spec) -> AssembledExperiment:
     if isinstance(spec, TruncGaussSpec):
         smooth = QuadraticSum(np.array([[spec.mean]]))
         nonsmooth = BoxIndicator(np.array([spec.lo]), np.array([spec.hi]))
-        oracle = QuantileOracle(
-            quantile=lambda u: trunc_gauss_quantile(spec, u),
-            name=f"trunc-gauss[{spec.lo},{spec.hi}] m={spec.mean}",
-        )
+        oracle = QuantileOracle(lambda u: trunc_gauss_quantile(spec, u))
         return AssembledExperiment(smooth=smooth, nonsmooth=nonsmooth, quantile_oracle=oracle)
     if not isinstance(spec, WishartExperimentSpec):
         raise ValueError(f"cannot assemble an experiment from {type(spec).__name__}")
@@ -238,10 +237,7 @@ def assemble_experiment(spec) -> AssembledExperiment:
     smooth = PrecisionLikelihood(spec.data, spec.d)
     oracle = None
     if spec.d == 1:
-        oracle = QuantileOracle(
-            quantile=lambda u: gamma_posterior_quantile(spec, u),
-            name=f"gamma-posterior nu'={truth.nu_post}",
-        )
+        oracle = QuantileOracle(lambda u: gamma_posterior_quantile(spec, u))
     return AssembledExperiment(
         smooth=smooth,
         nonsmooth=nonsmooth,

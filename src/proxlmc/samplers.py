@@ -113,19 +113,16 @@ def _step_list(steps, what, lo, num_steps) -> list:
     return out
 
 
-def check_sampler_fits(sampler, nonsmooth):
-    """ValueError unless the sampler can run on G: projected Langevin needs an indicator G."""
-    if sampler == "projected" and not nonsmooth.is_indicator:
-        raise ValueError(f"sampler 'projected' needs an indicator G, not {type(nonsmooth).__name__}")
-
-
-def _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
-    """Start-up checks of both drivers, before any step; returns the checked
-    start x0, which must be a finite point of the shape the potentials, and
-    for spla the components of the R term, act on."""
+def check_run(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
+    """The start-up check of run_chain and run_ensemble, before any step:
+    ValueError unless the sampler is known, projected Langevin has an
+    indicator G and myula a myula_lambda > 0, and x0 is a finite point of the
+    shape the potentials, and for spla the components of the R term, act on.
+    Returns the checked start x0."""
     if sampler not in SAMPLER_IDS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_IDS}")
-    check_sampler_fits(sampler, nonsmooth)
+    if sampler == "projected" and not nonsmooth.is_indicator:
+        raise ValueError(f"sampler 'projected' needs an indicator G, not {type(nonsmooth).__name__}")
     if sampler == "myula" and not (cfg.myula_lambda or 0) > 0:
         raise ValueError("myula requires myula_lambda > 0 in the sampler config")
     x = check_point(x0)
@@ -143,6 +140,12 @@ def _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
             raise ValueError(
                 f"{type(term).__name__} index {term.index} does not fit x0 of shape {x.shape}"
             )
+    return x
+
+
+def _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
+    """check_run, then the step-size warning, once per run."""
+    x = check_run(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
     if step_size_warning(smooth, cfg.gamma):
         warnings.warn(
             f"gamma = {cfg.gamma} exceeds 1/L = {1.0 / smooth.L}; "

@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 
 from proxlmc import (
+    BoxIndicator,
     LogBarrier,
     QuadraticSum,
+    RngStream,
     SamplerConfig,
     TruncGaussSpec,
     WishartExperimentSpec,
+    absolute_entries_term,
     assemble_experiment,
+    generate_gaussian_data,
     run_chain,
 )
 from proxlmc.cli import (
@@ -80,7 +84,7 @@ def test_unknown_and_inapplicable_keys_error():
 
 def test_myula_lambda_rules():
     with pytest.raises(ConfigError, match="myula_lambda"):
-        resolve_config({"experiment": "trunc-gauss", "sampler": "myula"})
+        _build(resolve_config({"experiment": "trunc-gauss", "sampler": "myula"}))
     cfg = resolve_config(
         {"experiment": "trunc-gauss", "sampler": "myula", "myula_lambda": 0.2}
     )
@@ -96,6 +100,8 @@ def test_spla_r_weight_rules():
     assert cfg.spla_r_weight == 0.3
     with pytest.raises(ConfigError, match="spla"):
         resolve_config({"experiment": "trunc-gauss", "spla_r_weight": 0.3})
+    zero = resolve_config({"experiment": "trunc-gauss", "sampler": "spla", "spla_r_weight": 0.0})
+    assert _build(zero)[1] is None  # a zero weight runs spla without an R term
 
 
 def test_snapshot_steps_validation():
@@ -210,10 +216,37 @@ def _wishart(kind, d, nu, n=50):
     return WishartExperimentSpec(kind=kind, d=d, nu=nu, data=np.ones((n, d)))
 
 
+def _one_step(sampler, **fields):
+    """run_chain for one step of sampler on a trunc-gauss-like target."""
+    return run_chain(sampler, QuadraticSum(np.zeros((1, 1))), BoxIndicator([-1.0], [1.0]),
+                     SamplerConfig(gamma=0.1, num_steps=1, **fields), np.zeros(1))
+
+
 # Rules stated once, in the library, that a CLI run reaches through _build:
 # (config, message, the library call that raises it).  The chains rule is the
 # CLI's own, so its library call shows the missing oracle instead.
 _STATED_ONCE = {
+    "unknown-sampler": ({"experiment": "trunc-gauss", "sampler": "bogus"},
+                        "unknown sampler 'bogus'", lambda: _one_step("bogus")),
+    "myula-without-lambda": ({"experiment": "trunc-gauss", "sampler": "myula"},
+                             "myula_lambda > 0", lambda: _one_step("myula")),
+    "myula-lambda-zero": ({"experiment": "trunc-gauss", "sampler": "myula", "myula_lambda": 0.0},
+                          "myula_lambda > 0", lambda: _one_step("myula", myula_lambda=0.0)),
+    "myula-lambda-negative": ({"experiment": "wishart-precision", "sampler": "myula",
+                               "myula_lambda": -1.0},
+                              "myula_lambda > 0", lambda: _one_step("myula", myula_lambda=-1.0)),
+    "negative-spla-weight": ({"experiment": "trunc-gauss", "sampler": "spla",
+                              "spla_r_weight": -0.3},
+                             "weight must be a finite number >= 0, got -0.3",
+                             lambda: absolute_entries_term(-0.3, (1,))),
+    "d-zero": ({"experiment": "wishart-precision", "d": 0}, "d must be >= 1, got 0",
+               lambda: WishartExperimentSpec("precision", 0, 3.0, np.zeros((5, 0)))),
+    "d-negative": ({"experiment": "wishart-precision", "d": -1}, "d = -1",
+                   lambda: generate_gaussian_data(50, -1, RngStream(1, 0))),
+    "n-zero-precision": ({"experiment": "wishart-precision", "n": 0}, "n >= 1",
+                         lambda: generate_gaussian_data(0, 1, RngStream(1, 0))),
+    "n-zero-mean-1d": ({"experiment": "wishart-mean-1d", "n": 0}, "n >= 1",
+                       lambda: generate_gaussian_data(0, 1, RngStream(1, 0))),
     "lo-not-below-hi": ({"experiment": "trunc-gauss", "lo": 1.0, "hi": 1.0}, "lo < hi",
                         lambda: TruncGaussSpec(lo=1.0, hi=1.0)),
     "low-mass-box": ({"experiment": "trunc-gauss", "lo": 10.0, "hi": 11.0}, "mass 0 < 1e-06",
@@ -256,6 +289,21 @@ def test_a_rule_stated_once_reaches_the_cli(tmp_path, capsys, rule, command):
     assert not (tmp_path / "o").exists()  # rejected before anything is written
     assert err.startswith("config error: ")
     assert re.search(message, err)
+
+
+def test_a_sampler_rule_is_checked_after_the_experiment_warns(tmp_path, capsys):
+    """The sampler's rules are check_run's, made on the assembled
+    experiment, so the moment-regime warning comes first."""
+    body = {"experiment": "wishart-precision", "d": 3, "n": 1, "nu": 3.5, "sampler": "bogus"}
+    cfg = resolve_config(body)
+    with pytest.warns(RuntimeWarning, match="moment regime"):
+        with pytest.raises(ConfigError, match="unknown sampler 'bogus'"):
+            _build(cfg)
+    path = write_config(tmp_path, body)
+    with pytest.warns(RuntimeWarning, match="moment regime"):
+        assert main(["sample", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown sampler 'bogus'")
+    assert not (tmp_path / "o").exists()
 
 
 def test_a_rejected_wishart_config_does_not_warn():

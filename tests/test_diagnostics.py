@@ -62,7 +62,7 @@ def test_w2_equals_brute_force_assignment():
 
 
 def test_w2_against_quantile_oracle():
-    oracle = QuantileOracle(quantile=lambda u: np.asarray(u), name="uniform")
+    oracle = QuantileOracle(quantile=lambda u: np.asarray(u))
     n = 50
     grid = (np.arange(1, n + 1) - 0.5) / n
     assert wasserstein2_1d(grid, oracle) == 0.0
@@ -75,7 +75,7 @@ def _counting_oracle(calls):
     def quantile(u):
         calls.append(len(u))
         return _TRUNC_GAUSS.quantile(u)
-    return QuantileOracle(quantile=quantile, name="counted")
+    return QuantileOracle(quantile=quantile)
 
 
 def test_oracle_runs_once_per_grid_size():
@@ -399,7 +399,7 @@ def test_pdpg_gap_check_rejects_large_steps():
 # ---------------------------------------------------------------------------
 
 def test_bootstrap_w2_se_is_deterministic_and_positive():
-    oracle = QuantileOracle(quantile=lambda u: np.asarray(u), name="uniform")
+    oracle = QuantileOracle(quantile=lambda u: np.asarray(u))
     samples = RngStream(9, 0).uniform(200)
     se1 = bootstrap_w2_se(samples, oracle, num_bootstrap=100, seed=5)
     se2 = bootstrap_w2_se(samples, oracle, num_bootstrap=100, seed=5)

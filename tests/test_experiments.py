@@ -78,6 +78,8 @@ def test_wishart_spec_validation():
         WishartExperimentSpec(kind="mean-1d", d=2, nu=4.0, data=data)
     with pytest.raises(ValueError):
         WishartExperimentSpec(kind="precision", d=3, nu=5.0, data=data)
+    with pytest.raises(ValueError, match="d must be >= 1, got 0"):  # not a (0, 0) experiment
+        WishartExperimentSpec(kind="precision", d=0, nu=3.0, data=np.zeros((5, 0)))
     spec = WishartExperimentSpec(kind="precision", d=2, nu=4.0, data=data)
     assert spec.n == 3
 
@@ -87,8 +89,11 @@ def test_generate_gaussian_data():
     d2 = generate_gaussian_data(5, 3, RngStream(1, 0))
     assert d1.shape == (5, 3)
     assert np.array_equal(d1, d2)
-    with pytest.raises(ValueError):
+    assert generate_gaussian_data(5, 0, RngStream(1, 0)).shape == (5, 0)
+    with pytest.raises(ValueError, match="n = 0"):
         generate_gaussian_data(0, 3, RngStream(1, 0))
+    with pytest.raises(ValueError, match="d = -1"):
+        generate_gaussian_data(5, -1, RngStream(1, 0))
 
 
 # ---------------------------------------------------------------------------
