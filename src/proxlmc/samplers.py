@@ -25,6 +25,8 @@ that prox through G keep the iterates inside dom(G); ula and myula do not.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -169,6 +171,36 @@ def _raise_if_diverged(xs, k, sampler):
         raise ChainDivergence(step=k, sampler=sampler, chain=chain)
 
 
+def _cpu_count() -> int:  # the CPUs this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fill(block, tiles, gens, noise_scale):
+    """Fill block[:, c] with chain c's next points times noise_scale: worker w
+    of W = len(tiles), 0 being the caller, fills tiles w, w + W, ... of chains."""
+    n, shape, per_tile, workers = len(gens), block.shape[2:], tiles.shape[1], len(tiles)
+    errors = [None] * workers  # (first tile, exception) of each failed worker
+
+    def work(w):
+        try:
+            for c0 in range(w * per_tile, n, workers * per_tile):
+                rows = tiles[w, : n - c0, : len(block)]
+                for c, row in zip(range(c0, n), rows):  # each chain on its own stream
+                    gaussian(gens[c], shape, out=row)
+                np.multiply(rows.swapaxes(0, 1), noise_scale, out=block[:, c0 : c0 + per_tile])
+        except BaseException as err:  # the lowest chain's is raised after every join
+            errors[w] = (c0, err)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if any(errors):
+        raise min(e for e in errors if e)[1]
+
+
 def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps, done=0):
     """Advance the stack xs (leading chain axis; chain c draws from gens[c])
     from step done to step num_steps, yielding (k, x_half, xs) after step k.
@@ -179,11 +211,12 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps
     full gradient and no SPLA index draw, each chain's noise is pre-drawn in
     chunks of at most 1024 numbers, a cache-sized tile of chains at a time
     scaled by sqrt(2 gamma) and copied transposed into a step-major block, so
-    step j reads the contiguous slab block[j]; otherwise each chain draws per
-    step in kernel order (minibatch indices, noise, SPLA index) into buffers
-    and the R-prox runs per chain.  A non-finite iterate, or a G-prox that
-    fails on a non-finite x_half, raises ChainDivergence, naming the lowest
-    such chain of a stack of several.
+    step j reads the contiguous slab block[j]; W = min(CPUs, tiles) workers
+    with a tile each fill it, set by no option and with the same bits for any
+    W (_fill).  Otherwise each chain draws per step in kernel order (minibatch
+    indices, noise, SPLA index) into buffers and the R-prox runs per chain.  A
+    non-finite iterate, or a G-prox that fails on a non-finite x_half, raises
+    ChainDivergence, naming the lowest such chain of a stack of several.
     """
     n = len(gens)
     gamma, noise_scale = cfg.gamma, math.sqrt(2.0 * cfg.gamma)
@@ -194,10 +227,11 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps
     size = xs[0].size
     if per_step:
         grads, noise = np.empty_like(xs), np.empty_like(xs)
-    else:  # one block and one tile, refilled chunk by chunk
+    else:  # one block and one tile per worker, refilled chunk by chunk
         chunk = max(1, min(1024 // size, int(5e6 / (n * size)), num_steps - done))
         block = np.empty((chunk, n) + shape)
-        tile = np.empty((min(n, max(1, _TILE_BYTES // (8 * chunk * size))), chunk) + shape)
+        per_tile = min(n, max(1, _TILE_BYTES // (8 * chunk * size)))
+        tiles = np.empty((min(_cpu_count(), -(-n // per_tile)), per_tile, chunk) + shape)
     # x * 0 is 0 for finite x and NaN otherwise, so this dot is NaN exactly
     # when xs has a non-finite entry; unlike a sum, it cannot overflow
     zeros = np.zeros(xs.size)
@@ -211,12 +245,7 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps
         else:
             j = (k - done - 1) % chunk
             if j == 0:
-                m = min(chunk, num_steps - k + 1)
-                for c0 in range(0, n, len(tile)):
-                    rows, cols = tile[: n - c0, :m], block[:m, c0 : c0 + len(tile)]
-                    for row, g in zip(rows, gens[c0 : c0 + len(tile)]):
-                        row[...] = gaussian(g, shape, size=m)
-                    np.multiply(rows.swapaxes(0, 1), noise_scale, out=cols)
+                _fill(block[: min(chunk, num_steps - k + 1)], tiles, gens, noise_scale)
             grads, scaled_noise = smooth.full_gradient(xs), block[j]
         if sampler == "myula":
             lam = cfg.myula_lambda
@@ -336,7 +365,7 @@ def run_ensemble(
     stops at its last snapshot and chain 0 goes on alone.  A divergence
     reports the earliest non-finite step and the lowest chain there.
     """
-    if num_chains < 2:
+    if _integer(num_chains, "num_chains") < 2:
         raise ValueError(f"an ensemble needs num_chains >= 2, got {num_chains}")
     x0 = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
     steps = _step_list(snapshot_steps, "snapshot step", 0, cfg.num_steps)

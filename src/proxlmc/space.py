@@ -92,7 +92,7 @@ def check_point(x) -> np.ndarray:
         raise ValueError(f"cannot infer state space from point of shape {x.shape}")
     if x.shape[0] < 1:
         raise ValueError(f"dimension must be >= 1, got {x.shape[0]}")
-    if x.ndim == 2 and not np.array_equal(x, x.T):
+    if x.ndim == 2 and not np.array_equal(x, x.T, equal_nan=True):
         raise ValueError("symmetric-kind point has asymmetric data")
     return x
 
@@ -104,19 +104,20 @@ def ambient_dim(shape) -> int:
     return d if len(shape) == 1 else d * (d + 1) // 2
 
 
-def gaussian(rng: RngStream, shape, size: int | None = None) -> np.ndarray:
+def gaussian(rng: RngStream, shape, size: int | None = None, out=None) -> np.ndarray:
     """Standard Gaussian point(s) of the given shape.
 
     Vectors: iid N(0,1) coordinates.  Symmetric matrices: N(0,1) on the
     diagonal and N(0,1/2) off-diagonal, mirrored, which is the standard
     Gaussian for the trace inner product.  With ``size`` given, returns a
     leading batch axis; batch draws replay identically to repeated single
-    draws.
+    draws.  ``out`` is filled in place by the generator, not by an RngStream method.
     """
-    a = rng.standard_normal(tuple(shape) if size is None else (size, *shape))
+    size = tuple(shape) if size is None else (size, *shape)
+    a = rng.standard_normal(size) if out is None else rng._gen.standard_normal(out=out)
     if len(shape) == 1:
         return a
-    return (a + np.swapaxes(a, -1, -2)) / 2.0
+    return np.divide(a + np.swapaxes(a, -1, -2), 2.0, out=out)
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -265,9 +266,13 @@ def _start(runner, smooth, g, cfg, x0):
 
 @pytest.mark.parametrize("runner", ["chain", "ensemble", "step"])
 @pytest.mark.parametrize(
-    "x0", [np.array([0.0, np.nan]), np.diag([1.0, np.inf])], ids=["flat", "sym"]
+    "x0",
+    [np.array([0.0, np.nan]), np.diag([1.0, np.inf]), np.array([[np.nan, 0.0], [0.0, 1.0]])],
+    ids=["flat", "sym", "sym-nan"],
 )
 def test_non_finite_start_rejected(runner, x0):
+    """A NaN is not unequal to its mirror image: a symmetric matrix with a
+    NaN entry is a point, rejected for the NaN, not for asymmetry."""
     g = BoxIndicator(-np.ones(2), np.ones(2)) if x0.ndim == 1 else PsdIndicator(2)
     cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
     with pytest.raises(ValueError, match="x0 must be finite"):
@@ -472,6 +477,22 @@ def test_ensemble_validation(box_quadratic):
         run_ensemble("psgla", smooth, box, cfg, 4, [11], np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [4.0, "4", True])
+def test_ensemble_chain_count_must_be_an_integer(box_quadratic, bad):
+    smooth, box = box_quadratic
+    cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
+    with pytest.raises(ValueError, match="num_chains must be an integer"):
+        run_ensemble("psgla", smooth, box, cfg, bad, [10], np.zeros(2))
+
+
+def test_ensemble_accepts_a_numpy_chain_count(box_quadratic):
+    smooth, box = box_quadratic
+    cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
+    res = run_ensemble("psgla", smooth, box, cfg, np.int64(4), [10], np.zeros(2))
+    ref = run_ensemble("psgla", smooth, box, cfg, 4, [10], np.zeros(2))
+    assert np.array_equal(res.snapshot(10), ref.snapshot(10))
+
+
 def test_ensemble_rejects_duplicate_snapshot_steps(box_quadratic):
     smooth, box = box_quadratic
     cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
@@ -593,6 +614,70 @@ def test_batched_ensemble_matches_per_chain_runs_across_chunks_and_tiles(space, 
         trace = run_chain("psgla", smooth, g, cfg, x0, stream_id=c)
         for k in steps:
             assert np.array_equal(res.snapshot(k)[c], trace.primal[k - 1])
+
+
+@pytest.mark.parametrize("space", ["flat", "sym"])
+def test_ensemble_bits_do_not_depend_on_the_worker_count(space, monkeypatch):
+    """The noise of a chunk is filled by W = min(CPUs, tiles) workers, tile i
+    by worker i mod W and worker 0 on the calling thread.  For W = 1, 2, 3
+    and more CPUs than tiles, over a chain count that no tile x W divides and
+    a partial last chunk, the snapshots, chain 0's trace and every chain
+    equal the lone runs bit for bit."""
+    smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
+    chunk, per_tile = 1024 // x0.size, _tile_chains(x0.size)
+    num_chains = 3 * per_tile + 5  # four tiles, the last one partial
+    cfg = SamplerConfig(0.02, 2 * chunk + 7, seed=26)
+    steps, checkpoints = [chunk, chunk + 1, 2 * chunk + 3], [chunk, 2 * chunk + 7]
+    lone = [run_chain("psgla", smooth, g, cfg, x0, stream_id=c) for c in range(num_chains)]
+    ref = run_chain("psgla", smooth, g, cfg, x0, mean_checkpoints=checkpoints)
+    draw = samplers.gaussian
+    for cpus in (1, 2, 3, 64):
+        drawn_on = {}  # chain -> the thread that filled its first chunk
+
+        def spy(rng, *args, **kwargs):
+            drawn_on.setdefault(rng.stream_id, threading.current_thread().name)
+            return draw(rng, *args, **kwargs)
+
+        monkeypatch.setattr(samplers, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(samplers, "gaussian", spy)
+        res = run_ensemble("psgla", smooth, g, cfg, num_chains, steps, x0,
+                           mean_checkpoints=checkpoints)
+        workers = min(cpus, 4)
+        split = {((c // per_tile) % workers, drawn_on[c]) for c in range(num_chains)}
+        assert len(split) == len(set(drawn_on.values())) == workers
+        assert drawn_on[0] == threading.current_thread().name
+        for c in range(num_chains):
+            for k in steps:
+                assert np.array_equal(res.snapshot(k)[c], lone[c].primal[k - 1])
+        assert np.array_equal(res.trace.primal, ref.primal)
+        for (_, ours), (_, theirs) in zip(res.trace.mean_checkpoints, ref.mean_checkpoints):
+            assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_a_draw_error_on_any_worker_reaches_the_caller(cpus, monkeypatch):
+    """A draw that raises on a worker thread is raised by run_ensemble after
+    every worker has been joined; of several, the lowest chain's, whatever
+    the worker count."""
+    smooth, g, x0 = _flat_problem()
+    chunk, per_tile = 1024 // x0.size, _tile_chains(x0.size)
+    failing = {per_tile + 1, 2 * per_tile + 3}  # on workers 1 and 0 of two
+    draw, drawn_on = samplers.gaussian, set()
+
+    def broken(rng, *args, **kwargs):
+        drawn_on.add(threading.current_thread().name)
+        if rng.stream_id in failing:
+            raise FloatingPointError(f"draw of chain {rng.stream_id}")
+        return draw(rng, *args, **kwargs)
+
+    monkeypatch.setattr(samplers, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(samplers, "gaussian", broken)
+    before = threading.active_count()
+    cfg = SamplerConfig(0.02, chunk, seed=3)
+    with pytest.raises(FloatingPointError, match=f"chain {per_tile + 1}$"):
+        run_ensemble("psgla", smooth, g, cfg, 4 * per_tile, [chunk], x0)
+    assert threading.active_count() == before
+    assert len(drawn_on) == cpus  # four tiles, so one worker per CPU
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,14 @@ def test_check_point_rejects_bad_shapes():
     asym = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="asymmetric"):
         check_point(asym)
+    with pytest.raises(ValueError, match="asymmetric"):
+        check_point(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_a_symmetric_point_may_hold_nan():
+    """Finiteness is the caller's check; a NaN equals its mirror image here."""
+    x = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    assert np.array_equal(check_point(x), x, equal_nan=True)
 
 
 def test_symmetric_gaussian_is_exactly_symmetric():
@@ -196,6 +204,13 @@ def test_symmetric_gaussian_isotropy():
     w = gaussian(RngStream(19, 0), (3, 3), size=20000)
     proj = np.einsum("kij,ij->k", w, a)
     assert abs(proj.var() / norm(a) ** 2 - 1.0) < 0.06
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 3)])
+def test_gaussian_fills_out_with_the_drawn_bits(shape):
+    out = np.empty((6, *shape))
+    assert gaussian(RngStream(5, 2), shape, out=out) is out
+    assert np.array_equal(out, gaussian(RngStream(5, 2), shape, size=6))
 
 
 def test_flat_gaussian_shapes():
