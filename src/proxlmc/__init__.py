@@ -33,7 +33,6 @@ from .potentials import (
     QuadraticSum,
     SmoothPotential,
     Spectral,
-    SpectralLogBarrier,
     ZeroPotential,
     ZeroSmooth,
     absolute_entries_term,

@@ -193,6 +193,8 @@ def resolve_config(raw: dict, seed_override=None, chains_override=None) -> RunCo
     gamma = kw.setdefault("gamma", default_gamma[experiment])
     if "num_steps" not in kw and experiment == "trunc-gauss":
         _require(gamma > 0, "gamma must be a finite number > 0")
+        _require(10.0 / gamma < math.inf,  # inf for a subnormal gamma
+                 f"gamma = {gamma} overflows the default num_steps = 10 / gamma; set num_steps")
         kw["num_steps"] = int(math.ceil(10.0 / gamma))
     kw.setdefault("num_steps", 10000)
     kw.setdefault("snapshot_steps", [kw["num_steps"]])

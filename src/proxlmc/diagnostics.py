@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .potentials import dual_from_primal
-from .space import RngStream, check_point, gaussian, inner
+from .space import RngStream, _integer, check_point, gaussian, inner
 
 _SLICED_DEFAULT_SEED = 20461
 
@@ -98,7 +98,7 @@ def sliced_wasserstein2(a, b, num_projections: int = 128, rng: RngStream | None 
     shape = check_point(pa[0]).shape
     if pa.shape[0] != pb.shape[0]:
         raise ValueError("sliced W2 needs equal sample sizes")
-    if num_projections < 1:
+    if _integer(num_projections, "num_projections") < 1:
         raise ValueError("num_projections must be >= 1")
     rng = rng or RngStream(_SLICED_DEFAULT_SEED, 0)
     total = 0.0
@@ -174,12 +174,13 @@ def lemma2_residual(gamma: float, x, x_star, y_star, nonsmooth) -> float:
 
       ||x'-x*||^2 <= ||x-x*||^2
                      - 2 gamma (G*(y') - G*(y*) - <y', x*> + <y*, x>)
-                     - gamma (lambda_G* + gamma) ||y'-y*||^2
+                     - gamma^2 ||y'-y*||^2
                      + gamma^2 ||y*||^2
 
-    holds for any anchor pair; the classical use takes y* in dG(x*).
-    Returns rhs - lhs (nonnegative up to roundoff when it holds).  Requires
-    a potential with an implemented, finite conjugate at y' and y*.
+    holds for any anchor pair, with G*'s strong-convexity modulus lambda_G*
+    taken as 0; the classical use takes y* in dG(x*).  Returns rhs - lhs
+    (nonnegative up to roundoff when it holds).  Requires a potential with
+    an implemented, finite conjugate at y' and y*.
     """
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
@@ -190,11 +191,10 @@ def lemma2_residual(gamma: float, x, x_star, y_star, nonsmooth) -> float:
     g_star = nonsmooth.conjugate(y_star)
     if not np.isfinite(g_new) or not np.isfinite(g_star):
         raise ValueError("conjugate is infinite at a dual point; residual undefined")
-    lam = nonsmooth.lambda_gstar
     rhs = (
         inner(x - x_star, x - x_star)
         - 2.0 * gamma * (g_new - g_star - inner(y_new, x_star) + inner(y_star, x))
-        - gamma * (lam + gamma) * inner(y_new - y_star, y_new - y_star)
+        - gamma * gamma * inner(y_new - y_star, y_new - y_star)
         + gamma**2 * inner(y_star, y_star)
     )
     lhs = inner(x_new - x_star, x_new - x_star)
@@ -205,8 +205,6 @@ def lemma2_residual(gamma: float, x, x_star, y_star, nonsmooth) -> float:
 class PdpgReport:
     residuals: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
-    x_star: np.ndarray | None = None
-    y_star: np.ndarray | None = None
 
     @property
     def min_residual(self) -> float:
@@ -241,15 +239,16 @@ def pdpg_gap_check(
     iteration, the residual of
 
       ||x^{k+1}-x*||^2 <= (1 - gamma lambda_F) ||x^k-x*||^2
-                          - gamma (lambda_G* + gamma) ||y^{k+1}-y*||^2
+                          - gamma^2 ||y^{k+1}-y*||^2
                           - 2 gamma (Lag(x^{k+1/2}, y*) - Lag(x*, y^{k+1}))
                           + gamma^2 ||y*||^2
 
     with Lag(x, y) = F(x) - G*(y) + <x, y>, the half step
-    x^{k+1/2} = x^k - gamma grad F(x^k), and y^{k+1} the dual of the prox at
-    the half step.  Also records the Lagrangian gap terms, which are
-    nonnegative in their own right.  The fixed point x* comes from running
-    proximal gradient to convergence; y* = -grad F(x*).
+    x^{k+1/2} = x^k - gamma grad F(x^k), y^{k+1} the dual of the prox at
+    the half step, and lambda_G* = 0, as in lemma2_residual.  Also records
+    the Lagrangian gap terms, which are nonnegative in their own right.  The
+    fixed point x* comes from running proximal gradient to convergence;
+    y* = -grad F(x*).
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
@@ -261,8 +260,7 @@ def pdpg_gap_check(
     if not np.isfinite(gstar_at_ystar):
         raise ValueError("conjugate infinite at y_star; check the fixed point")
     lam_f = smooth.lambda_f
-    lam_gstar = nonsmooth.lambda_gstar
-    report = PdpgReport(x_star=x_star, y_star=y_star)
+    report = PdpgReport()
     x = np.asarray(x0, dtype=float)
     for _ in range(num_iters):
         x_half = x - gamma * smooth.full_gradient(x)
@@ -273,7 +271,7 @@ def pdpg_gap_check(
         gap = lag_half - lag_star
         resid = (
             (1.0 - gamma * lam_f) * inner(x - x_star, x - x_star)
-            - gamma * (lam_gstar + gamma) * inner(y_next - y_star, y_next - y_star)
+            - gamma * gamma * inner(y_next - y_star, y_next - y_star)
             - 2.0 * gamma * gap
             + gamma**2 * inner(y_star, y_star)
             - inner(x_next - x_star, x_next - x_star)
@@ -296,7 +294,7 @@ def bootstrap_w2_se(
 ) -> float:
     """Monte Carlo standard error of the W2-vs-oracle estimator, by
     resampling the chains (samples) with replacement."""
-    if num_bootstrap < 2:
+    if _integer(num_bootstrap, "num_bootstrap") < 2:
         raise ValueError(f"num_bootstrap must be >= 2, got {num_bootstrap}")
     xs = _scalar_samples(samples)
     n = xs.shape[0]

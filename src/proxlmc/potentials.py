@@ -86,15 +86,13 @@ def dual_from_primal(gamma, x, g):
 class NonsmoothPotential:
     """Interface for the nonsmooth term G.
 
-    lambda_gstar is a strong-convexity modulus of the conjugate G* (0 is
-    always sound).  is_indicator marks set indicators, for which the
-    projected-Langevin alias is defined.  point_shape is the shape of the
-    points G is defined on, or None when any shape will do.  A subclass
-    states its domain once, in domain_mask over a stack of points; the
-    default domain is the whole space.
+    is_indicator marks set indicators, for which the projected-Langevin
+    alias is defined.  point_shape is the shape of the points G is defined
+    on, or None when any shape will do.  A subclass states its domain once,
+    in domain_mask over a stack of points; the default domain is the whole
+    space.
     """
 
-    lambda_gstar: float = 0.0
     is_indicator: bool = False
     point_shape: tuple | None = None
 
@@ -382,17 +380,6 @@ class PsdIndicator(Spectral):
         return _PSD_TOL * np.fmax(1.0, frobenius(x))
 
 
-class SpectralLogBarrier(Spectral):
-    """Matrix log-barrier on the PD cone, the lift of LogBarrier(alpha, beta):
-
-    G(x) = -alpha log det x + beta tr x,  dom G = positive definite matrices.
-    """
-
-    def __init__(self, alpha: float, beta: float, d: int):
-        super().__init__(LogBarrier(alpha, beta), d)
-        self.alpha, self.beta = self.scalar.alpha, self.scalar.beta
-
-
 class AbsoluteValue(NonsmoothPotential):
     """Weighted l1 term w * sum_i |x_i|; prox is the soft threshold."""
 
@@ -489,9 +476,10 @@ class SmoothPotential:
     L is a gradient Lipschitz constant (0 means the gradient is constant and
     the step-size guard is vacuous); lambda_f a strong-convexity modulus
     (0 for merely convex).  Stochastic gradients are unbiased single-index
-    estimators, averaged over a minibatch drawn uniformly with replacement.
-    point_shape is the shape of the points F is defined on, or None when
-    any shape will do.
+    estimators, averaged over a minibatch drawn uniformly with replacement;
+    an F without data has no index to draw, so its stochastic gradient is
+    its exact gradient, whatever the minibatch.  point_shape is the shape of
+    the points F is defined on, or None when any shape will do.
     """
 
     L: float = 0.0
@@ -506,9 +494,7 @@ class SmoothPotential:
         raise NotImplementedError
 
     def stochastic_gradient(self, x, rng, minibatch=1):
-        if minibatch == "full":
-            return self.full_gradient(x)
-        raise NotImplementedError
+        return self.full_gradient(x)
 
     def grad_norm_variance(self, x, minibatch=1):
         """Variance of the stochastic-gradient norm at x (0 if deterministic)."""
@@ -518,17 +504,11 @@ class SmoothPotential:
 class ZeroSmooth(SmoothPotential):
     """F identically zero; the target is exp(-G) alone."""
 
-    L = 0.0
-    lambda_f = 0.0
-
     def evaluate(self, x):
         return 0.0
 
     def full_gradient(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
-
-    def stochastic_gradient(self, x, rng, minibatch=1):
-        return self.full_gradient(x)
 
 
 class Quadratic(SmoothPotential):
@@ -541,6 +521,8 @@ class Quadratic(SmoothPotential):
     def __init__(self, h, c):
         h = np.asarray(h, dtype=float)
         c = np.asarray(c, dtype=float)
+        if not (np.isfinite(h).all() and np.isfinite(c).all()):
+            raise ValueError("Quadratic H and c must be finite")
         if h.ndim != 2 or h.shape[0] != h.shape[1] or not np.allclose(h, h.T):
             raise ValueError("H must be a symmetric matrix")
         w = np.linalg.eigvalsh(h)
@@ -562,9 +544,6 @@ class Quadratic(SmoothPotential):
         # einsum, not a BLAS matmul: a row's sum runs the same whatever the
         # batch size, so an ensemble chain equals the chain run alone.
         return np.einsum("ij,...j->...i", self.h, np.asarray(x, dtype=float) - self.c)
-
-    def stochastic_gradient(self, x, rng, minibatch=1):
-        return self.full_gradient(x)
 
 
 class QuadraticSum(SmoothPotential):
@@ -694,7 +673,7 @@ def build_gamma_potential(nu: float, n: int, d: int):
     alpha = ((nu + n) - d - 1) / 2.
 
     n = 0 gives the prior-only barrier used by the 1-d mean-learning setup.
-    Returns the flat separable variant for d = 1, the spectral one otherwise.
+    Returns the flat separable barrier for d = 1, its spectral lift otherwise.
     """
     alpha = ((nu + n) - d - 1) / 2.0
     if alpha < 0:
@@ -702,7 +681,6 @@ def build_gamma_potential(nu: float, n: int, d: int):
             f"the Wishart log barrier needs nu >= d + 1 - n = {d + 1 - n}, got nu = {nu}: "
             f"its weight alpha = ((nu + n) - d - 1)/2 would be {alpha} < 0"
         )
-    if d == 1:
-        return LogBarrier(alpha=alpha, beta=0.5)
-    return SpectralLogBarrier(alpha=alpha, beta=0.5, d=d)
+    barrier = LogBarrier(alpha=alpha, beta=0.5)
+    return barrier if d == 1 else Spectral(barrier, d)
 

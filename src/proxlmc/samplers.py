@@ -50,6 +50,12 @@ class ChainDivergence(RuntimeError):
         super().__init__(f"{sampler} produced a non-finite iterate at step {step}{where}")
 
 
+def _finite_number(v) -> bool:
+    """True for a finite Python or numpy int or float; a bool is not one."""
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    return real and math.isfinite(v)
+
+
 @dataclass
 class SamplerConfig:
     gamma: float
@@ -64,8 +70,10 @@ class SamplerConfig:
     def __post_init__(self):
         for name in ("num_steps", "burn_in", "record_every", "seed"):
             _integer(getattr(self, name), name)
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be a finite number > 0, got {self.gamma}")
+        if not (_finite_number(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be a finite number > 0, got {self.gamma!r}")
+        if not (self.myula_lambda is None or _finite_number(self.myula_lambda)):
+            raise ValueError(f"myula_lambda must be a finite number, got {self.myula_lambda!r}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
         if self.burn_in < 0 or self.burn_in >= self.num_steps:

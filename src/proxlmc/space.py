@@ -104,17 +104,16 @@ def ambient_dim(shape) -> int:
     return d if len(shape) == 1 else d * (d + 1) // 2
 
 
-def gaussian(rng: RngStream, shape, size: int | None = None, out=None) -> np.ndarray:
-    """Standard Gaussian point(s) of the given shape.
+def gaussian(rng: RngStream, shape, out=None) -> np.ndarray:
+    """Standard Gaussian point of the given shape, or a stack of them filling
+    ``out``, an array of shape (n, *shape).
 
     Vectors: iid N(0,1) coordinates.  Symmetric matrices: N(0,1) on the
     diagonal and N(0,1/2) off-diagonal, mirrored, which is the standard
-    Gaussian for the trace inner product.  With ``size`` given, returns a
-    leading batch axis; batch draws replay identically to repeated single
-    draws.  ``out`` is filled in place by the generator, not by an RngStream method.
+    Gaussian for the trace inner product.  A filled stack replays n repeated
+    single draws; the generator fills ``out`` in place, not an RngStream method.
     """
-    size = tuple(shape) if size is None else (size, *shape)
-    a = rng.standard_normal(size) if out is None else rng._gen.standard_normal(out=out)
+    a = rng.standard_normal(shape) if out is None else rng._gen.standard_normal(out=out)
     if len(shape) == 1:
         return a
     return np.divide(a + np.swapaxes(a, -1, -2), 2.0, out=out)

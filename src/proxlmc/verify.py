@@ -20,7 +20,7 @@ from .potentials import (
     LogBarrier,
     PsdIndicator,
     Quadratic,
-    SpectralLogBarrier,
+    Spectral,
     ZeroPotential,
     dual_from_primal,
 )
@@ -89,7 +89,7 @@ def _moreau_catalog():
         ("l1", AbsoluteValue(0.7), (4,)),
         ("log-barrier", LogBarrier(1.3, 0.5), (3,)),
         ("psd", PsdIndicator(4), (4, 4)),
-        ("spectral-log-barrier", SpectralLogBarrier(0.8, 0.5, 4), (4, 4)),
+        ("spectral-log-barrier", Spectral(LogBarrier(0.8, 0.5), 4), (4, 4)),
     ]
 
 
@@ -120,7 +120,7 @@ def suite_moreau(trials: int = 1000, seed: int = 7) -> SuiteResult:
 
 
 def suite_spectral_prox(trials: int = 200, seed: int = 11) -> SuiteResult:
-    """SpectralLogBarrier.prox against a per-eigenvalue golden-section
+    """The spectral log barrier's prox against a per-eigenvalue golden-section
     minimizer, 1e-8."""
     rng = RngStream(seed, 0)
     dims = (2, 5, 10)
@@ -132,7 +132,7 @@ def suite_spectral_prox(trials: int = 200, seed: int = 11) -> SuiteResult:
         gamma = float(10.0 ** (-2.0 + 3.0 * rng.uniform()))  # log-uniform in [1e-2, 10]
         alpha = float(0.1 + 2.9 * rng.uniform())
         beta = float(rng.uniform())
-        closed = SpectralLogBarrier(alpha, beta, d).prox(gamma, m)
+        closed = Spectral(LogBarrier(alpha, beta), d).prox(gamma, m)
         w, q = sym_eigendecomposition(m)
         vals = []
         for s in w:

@@ -52,8 +52,8 @@ def test_a01_moreau_identity_over_catalog(acceptance_report):
 
 
 def test_a02_spectral_prox_matches_scalar_search(acceptance_report):
-    """SpectralLogBarrier.prox agrees entrywise with a per-eigenvalue
-    golden-section minimizer to 1e-8 on 200 random matrices, d in {2, 5, 10}."""
+    """The prox of Spectral(LogBarrier(alpha, beta), d) agrees entrywise with
+    a per-eigenvalue golden-section minimizer to 1e-8 on 200 random matrices, d in {2, 5, 10}."""
     r = suite_spectral_prox(trials=200)
     acceptance_report("A2 spectral-prox", r.passed, f"{r.detail}, limit 1e-8 (200 matrices)")
 

@@ -18,6 +18,7 @@ from proxlmc import (
     absolute_entries_term,
     assemble_experiment,
     generate_gaussian_data,
+    posterior_ground_truth,
     run_chain,
 )
 from proxlmc.cli import (
@@ -520,6 +521,29 @@ def test_experiment_report_for_matrix_precision(tmp_path):
     assert not (out / "histogram.csv").exists()
 
 
+def test_convergence_rows_are_run_chains_running_mean_distances(tmp_path):
+    """README's convergence study at tiny size: each convergence.csv row is
+    ||mean - m*||_F of run_chain's running post-burn-in mean under the same
+    config, at geometric snapshot steps, and the chain stays feasible."""
+    steps = [int(s) for s in np.unique(np.geomspace(10, 300, 6).astype(int))]
+    body = {"experiment": "wishart-precision", "d": 3, "gamma": 0.01, "num_steps": 300,
+            "seed": 11, "data_seed": 101, "record_every": 3, "snapshot_steps": steps}
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", write_config(tmp_path, body), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["feasibility_fraction"] == 1.0
+
+    data = generate_gaussian_data(50, 3, RngStream(101, 0))
+    spec = WishartExperimentSpec(kind="precision", d=3, nu=7.0, data=data)  # nu = d + 4
+    asm = assemble_experiment(spec)
+    m_star = posterior_ground_truth(spec).m_star.reshape(3, 3)
+    cfg = SamplerConfig(gamma=0.01, num_steps=300, seed=11, record_every=3)
+    trace = run_chain("psgla", asm.smooth, asm.nonsmooth, cfg, asm.default_x0(0.01),
+                      mean_checkpoints=steps)
+    expected = [[str(step), repr(float(np.linalg.norm(mean - m_star)))]
+                for step, mean in trace.mean_checkpoints]
+    assert read_rows(out / "convergence.csv") == [["step", "frobenius_to_mstar"], *expected]
+
+
 def test_experiment_report_for_scalar_precision(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -580,6 +604,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["sample", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_a_subnormal_trunc_gauss_gamma_is_a_config_error(tmp_path, capsys):
+    """The default num_steps = ceil(10 / gamma) overflows for gamma = 1e-320."""
+    cfg = write_config(tmp_path, {"experiment": "trunc-gauss", "gamma": 1e-320})
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: gamma = 1e-320") and "set num_steps" in err
 
 
 def test_divergence_exits_1(tmp_path, capsys):

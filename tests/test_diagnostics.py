@@ -21,13 +21,14 @@ from proxlmc import (
     pdpg_gap_check,
     run_chain,
     SamplerConfig,
-    SpectralLogBarrier,
+    Spectral,
     TruncGaussSpec,
     assemble_experiment,
     gaussian,
     sliced_wasserstein2,
     wasserstein2_1d,
 )
+from proxlmc.diagnostics import _proximal_gradient_fixed_point
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,7 @@ def test_sliced_w2_is_seeded_and_reproducible():
 
 
 def test_sliced_w2_matrix_samples():
-    base = gaussian(RngStream(6, 0), (2, 2), size=25)
+    base = gaussian(RngStream(6, 0), (2, 2), out=np.empty((25, 2, 2)))
     assert sliced_wasserstein2(base, base.copy()) == 0.0
     shifted = base + np.eye(2)
     assert sliced_wasserstein2(base, shifted) > 0.0
@@ -281,7 +282,7 @@ def _estimate_c_fields(pts, g, L, ambient_dim, sigma_f_sq):
     return est.value, est.grad_sq_mean, est.num_skipped
 
 
-class _CountingBarrier(SpectralLogBarrier):
+class _CountingBarrier(Spectral):
     def __init__(self, *args):
         super().__init__(*args)
         self.calls = 0
@@ -302,7 +303,7 @@ def test_stacked_estimate_c_equals_the_per_sample_loop_bitwise(d, seed, num_bad)
     bad = {int(i) for i in rng.integers(40, size=num_bad)}
     for i in bad:
         pts[i] -= (1.0 + np.linalg.eigvalsh(pts[i])[-1]) * np.eye(d)  # negative definite
-    g = _CountingBarrier(0.8, 0.5, d)
+    g = _CountingBarrier(LogBarrier(0.8, 0.5), d)
     dim = d * (d + 1) // 2
     est = estimate_C(pts, g, L=0.5, ambient_dim=dim, sigma_f_sq=0.3)
     calls = g.calls
@@ -379,12 +380,11 @@ def test_pdpg_gap_check_on_a_small_problem():
     assert len(report.gaps) == 60
     assert report.min_residual >= -1e-8
     assert report.min_gap >= -1e-8
-    # the anchor is the proximal-gradient fixed point with its dual pair
-    x_star, y_star = report.x_star, report.y_star
+    # the anchor is the proximal-gradient fixed point
+    x_star = _proximal_gradient_fixed_point(smooth, box, np.zeros(2))
     step = 1.0 / smooth.L
     fixed = box.prox(step, x_star - step * smooth.full_gradient(x_star))
     assert np.allclose(fixed, x_star, atol=1e-9)
-    assert np.allclose(y_star, -smooth.full_gradient(x_star), atol=1e-12)
 
 
 def test_pdpg_gap_check_rejects_large_steps():
@@ -408,3 +408,24 @@ def test_bootstrap_w2_se_is_deterministic_and_positive():
     assert bootstrap_w2_se(samples, oracle, num_bootstrap=100, seed=6) != se1
     # resampling noise of W2 should be well below the statistic's scale here
     assert se1 < wasserstein2_1d(samples, oracle) + 0.05
+
+
+@pytest.mark.parametrize("count", [2.5, "4", True], ids=["float", "str", "bool"])
+def test_diagnostic_counts_must_be_integers(count):
+    """A bool would run one projection, and a float or str would fail in
+    range or np.empty with a TypeError."""
+    a = RngStream(3, 0).standard_normal((20, 2))
+    oracle = QuantileOracle(quantile=lambda u: np.asarray(u))
+    with pytest.raises(ValueError, match="num_projections must be an integer"):
+        sliced_wasserstein2(a, a + 1.0, num_projections=count)
+    with pytest.raises(ValueError, match="num_bootstrap must be an integer"):
+        bootstrap_w2_se(a[:, 0], oracle, num_bootstrap=count)
+
+
+def test_diagnostic_counts_accept_numpy_integers():
+    a = RngStream(3, 0).standard_normal((20, 2))
+    oracle = QuantileOracle(quantile=lambda u: np.asarray(u))
+    assert sliced_wasserstein2(a, a + 1.0, num_projections=np.int64(4)) == sliced_wasserstein2(
+        a, a + 1.0, num_projections=4)
+    assert bootstrap_w2_se(a[:, 0], oracle, num_bootstrap=np.int64(4)) == bootstrap_w2_se(
+        a[:, 0], oracle, num_bootstrap=4)

@@ -15,7 +15,7 @@ from proxlmc import (
     PrecisionLikelihood,
     QuadraticSum,
     RngStream,
-    SpectralLogBarrier,
+    Spectral,
     TruncGaussSpec,
     WishartExperimentSpec,
     assemble_experiment,
@@ -311,7 +311,7 @@ def test_assemble_precision_matrix_case():
     data = generate_gaussian_data(30, 4, RngStream(5, 0))
     asm = assemble_experiment(WishartExperimentSpec(kind="precision", d=4, nu=8.0, data=data))
     assert asm.shape == (4, 4)
-    assert isinstance(asm.nonsmooth, SpectralLogBarrier)
+    assert type(asm.nonsmooth) is Spectral and isinstance(asm.nonsmooth.scalar, LogBarrier)
     assert asm.quantile_oracle is None
     assert np.array_equal(asm.default_x0(0.1), np.eye(4))
     assert asm.nonsmooth.in_domain(asm.default_x0(0.1))

@@ -22,7 +22,6 @@ from proxlmc import (
     RngStream,
     SamplerConfig,
     Spectral,
-    SpectralLogBarrier,
     WishartExperimentSpec,
     ZeroPotential,
     ZeroSmooth,
@@ -70,7 +69,7 @@ def test_prox_box_values():
     lambda: LogBarrier(np.inf, 0.0),
     lambda: LogBarrier(1.0, np.nan),
     lambda: LogBarrier(1.0, -np.inf),
-    lambda: SpectralLogBarrier(np.nan, 0.5, 2),
+    lambda: Spectral(LogBarrier(np.nan, 0.5), 2),
     lambda: AbsoluteValue(-1.0),
     lambda: AbsoluteValue(np.nan),
     lambda: AbsoluteValue(np.inf),
@@ -217,7 +216,7 @@ def test_log_barrier_prox_of_a_valid_mixed_point_does_not_warn():
         warnings.simplefilter("error")
         flat = LogBarrier(1.0, 0.0).prox(0.1, np.array([1e10, -1.0]))
         zero_d = LogBarrier(1.0, 0.0).prox(0.1, 1e10)
-        matrix = SpectralLogBarrier(1.0, 0.0, 2).prox(0.1, np.diag([1e10, -1.0]))
+        matrix = Spectral(LogBarrier(1.0, 0.0), 2).prox(0.1, np.diag([1e10, -1.0]))
     assert flat[0] == 1e10 and 0 < flat[1] < 0.1
     assert zero_d.shape == () and zero_d == 1e10
     assert np.allclose(matrix, np.diag(flat), rtol=1e-15, atol=0.0)
@@ -235,7 +234,7 @@ def test_log_barrier_prox_of_entries_whose_square_overflows(big):
     assert g.prox(0.1, big) == big and g.prox(0.1, -big) > 0
     assert np.array_equal(g.prox(0.1, np.array([np.inf, -np.inf, np.nan]))[:2], [np.inf, 0.0])
     for lam in (big, -big):
-        matrix = SpectralLogBarrier(1.0, 0.0, 2).prox(0.1, np.diag([lam, 2.0]))
+        matrix = Spectral(LogBarrier(1.0, 0.0), 2).prox(0.1, np.diag([lam, 2.0]))
         expected = np.diag(g.prox(0.1, np.array([lam, 2.0])))
         assert np.allclose(matrix, expected, rtol=1e-15, atol=0.0)
 
@@ -245,7 +244,7 @@ def test_prox_logdet_matches_scalar_prox_on_eigenvalues():
     for _ in range(50):
         m = random_sym(rng, 5, scale=3.0)
         gamma, alpha, beta = 0.7, 1.2, 0.5
-        p = SpectralLogBarrier(alpha, beta, 5).prox(gamma, m)
+        p = Spectral(LogBarrier(alpha, beta), 5).prox(gamma, m)
         assert np.array_equal(p, p.T)
         w, q = sym_eigendecomposition(m)
         vals = LogBarrier(alpha, beta).prox(gamma, w)
@@ -283,8 +282,8 @@ def test_spectral_proxes_match_per_eigenvalue_reference_bitwise(d, seed):
     # each spectral lift against its scalar LogBarrier applied per eigenvalue
     lifts = [
         (PsdIndicator(d), LogBarrier(0.0, 0.0)),
-        (SpectralLogBarrier(alpha, beta, d), LogBarrier(alpha, beta)),
-        (SpectralLogBarrier(0.0, beta, d), LogBarrier(0.0, beta)),
+        (Spectral(LogBarrier(alpha, beta), d), LogBarrier(alpha, beta)),
+        (Spectral(LogBarrier(0.0, beta), d), LogBarrier(0.0, beta)),
     ]
     for m in cases:
         psd = PsdIndicator(d).prox(gamma, m)
@@ -309,7 +308,7 @@ def test_stacked_spectral_layer_matches_per_matrix_bitwise(d, seed):
     for the ensemble's stacked prox."""
     stack = np.stack(_spectral_cases(d, seed))
     w, q = sym_eigendecomposition(stack)
-    psd, slb = PsdIndicator(d), SpectralLogBarrier(1.7, 0.5, d)
+    psd, slb = PsdIndicator(d), Spectral(LogBarrier(1.7, 0.5), d)
     batched = [spectral_apply(np.square, stack), psd.prox_batch(0.3, stack),
                slb.prox_batch(0.3, stack)]
     for i, m in enumerate(stack):
@@ -324,7 +323,7 @@ def test_stacked_spectral_layer_matches_per_matrix_bitwise(d, seed):
 def test_prox_logdet_alpha_zero_reduces_to_psd_projection():
     m = random_sym(RngStream(8, 0), 4, scale=2.0)
     psd = PsdIndicator(4).prox(0.3, m)
-    _assert_bitwise(SpectralLogBarrier(0.0, 0.0, 4).prox(0.3, m), psd)
+    _assert_bitwise(Spectral(LogBarrier(0.0, 0.0), 4).prox(0.3, m), psd)
     assert np.allclose(psd, _per_eigenvalue_reference(lambda t: max(t, 0.0), m), atol=1e-12)
 
 
@@ -343,7 +342,7 @@ def catalog():
         (LogBarrier(0.0, 0.5), 3),
         (EntryAbsolute(0.7, (1,)), 3),
         (PsdIndicator(3), (3, 3)),
-        (SpectralLogBarrier(0.8, 0.5, 3), (3, 3)),
+        (Spectral(LogBarrier(0.8, 0.5), 3), (3, 3)),
     ]
 
 
@@ -446,7 +445,7 @@ def test_log_barriers_have_no_cheap_conjugate():
     with pytest.raises(ConjugateUnavailable):
         LogBarrier(1.0, 0.5).conjugate(np.zeros(2))
     with pytest.raises(ConjugateUnavailable):
-        SpectralLogBarrier(1.0, 0.5, 2).conjugate(np.eye(2))
+        Spectral(LogBarrier(1.0, 0.5), 2).conjugate(np.eye(2))
 
 
 def test_fenchel_young_equality_at_prox_pairs():
@@ -473,11 +472,6 @@ def test_fenchel_young_for_psd_projection():
         y = dual_from_primal(1.0, x, g)
         assert g.conjugate(y) == 0.0  # y is NSD
         assert abs(float(np.vdot(p, y))) < 1e-10  # complementary slackness
-
-
-def test_lambda_gstar_defaults_to_zero():
-    for g, _ in catalog():
-        assert g.lambda_gstar == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +503,7 @@ def test_psd_domain_tolerance():
 def test_domain_tolerances_of_huge_matrices_do_not_overflow():
     """The symmetry and PSD tolerances scale with ||x||_F, whose squared
     entries overflow here: the PSD tolerance of diag(1e200, .) is 1e190."""
-    p = SpectralLogBarrier(1.0, 0.0, 2).prox(0.1, np.array([[1e200, 1.0], [1.0 + 1e-12, 2.0]]))
+    p = Spectral(LogBarrier(1.0, 0.0), 2).prox(0.1, np.array([[1e200, 1.0], [1.0 + 1e-12, 2.0]]))
     assert np.isfinite(p).all() and p[0, 0] == 1e200
     g = PsdIndicator(2)
     assert not g.in_domain(np.diag([1e200, -1e195]))
@@ -539,7 +533,7 @@ def test_log_barrier_evaluate():
 
 
 def test_spectral_log_barrier_matches_eigenvalue_sum():
-    g = SpectralLogBarrier(0.8, 0.5, 3)
+    g = Spectral(LogBarrier(0.8, 0.5), 3)
     m = np.diag([1.0, 2.0, 4.0])
     expected = -0.8 * np.log([1.0, 2.0, 4.0]).sum() + 0.5 * 7.0
     assert g.evaluate(m) == pytest.approx(expected)
@@ -619,7 +613,7 @@ def test_domain_mask_matches_per_point_rule_across_catalog(seed):
 @given(st.sampled_from([1, 2, 5, 10]), st.integers(min_value=0, max_value=2**32 - 1))
 def test_spectral_domain_mask_matches_per_point_rule(d, seed):
     stack = _matrix_domain_cases(d, seed)
-    for g in (PsdIndicator(d), SpectralLogBarrier(0.8, 0.5, d), Spectral(LogBarrier(0.0, 0.5), d),
+    for g in (PsdIndicator(d), Spectral(LogBarrier(0.8, 0.5), d), Spectral(LogBarrier(0.0, 0.5), d),
               Spectral(LogBarrier(1.3, 0.0), d)):
         _assert_mask_matches_reference(g, stack)
 
@@ -629,7 +623,7 @@ def test_spectral_domain_mask_spans_blocks():
     as per-point checks, and an empty stack gives none."""
     stack = np.concatenate([_matrix_domain_cases(2, s) for s in range(50)])
     assert len(stack) > 2 * 512
-    for g in (PsdIndicator(2), SpectralLogBarrier(0.8, 0.5, 2)):
+    for g in (PsdIndicator(2), Spectral(LogBarrier(0.8, 0.5), 2)):
         _assert_mask_matches_reference(g, stack)
         assert g.domain_mask(stack[:0]).shape == (0,)
 
@@ -679,7 +673,8 @@ def test_certified_domain_mask_matches_per_point_rule(d, seed, low, length):
         stack[at + 1] = (rotated + rotated.T) / 2.0
         if d > 1 and low in (("margin", 0.5), ("margin", 2.0)):
             assert potentials._cholesky_certifies(stack[at : at + 1]) == (low[1] == 2.0)
-    for g in (PsdIndicator(d), SpectralLogBarrier(0.8, 0.5, d), Spectral(LogBarrier(0.0, 0.5), d)):
+    for g in (PsdIndicator(d), Spectral(LogBarrier(0.8, 0.5), d),
+              Spectral(LogBarrier(0.0, 0.5), d)):
         mask = g.domain_mask(stack)
         assert mask.tolist() == [_reference_in_domain(g, x) for x in stack]
         assert [g.in_domain(x) for x in stack[at : at + 2]] == mask[at : at + 2].tolist()
@@ -715,7 +710,7 @@ def test_certificate_leaves_bad_stacks_to_the_eigendecomposition():
     tiny and huge matrices are not certified and get the per-point flags;
     non-finite ones are not certified either and are outside the domain,
     since eigh can fail on them or rank a NaN eigenvalue above the lowest."""
-    g = SpectralLogBarrier(0.8, 0.5, 3)
+    g = Spectral(LogBarrier(0.8, 0.5), 3)
     upper = np.eye(3)
     upper[0, 2] = 5.0
     with pytest.raises(ValueError, match="not symmetric"):
@@ -746,7 +741,7 @@ def test_spectral_lifts_on_a_matrix_with_a_non_finite_entry():
     when the eigensolve fails on it (an off-diagonal entry) instead of
     raising EigenFailure; on the diagonal the prox maps it to a non-finite
     matrix, which the kernel reports as a divergence."""
-    lifts = (SpectralLogBarrier(0.8, 0.5, 3), PsdIndicator(3), Spectral(LogBarrier(0.0, 0.5), 3))
+    lifts = (Spectral(LogBarrier(0.8, 0.5), 3), PsdIndicator(3), Spectral(LogBarrier(0.0, 0.5), 3))
     for bad, at in itertools.product((np.nan, np.inf, -np.inf), ((0, 2), (1, 1))):
         x = np.eye(3)
         x[at] = x[at[::-1]] = bad
@@ -775,7 +770,7 @@ def test_certificate_is_not_tried_after_an_infeasible_matrix(monkeypatch):
         return certifies(block)
 
     monkeypatch.setattr(potentials, "_cholesky_certifies", counting)
-    g = SpectralLogBarrier(0.8, 0.5, 3)
+    g = Spectral(LogBarrier(0.8, 0.5), 3)
     stack = np.tile(np.eye(3), (1300, 1, 1))
     stack[:600] = -np.eye(3)
     assert g.domain_mask(stack).tolist() == [i >= 600 for i in range(1300)]
@@ -900,6 +895,12 @@ def test_quadratic_validation_and_constants():
         Quadratic(np.array([[-1.0]]), np.zeros(1))
     with pytest.raises(ValueError, match=r"c has shape \(2,\), but H is 3 x 3"):
         Quadratic(np.eye(3), np.zeros(2))
+    # non-finite H or c: checked first, before the symmetry and PSD checks
+    for h, c in (([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+                 ([[1.0, np.nan], [np.nan, 1.0]], [0.0, 0.0]),
+                 ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 0.0])):
+        with pytest.raises(ValueError, match="Quadratic H and c must be finite"):
+            Quadratic(np.array(h), np.array(c))
     h = np.array([[2.0, 0.5], [0.5, 1.0]])
     f = Quadratic(h, np.array([1.0, -1.0]))
     w = np.linalg.eigvalsh(h)
@@ -1068,8 +1069,9 @@ def test_build_gamma_potential_shapes_and_weights():
     assert g1.beta == 0.5
 
     g3 = build_gamma_potential(nu=6.0, n=10, d=3)
-    assert isinstance(g3, SpectralLogBarrier)
-    assert g3.alpha == pytest.approx(6.0)
+    assert type(g3) is Spectral and g3.point_shape == (3, 3)
+    assert g3.scalar.alpha == pytest.approx(6.0)
+    assert g3.scalar.beta == 0.5
 
     with pytest.raises(ValueError):
         build_gamma_potential(nu=0.5, n=0, d=2)

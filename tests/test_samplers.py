@@ -16,7 +16,7 @@ from proxlmc import (
     QuadraticSum,
     RngStream,
     SamplerConfig,
-    SpectralLogBarrier,
+    Spectral,
     ZeroPotential,
     ZeroSmooth,
     absolute_entries_term,
@@ -51,11 +51,25 @@ from proxlmc import samplers
         dict(gamma=0.1, num_steps=10, minibatch=np.True_),
         dict(gamma=0.1, num_steps=10, minibatch=2.0),
         dict(gamma=0.1, num_steps=10, minibatch=np.int64(0)),
+        dict(gamma=True, num_steps=10),
+        dict(gamma="0.1", num_steps=10),
+        dict(gamma=0.1, num_steps=10, myula_lambda="1"),
+        dict(gamma=0.1, num_steps=10, myula_lambda=float("inf")),
+        dict(gamma=0.1, num_steps=10, myula_lambda=float("nan")),
+        dict(gamma=0.1, num_steps=10, myula_lambda=True),
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SamplerConfig(**kwargs)
+
+
+def test_config_takes_numpy_and_int_step_sizes():
+    """Any finite int or float passes, numpy scalars included; the sign of
+    myula_lambda is check_run's rule, for sampler 'myula' only."""
+    for gamma, lam in ((np.float64(0.1), np.float32(0.2)), (1, np.int64(2)), (0.1, -1.0)):
+        cfg = SamplerConfig(gamma, 10, myula_lambda=lam)
+        assert cfg.gamma is gamma and cfg.myula_lambda is lam
 
 
 @pytest.mark.parametrize("value", [10.5, 2.0, True, "2"])
@@ -290,7 +304,7 @@ _MISMATCHES = {  # (F, G, x0, the shape the mismatched term acts on)
     "2d-box-on-sym-2": (ZeroSmooth(), BoxIndicator(-np.ones(2), np.ones(2)), np.eye(2), (2,)),
     "psd-3-on-sym-2": (ZeroSmooth(), PsdIndicator(3), np.eye(2), (3, 3)),
     "log-barrier-3-on-sym-2": (
-        ZeroSmooth(), SpectralLogBarrier(2.0, 0.5, 3), np.eye(2), (3, 3)
+        ZeroSmooth(), Spectral(LogBarrier(2.0, 0.5), 3), np.eye(2), (3, 3)
     ),
     "3d-data-on-flat-2": (QuadraticSum(np.zeros((4, 3))), ZeroPotential(), np.zeros(2), (3,)),
     "precision-3-on-sym-2": (
@@ -405,8 +419,8 @@ def test_a_non_finite_chain_of_an_ensemble_is_named(bad):
     it first, and its eigensolve fails on an off-diagonal entry."""
     cfg = SamplerConfig(0.01, 10, seed=3)
     cases = [("ula", ZeroPotential(), np.zeros(2), (1,)),
-             ("psgla", SpectralLogBarrier(2.0, 0.5, 3), np.eye(3), (0, 2)),
-             ("psgla", SpectralLogBarrier(2.0, 0.5, 3), np.eye(3), (1, 1))]
+             ("psgla", Spectral(LogBarrier(2.0, 0.5), 3), np.eye(3), (0, 2)),
+             ("psgla", Spectral(LogBarrier(2.0, 0.5), 3), np.eye(3), (1, 1))]
     for sampler, g, x0, at in cases:
         with np.errstate(invalid="ignore"):
             with pytest.raises(ChainDivergence) as err:
@@ -547,7 +561,7 @@ def test_loop_ensemble_matches_per_chain_runs():
 
 def _matrix_problem(d):
     data = RngStream(19, d).standard_normal((30, d))
-    return PrecisionLikelihood(data, d), SpectralLogBarrier(15.0, 0.5, d), np.eye(d)
+    return PrecisionLikelihood(data, d), Spectral(LogBarrier(15.0, 0.5), d), np.eye(d)
 
 
 def _flat_problem():

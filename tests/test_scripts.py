@@ -15,7 +15,6 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 TINY_RUNS = {
     "bias_sweep.py": (["--chains", "50", "--gammas", "0.2"], "   0.200     50 "),
     "gamma_shape.py": (["--chains", "50", "--steps", "50"], "W2^2 exact draws vs quantiles:"),
-    "precision_convergence.py": (["--d", "3", "--steps", "300"], "feasibility fraction: 1.0000"),
 }
 
 
