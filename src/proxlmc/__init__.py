@@ -33,7 +33,6 @@ from .potentials import (
     QuadraticSum,
     SmoothPotential,
     Spectral,
-    ZeroPotential,
     ZeroSmooth,
     absolute_entries_term,
     build_gamma_potential,

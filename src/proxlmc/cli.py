@@ -52,7 +52,7 @@ from .samplers import (
     run_ensemble,
     step_size_warning,
 )
-from .space import RngStream, ambient_dim, flatten_points
+from .space import RngStream, _finite_number, ambient_dim, flatten_points
 from .verify import run_suites
 
 EXPERIMENT_IDS = ("trunc-gauss", "wishart-mean-1d", "wishart-precision")
@@ -125,7 +125,7 @@ _COMMON_KEYS = set(_FIELD_TYPES).difference(*_EXPERIMENT_KEYS.values())
 def _as_number(raw, key):
     """A finite number; json.load parses NaN and Infinity, which no field accepts."""
     _require(isinstance(raw, (int, float)) and not isinstance(raw, bool), f"{key} must be a number")
-    _require(math.isfinite(raw), f"{key} must be a finite number, got {raw}")
+    _require(_finite_number(raw), f"{key} must be a finite number, got {raw}")
     return float(raw)
 
 
@@ -193,13 +193,14 @@ def resolve_config(raw: dict, seed_override=None, chains_override=None) -> RunCo
     gamma = kw.setdefault("gamma", default_gamma[experiment])
     if "num_steps" not in kw and experiment == "trunc-gauss":
         _require(gamma > 0, "gamma must be a finite number > 0")
-        _require(10.0 / gamma < math.inf,  # inf for a subnormal gamma
-                 f"gamma = {gamma} overflows the default num_steps = 10 / gamma; set num_steps")
+        _require(10.0 / gamma < 2**63,  # SamplerConfig's bound on num_steps; inf fails too
+                 f"gamma = {gamma} makes the default num_steps = ceil(10 / gamma) >= 2**63; "
+                 "set num_steps")
         kw["num_steps"] = int(math.ceil(10.0 / gamma))
     kw.setdefault("num_steps", 10000)
     kw.setdefault("snapshot_steps", [kw["num_steps"]])
     nu_default = {"trunc-gauss": 4.0, "wishart-mean-1d": 3.0,
-                  "wishart-precision": kw.get("d", 1) + 4.0}
+                  "wishart-precision": _as_number(kw.get("d", 1), "d") + 4.0}
     kw.setdefault("nu", nu_default[experiment])
     return RunConfig(**kw)
 
@@ -283,7 +284,7 @@ def _write_histogram_csv(path, samples: np.ndarray):
     """60 bins spanning the 0.1% to 99.9% empirical quantile range."""
     lo, hi = np.quantile(samples, [0.001, 0.999])
     if hi <= lo:
-        hi = lo + 1e-12
+        hi = lo + 1e-12 * max(1.0, abs(lo))  # wide enough for 60 distinct bins
     edges = np.linspace(lo, hi, 61)
     counts, _ = np.histogram(samples, bins=edges)
     rows = ([_fmt(edges[k]), _fmt(edges[k + 1]), str(int(counts[k]))] for k in range(60))

@@ -36,7 +36,7 @@ from .potentials import (
     build_gamma_potential,
 )
 from .diagnostics import QuantileOracle
-from .space import RngStream
+from .space import RngStream, _finite_number, _integer
 
 _MIN_BOX_MASS = 1e-6  # of a trunc-gauss box; below it the erf-based quantile errs
 
@@ -48,8 +48,8 @@ class TruncGaussSpec:
     hi: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite([self.mean, self.lo, self.hi]).all():
-            raise ValueError(f"need finite mean, lo, hi, got {self.mean}, {self.lo}, {self.hi}")
+        if not all(map(_finite_number, (self.mean, self.lo, self.hi))):
+            raise ValueError(f"need finite mean, lo, hi, got {(self.mean, self.lo, self.hi)!r}")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         mass = _std_normal_cdf(self.hi - self.mean) - _std_normal_cdf(self.lo - self.mean)
@@ -75,12 +75,12 @@ class WishartExperimentSpec:
     def __post_init__(self):
         if self.kind not in ("mean-1d", "precision"):
             raise ValueError(f"unknown wishart experiment kind {self.kind!r}")
-        if self.d < 1:
+        if _integer(self.d, "d") < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.kind == "mean-1d" and self.d != 1:
             raise ValueError("mean-1d experiment is defined for d = 1 only")
-        if not self.nu > self.d - 1:
-            raise ValueError(f"need nu > d - 1 for a proper prior, got nu={self.nu}, d={self.d}")
+        if not (_finite_number(self.nu) and self.nu > self.d - 1):
+            raise ValueError(f"need nu > d - 1 for a proper prior, got nu={self.nu!r}, d={self.d}")
         self.data = np.atleast_2d(np.asarray(self.data, dtype=float))
         if self.data.shape[1] != self.d:
             raise ValueError(f"data dimension {self.data.shape[1]} != d = {self.d}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .space import frobenius, norm, spectral_apply, sym_eigendecomposition
+from .space import _finite_number, frobenius, norm, spectral_apply, sym_eigendecomposition
 
 _PSD_TOL = 1e-10
 # Shift of the Cholesky domain certificate, relative to ||x||_F (Spectral.domain_mask)
@@ -42,11 +42,10 @@ def _check_gamma(gamma):
 
 
 def _weight(w, name="weight") -> float:
-    """w as a float, checked to be a finite number >= 0."""
-    w = float(w)
-    if not 0 <= w < np.inf:  # NaN fails too
-        raise ValueError(f"{name} must be a finite number >= 0, got {w}")
-    return w
+    """w as a float, checked to be a finite number >= 0 (a bool or string is not one)."""
+    if not (_finite_number(w) and w >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {w!r}")
+    return float(w)
 
 
 def _finite(x, method):
@@ -118,29 +117,9 @@ class NonsmoothPotential:
         raise ConjugateUnavailable(f"{type(self).__name__} has no cheap conjugate")
 
 
-class ZeroPotential(NonsmoothPotential):
-    """G identically zero.  prox is the identity; G* is the indicator of 0."""
-
-    is_indicator = True
-
-    def evaluate(self, x):
-        return 0.0
-
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        return np.asarray(x, dtype=float).copy()
-
-    prox_batch = prox
-
-    def subgradient_min(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def conjugate(self, y):
-        return 0.0 if norm(np.asarray(y, dtype=float)) <= 1e-12 else np.inf
-
-
 class BoxIndicator(NonsmoothPotential):
-    """Indicator of the box [lo, hi]; prox is the clamp."""
+    """Indicator of the box [lo, hi]; prox is the clamp.  BoxIndicator(-np.inf,
+    np.inf) is G = 0: its prox returns x bit for bit, and G* is 0 at y = 0 only."""
 
     is_indicator = True
 
@@ -191,9 +170,9 @@ class LogBarrier(NonsmoothPotential):
 
     def __init__(self, alpha: float, beta: float):
         self.alpha = _weight(alpha, "log-barrier weight alpha")
+        if not _finite_number(beta):
+            raise ValueError(f"log-barrier beta must be a finite number, got {beta!r}")
         self.beta = float(beta)
-        if not np.isfinite(self.beta):
-            raise ValueError(f"log-barrier beta must be finite, got {self.beta}")
         self.is_indicator = self.alpha == 0 and self.beta == 0  # of the orthant
 
     def evaluate(self, x):
@@ -475,10 +454,9 @@ class SmoothPotential:
 
     L is a gradient Lipschitz constant (0 means the gradient is constant and
     the step-size guard is vacuous); lambda_f a strong-convexity modulus
-    (0 for merely convex).  Stochastic gradients are unbiased single-index
-    estimators, averaged over a minibatch drawn uniformly with replacement;
-    an F without data has no index to draw, so its stochastic gradient is
-    its exact gradient, whatever the minibatch.  point_shape is the shape of
+    (0 for merely convex).  An F without data has no index to draw, so its
+    stochastic gradient is its exact gradient, whatever the minibatch; a
+    :class:`FiniteSum` owns the minibatch rule.  point_shape is the shape of
     the points F is defined on, or None when any shape will do.
     """
 
@@ -546,28 +524,55 @@ class Quadratic(SmoothPotential):
         return np.einsum("ij,...j->...i", self.h, np.asarray(x, dtype=float) - self.c)
 
 
-class QuadraticSum(SmoothPotential):
-    """F(x) = sum_i ||x - D_i||^2 / 2 over data points D_i.
-
-    Smoothness and strong convexity are both n (the Hessian is n * I).
-    The single-index estimator is n * (x - D_I), I uniform; its norm
-    variance is x-dependent, so report-time bounds use
-    :meth:`grad_norm_variance` evaluated along the visited iterates.
+class FiniteSum(SmoothPotential):
+    """F(x) = sum_i f_i(x) over n >= 1 finite data rows D_i, with one minibatch
+    rule: "full" gives the exact gradient, and b >= 1 the unbiased estimate
+    n * mean_k grad f_{I_k}(x) over the b indices of one rng.integers(n, size=b),
+    drawn uniformly with replacement.  A subclass states its per-datum terms:
+    that estimate for given indices, _minibatch_gradient(x, idx, b), and the
+    single-index estimate norms n ||grad f_i(x)||, _datum_grad_norms(x).
     """
 
     def __init__(self, data):
         data = np.atleast_2d(np.asarray(data, dtype=float))
         if data.shape[0] < 1:
-            raise ValueError("quadratic sum needs at least one data point")
+            raise ValueError(f"{type(self).__name__} needs at least one data point")
         if not np.isfinite(data).all():
-            raise ValueError("QuadraticSum data must be finite")
+            raise ValueError(f"{type(self).__name__} data must be finite")
         self.data = data
         self.n = data.shape[0]
-        self.point_shape = (data.shape[1],)
-        self.L = float(self.n)
-        self.lambda_f = float(self.n)
-        self._data_sum = data.sum(axis=0)
-        self._data_sqnorm = float(np.sum(data * data))
+
+    def stochastic_gradient(self, x, rng, minibatch=1):
+        if minibatch == "full":
+            return self.full_gradient(x)
+        b = int(minibatch)
+        if b < 1:
+            raise ValueError("minibatch size must be >= 1 or 'full'")
+        return self._minibatch_gradient(x, rng.integers(self.n, size=b), b)
+
+    def grad_norm_variance(self, x, minibatch=1):
+        """Var_i ||n grad f_i(x)|| / b, i uniform; 0 for the full gradient."""
+        if minibatch == "full":
+            return 0.0
+        norms = self._datum_grad_norms(np.asarray(x, dtype=float))
+        return float(np.mean(norms**2) - np.mean(norms) ** 2) / int(minibatch)
+
+
+class QuadraticSum(FiniteSum):
+    """F(x) = sum_i ||x - D_i||^2 / 2 over data points D_i.
+
+    Smoothness and strong convexity are both n (the Hessian is n * I).
+    The single-index estimator is n * (x - D_I); its norm variance is
+    x-dependent, so report-time bounds use :meth:`grad_norm_variance`
+    evaluated along the visited iterates.
+    """
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.point_shape = (self.data.shape[1],)
+        self.L = self.lambda_f = float(self.n)
+        self._data_sum = self.data.sum(axis=0)
+        self._data_sqnorm = float(np.sum(self.data * self.data))
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -578,59 +583,33 @@ class QuadraticSum(SmoothPotential):
     def full_gradient(self, x):
         return self.n * np.asarray(x, dtype=float) - self._data_sum
 
-    def stochastic_gradient(self, x, rng, minibatch=1):
-        if minibatch == "full":
-            return self.full_gradient(x)
-        b = int(minibatch)
-        if b < 1:
-            raise ValueError("minibatch size must be >= 1 or 'full'")
-        idx = rng.integers(self.n, size=b)
+    def _minibatch_gradient(self, x, idx, b):
         # sum / b is bitwise np.mean, without its per-call overhead
         return self.n * (np.asarray(x, dtype=float) - self.data[idx].sum(axis=0) / b)
 
-    def grad_norm_variance(self, x, minibatch=1):
-        if minibatch == "full":
-            return 0.0
-        x = np.asarray(x, dtype=float)
-        norms = self.n * np.linalg.norm(x - self.data, axis=1)
-        v = float(np.mean(norms**2) - np.mean(norms) ** 2)
-        return v / int(minibatch)
+    def _datum_grad_norms(self, x):
+        return self.n * np.linalg.norm(x - self.data, axis=1)
 
 
-class PrecisionLikelihood(SmoothPotential):
+class PrecisionLikelihood(FiniteSum):
     """Gaussian likelihood in the precision matrix: F(x) = sum_i tr(D_i D_i^T x) / 2.
 
     Linear in x, so L = lambda_f = 0 and the full gradient is the constant
     matrix (sum_i D_i D_i^T) / 2.  For d = 1 the state is a flat 1-vector.
     """
 
-    L = 0.0
-    lambda_f = 0.0
-
     def __init__(self, data, d: int):
-        data = np.atleast_2d(np.asarray(data, dtype=float))
-        if data.shape[0] < 1:
-            raise ValueError("precision likelihood needs at least one data point")
-        if data.shape[1] != d:
-            raise ValueError(f"data has dimension {data.shape[1]}, expected {d}")
-        if not np.isfinite(data).all():
-            raise ValueError("PrecisionLikelihood data must be finite")
-        self.data = data
+        super().__init__(data)
+        if self.data.shape[1] != d:
+            raise ValueError(f"data has dimension {self.data.shape[1]}, expected {d}")
         self.d = d
-        self.n = data.shape[0]
         self.point_shape = (1,) if d == 1 else (d, d)
-        scatter = data.T @ data
+        scatter = self.data.T @ self.data
         self.scatter = (scatter + scatter.T) / 2.0
-        if d == 1:
-            self._grad = np.array([self.scatter[0, 0] / 2.0])
-            self._sq = data[:, 0] ** 2  # the minibatch gradient sums its entries
-        else:
-            self._grad = self.scatter / 2.0
+        self._grad = (self.scatter / 2.0).reshape(self.point_shape)
+        self._sq = self.data[:, 0] ** 2  # the d = 1 minibatch gradient sums its entries
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.d == 1:
-            return float(self.scatter[0, 0] * x[0] / 2.0)
         return float(np.vdot(self.scatter, x) / 2.0)
 
     def full_gradient(self, x):
@@ -638,13 +617,7 @@ class PrecisionLikelihood(SmoothPotential):
         out[...] = self._grad
         return out
 
-    def stochastic_gradient(self, x, rng, minibatch=1):
-        if minibatch == "full":
-            return self.full_gradient(x)
-        b = int(minibatch)
-        if b < 1:
-            raise ValueError("minibatch size must be >= 1 or 'full'")
-        idx = rng.integers(self.n, size=b)
+    def _minibatch_gradient(self, x, idx, b):
         if self.d == 1:
             # add.reduce / b: bitwise .sum() / b and np.mean of the 1-d gather
             return np.array([self.n * (np.add.reduce(self._sq[idx]) / b) / 2.0])
@@ -652,14 +625,10 @@ class PrecisionLikelihood(SmoothPotential):
         est = (rows.T @ rows) / b * self.n / 2.0
         return (est + est.T) / 2.0
 
-    def grad_norm_variance(self, x, minibatch=1):
-        if minibatch == "full":
-            return 0.0
+    def _datum_grad_norms(self, x):
         # ||D D^T||_F = ||D||^2, so the norm of a single-index estimate is
         # n ||D_I||^2 / 2 regardless of x.
-        norms = self.n * np.sum(self.data**2, axis=1) / 2.0
-        v = float(np.mean(norms**2) - np.mean(norms) ** 2)
-        return v / int(minibatch)
+        return self.n * np.sum(self.data**2, axis=1) / 2.0
 
 
 # ---------------------------------------------------------------------------

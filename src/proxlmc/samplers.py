@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import EntryAbsolute, LipschitzProxTerm
-from .space import RngStream, _integer, check_point, gaussian
+from .space import RngStream, _finite_number, _integer, check_point, gaussian
 
 SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
 _TILE_BYTES = 1 << 18  # pre-drawn noise per tile of chains, which fits in the L2 cache
@@ -48,12 +48,6 @@ class ChainDivergence(RuntimeError):
         self.chain = chain
         where = "" if chain is None else f" in chain {chain}"
         super().__init__(f"{sampler} produced a non-finite iterate at step {step}{where}")
-
-
-def _finite_number(v) -> bool:
-    """True for a finite Python or numpy int or float; a bool is not one."""
-    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-    return real and math.isfinite(v)
 
 
 @dataclass
@@ -74,8 +68,8 @@ class SamplerConfig:
             raise ValueError(f"gamma must be a finite number > 0, got {self.gamma!r}")
         if not (self.myula_lambda is None or _finite_number(self.myula_lambda)):
             raise ValueError(f"myula_lambda must be a finite number, got {self.myula_lambda!r}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
+        if not 1 <= self.num_steps < 2**63:  # numpy's index limit
+            raise ValueError(f"num_steps must be >= 1 and < 2**63, got {self.num_steps}")
         if self.burn_in < 0 or self.burn_in >= self.num_steps:
             raise ValueError(
                 f"burn_in must satisfy 0 <= burn_in < num_steps, got {self.burn_in}"
@@ -85,6 +79,8 @@ class SamplerConfig:
             raise ValueError(f"minibatch must be 'full' or an int >= 1, got {mb!r}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if not isinstance(self.record_duals, (bool, np.bool_)):
+            raise ValueError(f"record_duals must be a bool, got {self.record_duals!r}")
 
 
 @dataclass
@@ -115,6 +111,8 @@ def step_size_warning(smooth, gamma: float) -> bool:
 
 def _step_list(steps, what, lo, num_steps) -> list:
     """steps as a sorted list of distinct ints in [lo, num_steps], or a ValueError naming what."""
+    if not np.iterable(steps):
+        raise ValueError(f"{what}s must be a list of step indices, got {steps!r}")
     out = sorted(_integer(s, what) for s in steps)
     if out and not lo <= out[0] <= out[-1] <= num_steps:
         raise ValueError(f"{what}s must lie in [{lo}, num_steps = {num_steps}], got {out}")

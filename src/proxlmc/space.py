@@ -15,6 +15,8 @@ Building a stream reads no OS entropy.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -26,6 +28,13 @@ def _integer(v, what) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {v!r}")
     return int(v)
+
+
+def _finite_number(v) -> bool:
+    """True for a Python or numpy int or float that a float holds finitely; a bool is not one."""
+    if isinstance(v, (float, np.floating, np.integer)):
+        return bool(np.isfinite(v))
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 class _PhiloxKey(ISeedSequence):

@@ -25,6 +25,7 @@ from proxlmc.cli import (
     ConfigError,
     _build,
     _resolve_out_dir,
+    _write_histogram_csv,
     load_config,
     main,
     resolve_config,
@@ -612,6 +613,47 @@ def test_a_subnormal_trunc_gauss_gamma_is_a_config_error(tmp_path, capsys):
     assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: gamma = 1e-320") and "set num_steps" in err
+
+
+_HUGE = 10**400  # an int no float holds
+
+
+@pytest.mark.parametrize("body, keys", [
+    ({"experiment": "trunc-gauss", "gamma": _HUGE}, ["gamma must be a finite number"]),
+    ({"experiment": "wishart-precision", "nu": _HUGE}, ["nu must be a finite number"]),
+    ({"experiment": "trunc-gauss", "x0": _HUGE}, ["x0 must be a finite number"]),
+    ({"experiment": "wishart-precision", "d": _HUGE}, ["d must be a finite number"]),
+    ({"experiment": "trunc-gauss", "num_steps": _HUGE}, ["num_steps must be >= 1 and < 2**63"]),
+    ({"experiment": "trunc-gauss", "num_steps": 2**63}, ["num_steps must be >= 1 and < 2**63"]),
+    ({"experiment": "trunc-gauss", "gamma": 1e-300}, ["gamma = 1e-300", "num_steps"]),
+], ids=["gamma", "nu", "x0", "d", "num_steps", "num_steps-2**63", "default-num_steps"])
+@pytest.mark.parametrize("command", ["sample", "experiment"])
+def test_oversized_numbers_are_config_errors(tmp_path, capsys, body, keys, command):
+    """These raised OverflowError (exit 1) or failed with "Maximum allowed
+    dimension exceeded" after making the output directory."""
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and all(key in err for key in keys)
+    assert not out.exists()
+
+
+def test_num_steps_just_below_2_63_passes_the_check():
+    """Only constructed: a run this long cannot be allocated."""
+    assert SamplerConfig(0.1, 2**63 - 1).num_steps == 2**63 - 1
+    assert resolve_config({"experiment": "trunc-gauss", "gamma": 10 / 2**62}).num_steps == 2**62
+
+
+@pytest.mark.parametrize("x", [1e5 + 0.371621876, 0.5])
+def test_histogram_of_a_constant_trace_has_60_bins_of_positive_width(tmp_path, x):
+    """hi = lo + 1e-12 was below one ulp of 1e5, so every bin had zero width."""
+    path = tmp_path / "histogram.csv"
+    _write_histogram_csv(path, np.full(3, x))
+    rows = read_rows(path)[1:]
+    edges = [float(r[0]) for r in rows] + [float(rows[-1][1])]
+    assert len(rows) == 60 and all(a < b for a, b in zip(edges, edges[1:]))
+    assert [float(r[0]) for r in rows[1:]] == [float(r[1]) for r in rows[:-1]]
+    assert sum(int(r[2]) for r in rows) == 3
 
 
 def test_divergence_exits_1(tmp_path, capsys):

@@ -23,7 +23,6 @@ from proxlmc import (
     SamplerConfig,
     Spectral,
     WishartExperimentSpec,
-    ZeroPotential,
     ZeroSmooth,
     absolute_entries_term,
     assemble_experiment,
@@ -335,7 +334,7 @@ def catalog():
     lo = np.array([-1.0, -0.5, 0.0])
     hi = np.array([1.0, 0.5, 2.0])
     return [
-        (ZeroPotential(), 3),
+        (BoxIndicator(-np.inf, np.inf), 3),
         (BoxIndicator(lo, hi), 3),
         (AbsoluteValue(0.7), 3),
         (LogBarrier(1.3, 0.5), 3),
@@ -424,9 +423,24 @@ def test_box_conjugate_is_the_support_function():
 
 
 def test_zero_potential_conjugate():
-    g = ZeroPotential()
+    g = BoxIndicator(-np.inf, np.inf)
     assert g.conjugate(np.zeros(3)) == 0.0
     assert g.conjugate(np.array([0.0, 1e-8, 0.0])) == np.inf
+
+
+def test_unbounded_box_is_g_zero():
+    """BoxIndicator(-inf, inf) is G = 0 on points of any shape: its prox returns
+    x bit for bit, -0.0 and NaN included, and a NaN point is outside its domain."""
+    g = BoxIndicator(-np.inf, np.inf)
+    assert g.is_indicator and g.point_shape is None
+    for x in (np.array([-0.0, np.nan, -np.inf, 5e-324, 1.5]),
+              np.array([[-0.0, np.nan], [np.nan, 2.0]])):
+        assert g.prox(0.3, x).tobytes() == x.tobytes()
+        assert g.prox_batch(0.3, x[None]).tobytes() == x.tobytes()
+    assert g.domain_mask(np.array([[0.0, -1e308], [np.nan, 1.0]])).tolist() == [True, False]
+    assert not g.in_domain(np.array([[np.nan]]))
+    assert g.evaluate(np.array([np.nan, 0.0])) == np.inf
+    assert g.evaluate(np.full((2, 2), -1e300)) == 0.0
 
 
 def test_absolute_value_conjugate_is_the_ball_indicator():
@@ -453,7 +467,8 @@ def test_fenchel_young_equality_at_prox_pairs():
     rng = RngStream(13, 0)
     lo = np.array([-1.0, 0.0])
     hi = np.array([1.0, 2.0])
-    for g in (BoxIndicator(lo, hi), AbsoluteValue(0.7), ZeroPotential(), LogBarrier(0.0, 0.5)):
+    free = BoxIndicator(-np.inf, np.inf)
+    for g in (BoxIndicator(lo, hi), AbsoluteValue(0.7), free, LogBarrier(0.0, 0.5)):
         for _ in range(50):
             x = 3.0 * rng.standard_normal(2)
             gamma = float(10.0 ** (-1 + 2 * rng.uniform()))
@@ -857,7 +872,7 @@ def test_lipschitz_term_construction_and_moments():
 
 
 def test_single_component_term_consumes_no_randomness():
-    term = LipschitzProxTerm([ZeroPotential()])
+    term = LipschitzProxTerm([BoxIndicator(-np.inf, np.inf)])
     rng = RngStream(15, 0)
     x = np.array([1.0, 2.0])
     p = term.prox_sample(0.5, x, rng)
@@ -1005,6 +1020,32 @@ def test_precision_likelihood_validates_dimensions():
 def test_smooth_terms_reject_non_finite_data(build, name):
     with pytest.raises(ValueError, match=f"^{name} data must be finite"):
         build()
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda data: QuadraticSum(data), "QuadraticSum"),
+    (lambda data: PrecisionLikelihood(data, 2), "PrecisionLikelihood"),
+], ids=["quadratic-sum", "precision-likelihood"])
+def test_finite_sums_need_a_data_point(build, name):
+    with pytest.raises(ValueError, match=f"^{name} needs at least one data point$"):
+        build(np.zeros((0, 2)))
+
+
+@given(
+    arrays(np.float64, st.integers(1, 6), elements=st.floats(-1e100, 1e100)),  # finite scatter
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+def test_scalar_precision_likelihood_keeps_its_closed_forms(data, x):
+    """At d = 1 the matrix formulas give the old closed forms scatter[0, 0] * x[0] / 2
+    and [scatter[0, 0] / 2] bit for bit, but for the sign of a zero value: vdot's
+    sum turns a zero product of either sign into +0.0."""
+    f = PrecisionLikelihood(data[:, None], 1)
+    s = f.scatter[0, 0]
+    with np.errstate(all="ignore"):  # the closed form warns where it overflows
+        closed = s * np.float64(x) / 2.0
+    value = f.evaluate(np.array([x]))
+    assert np.float64(value).tobytes() == closed.tobytes() or value == closed == 0.0
+    assert f.full_gradient(np.array([x])).tobytes() == np.array([s / 2.0]).tobytes()
 
 
 def test_minibatch_gradients_equal_the_mean_formula():

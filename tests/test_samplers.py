@@ -17,7 +17,6 @@ from proxlmc import (
     RngStream,
     SamplerConfig,
     Spectral,
-    ZeroPotential,
     ZeroSmooth,
     absolute_entries_term,
     gaussian,
@@ -163,8 +162,8 @@ def test_reduction_chains_are_bitwise(box_quadratic):
     cfg = SamplerConfig(gamma=0.1, num_steps=200, seed=5)
     x0 = np.array([0.2, -0.3])
 
-    ula = run_chain("ula", smooth, ZeroPotential(), cfg, x0)
-    psgla_free = run_chain("psgla", smooth, ZeroPotential(), cfg, x0)
+    ula = run_chain("ula", smooth, BoxIndicator(-np.inf, np.inf), cfg, x0)
+    psgla_free = run_chain("psgla", smooth, BoxIndicator(-np.inf, np.inf), cfg, x0)
     assert all(np.array_equal(a, b) for a, b in zip(ula.primal, psgla_free.primal))
 
     psgla = run_chain("psgla", smooth, box, cfg, x0)
@@ -175,9 +174,21 @@ def test_reduction_chains_are_bitwise(box_quadratic):
     assert all(np.array_equal(a, b) for a, b in zip(psgla.primal, spla_plain.primal))
 
     # one zero component: same prox path, still no extra randomness consumed
-    zero_term = LipschitzProxTerm([ZeroPotential()])
+    zero_term = LipschitzProxTerm([BoxIndicator(-np.inf, np.inf)])
     spla_zero = run_chain("spla", smooth, box, cfg, x0, lipschitz_term=zero_term)
     assert all(np.array_equal(a, b) for a, b in zip(psgla.primal, spla_zero.primal))
+
+
+def test_psgla_with_the_unbounded_box_is_ula_on_symmetric_matrices():
+    """The reduction psgla(G = 0) == ula holds bit for bit on 3 x 3 symmetric
+    matrices too, here with a minibatch gradient."""
+    f = PrecisionLikelihood(RngStream(31, 0).standard_normal((6, 3)), 3)
+    g = BoxIndicator(-np.inf, np.inf)
+    cfg = SamplerConfig(0.05, 200, seed=8, minibatch=2)
+    ula = run_chain("ula", f, g, cfg, np.eye(3))
+    psgla = run_chain("psgla", f, g, cfg, np.eye(3))
+    assert ula.primal.shape == (200, 3, 3) and np.ptp(ula.primal[:, 0, 1]) > 0
+    assert ula.primal.tobytes() == psgla.primal.tobytes()
 
 
 def test_projected_requires_indicator(box_quadratic):
@@ -306,7 +317,9 @@ _MISMATCHES = {  # (F, G, x0, the shape the mismatched term acts on)
     "log-barrier-3-on-sym-2": (
         ZeroSmooth(), Spectral(LogBarrier(2.0, 0.5), 3), np.eye(2), (3, 3)
     ),
-    "3d-data-on-flat-2": (QuadraticSum(np.zeros((4, 3))), ZeroPotential(), np.zeros(2), (3,)),
+    "3d-data-on-flat-2": (
+        QuadraticSum(np.zeros((4, 3))), BoxIndicator(-np.inf, np.inf), np.zeros(2), (3,)
+    ),
     "precision-3-on-sym-2": (
         PrecisionLikelihood(np.ones((4, 3)), 3), PsdIndicator(2), np.eye(2), (3, 3)
     ),
@@ -372,7 +385,7 @@ def test_divergence_aborts_with_step_index():
     cfg = SamplerConfig(gamma=10.0, num_steps=1000, seed=10)
     with pytest.warns(RuntimeWarning):
         with pytest.raises(ChainDivergence) as err:
-            run_chain("ula", f, ZeroPotential(), cfg, np.array([1.0]))
+            run_chain("ula", f, BoxIndicator(-np.inf, np.inf), cfg, np.array([1.0]))
     assert err.value.sampler == "ula"
     assert 0 < err.value.step <= 1000
     assert str(err.value.step) in str(err.value)
@@ -388,10 +401,10 @@ def test_ensemble_divergence_names_the_earliest_chain():
     with pytest.warns(RuntimeWarning):
         for c in range(6):
             with pytest.raises(ChainDivergence) as err:
-                run_chain("ula", f, ZeroPotential(), cfg, np.zeros(1), stream_id=c)
+                run_chain("ula", f, BoxIndicator(-np.inf, np.inf), cfg, np.zeros(1), stream_id=c)
             firsts.append((err.value.step, c))
         with pytest.raises(ChainDivergence) as err:
-            run_ensemble("ula", f, ZeroPotential(), cfg, 6, [5000], np.zeros(1))
+            run_ensemble("ula", f, BoxIndicator(-np.inf, np.inf), cfg, 6, [5000], np.zeros(1))
     assert (err.value.step, err.value.chain) == min(firsts)
     assert f"chain {err.value.chain}" in str(err.value)
 
@@ -418,7 +431,7 @@ def test_a_non_finite_chain_of_an_ensemble_is_named(bad):
     chain, on flat and matrix stacks; on the matrix stack the G-prox meets
     it first, and its eigensolve fails on an off-diagonal entry."""
     cfg = SamplerConfig(0.01, 10, seed=3)
-    cases = [("ula", ZeroPotential(), np.zeros(2), (1,)),
+    cases = [("ula", BoxIndicator(-np.inf, np.inf), np.zeros(2), (1,)),
              ("psgla", Spectral(LogBarrier(2.0, 0.5), 3), np.eye(3), (0, 2)),
              ("psgla", Spectral(LogBarrier(2.0, 0.5), 3), np.eye(3), (1, 1))]
     for sampler, g, x0, at in cases:
@@ -437,9 +450,9 @@ def test_a_finite_chain_whose_sum_overflows_runs_on():
     as a divergence."""
     x0 = np.array([1e308, 1e308])
     cfg = SamplerConfig(0.01, 20, seed=4)
-    trace = run_chain("ula", ZeroSmooth(), ZeroPotential(), cfg, x0)
+    trace = run_chain("ula", ZeroSmooth(), BoxIndicator(-np.inf, np.inf), cfg, x0)
     assert len(trace.primal) == 20 and np.isfinite(trace.primal).all()
-    res = run_ensemble("ula", ZeroSmooth(), ZeroPotential(), cfg, 4, [20], x0)
+    res = run_ensemble("ula", ZeroSmooth(), BoxIndicator(-np.inf, np.inf), cfg, 4, [20], x0)
     assert np.isfinite(res.snapshot(20)).all()
 
 
@@ -810,7 +823,7 @@ def test_ula_ensemble_reaches_the_biased_stationary_variance():
     f = Quadratic(np.array([[1.0]]), np.zeros(1))
     gamma = 0.5
     cfg = SamplerConfig(gamma=gamma, num_steps=300, seed=18)
-    res = run_ensemble("ula", f, ZeroPotential(), cfg, 4000, [300], np.zeros(1))
+    res = run_ensemble("ula", f, BoxIndicator(-np.inf, np.inf), cfg, 4000, [300], np.zeros(1))
     v = res.snapshot(300)[:, 0].var()
     assert abs(v - 1.0 / (1.0 - gamma / 2.0)) < 0.08
 

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proxlmc import (
+    AbsoluteValue,
+    BoxIndicator,
     EigenFailure,
+    EntryAbsolute,
+    LogBarrier,
     RngStream,
+    SamplerConfig,
+    TruncGaussSpec,
+    WishartExperimentSpec,
+    ZeroSmooth,
     ambient_dim,
     check_point,
     gaussian,
     inner,
     norm,
+    run_chain,
+    run_ensemble,
     spectral_apply,
     sym_eigendecomposition,
 )
@@ -139,6 +150,44 @@ def test_stream_takes_numpy_integers_and_wraps_negative_seeds():
     assert (a.seed, a.stream_id) == (b.seed, b.stream_id)
     assert type(a.seed) is int and type(a.stream_id) is int
     assert np.array_equal(a.standard_normal(8), b.standard_normal(8))
+
+
+_FREE = (ZeroSmooth(), BoxIndicator(-np.inf, np.inf))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SamplerConfig(0.1, 10, record_duals="no"), "record_duals must be a bool"),
+    (lambda: SamplerConfig(10**400, 10), "gamma must be a finite number"),
+    (lambda: run_ensemble("ula", *_FREE, SamplerConfig(0.1, 10), 2, 10, np.zeros(1)),
+     "snapshot steps must be a list"),
+    (lambda: run_chain("ula", *_FREE, SamplerConfig(0.1, 10), np.zeros(1), mean_checkpoints=5),
+     "mean checkpoints must be a list"),
+    (lambda: LogBarrier(True, 0), "alpha must be a finite number >= 0, got True"),
+    (lambda: LogBarrier("1", 0), "alpha must be a finite number >= 0, got '1'"),
+    (lambda: LogBarrier(1, "0"), "beta must be a finite number, got '0'"),
+    (lambda: AbsoluteValue(True), "weight must be a finite number >= 0, got True"),
+    (lambda: EntryAbsolute("1", (0,)), "weight must be a finite number >= 0, got '1'"),
+    (lambda: WishartExperimentSpec("precision", "3", 5.0, np.ones((4, 3))),
+     "d must be an integer, got '3'"),
+    (lambda: WishartExperimentSpec("precision", 3, "5", np.ones((4, 3))), "got nu='5'"),
+    (lambda: TruncGaussSpec(mean="0"), "need finite mean, lo, hi"),
+], ids=["record_duals", "huge-gamma", "snapshot-steps", "mean-checkpoints", "alpha-bool",
+        "alpha-str", "beta-str", "abs-weight", "entry-weight", "wishart-d", "wishart-nu",
+        "trunc-mean"])
+def test_public_constructors_reject_wrong_types_with_value_error(build, message):
+    """These were accepted (record_duals "no", a bool or string weight taken as
+    float(w)) or raised TypeError or OverflowError."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_public_constructors_take_numpy_scalars():
+    assert SamplerConfig(np.float32(0.1), 10, record_duals=np.bool_(True)).record_duals
+    assert LogBarrier(np.int64(2), np.float32(0.5)).alpha == 2.0
+    assert AbsoluteValue(np.float64(0.5)).weight == 0.5
+    assert EntryAbsolute(np.int8(1), (0,)).weight == 1.0
+    WishartExperimentSpec("precision", np.int64(3), np.float64(5.0), np.ones((4, 3)))
+    TruncGaussSpec(mean=np.float64(0.5), lo=np.int64(-1))
 
 
 # ---------------------------------------------------------------------------
