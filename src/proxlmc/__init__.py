@@ -23,12 +23,10 @@ from .potentials import (
     AbsoluteValue,
     BoxIndicator,
     ConjugateUnavailable,
-    EntryAbsolute,
     LipschitzProxTerm,
     LogBarrier,
     NonsmoothPotential,
     PrecisionLikelihood,
-    PsdIndicator,
     Quadratic,
     QuadraticSum,
     SmoothPotential,

@@ -169,7 +169,7 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a decode error, or an integer over Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -322,6 +322,7 @@ def _resolve_out_dir(flag_value, cfg_out) -> str:
 
 def cmd_sample(cfg: RunConfig, out_dir: str) -> int:
     assembled, lipschitz, x0 = _build(cfg)
+    _require(cfg.num_chains == 1, "sample runs one chain; num_chains >= 2 needs experiment")
     os.makedirs(out_dir, exist_ok=True)  # only once the config is known to run
     t0 = time.perf_counter()
     trace = run_chain(cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg, x0, lipschitz)
@@ -452,8 +453,9 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--chains", type=int, default=None, help="override num_chains")
         p.add_argument("--seed", type=int, default=None, help="override the sampler seed")
+        if name == "experiment":
+            p.add_argument("--chains", type=int, default=None, help="override num_chains")
 
     v = sub.add_parser("verify", help="run invariant suites")
     v.add_argument("--suite", default="all",
@@ -467,8 +469,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.suite, args.trials)
-        raw = load_config(args.config)
-        cfg = resolve_config(raw, seed_override=args.seed, chains_override=args.chains)
+        # sample has no --chains: it runs one chain
+        cfg = resolve_config(load_config(args.config), args.seed, getattr(args, "chains", None))
         out_dir = _resolve_out_dir(args.out, cfg.out)
         if args.command == "sample":
             return cmd_sample(cfg, out_dir)

@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import dual_from_primal
 from .space import RngStream, _integer, check_point, gaussian, inner
 
 _SLICED_DEFAULT_SEED = 20461

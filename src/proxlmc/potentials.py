@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .space import _finite_number, frobenius, norm, spectral_apply, sym_eigendecomposition
+from .space import _finite_number, _integer, frobenius, norm, spectral_apply, sym_eigendecomposition
 
 _PSD_TOL = 1e-10
 # Shift of the Cholesky domain certificate, relative to ||x||_F (Spectral.domain_mask)
@@ -288,8 +288,8 @@ class Spectral(NonsmoothPotential):
     does, without trying the certificate, a block whose preceding matrix
     is outside the domain.  A matrix with a non-finite entry is outside it
     too.  A closed domain (alpha = 0) admits a minimum eigenvalue down to
-    -1e-10 max(1, max |lambda|); a subclass may scale that tolerance by
-    another norm of x.
+    -1e-10 max(1, max |lambda|).  The PSD-cone indicator is the lift of
+    LogBarrier(0, 0).
     """
 
     def __init__(self, scalar: LogBarrier, d: int):
@@ -297,22 +297,18 @@ class Spectral(NonsmoothPotential):
         self.is_indicator = scalar.is_indicator
         self.point_shape = (d, d)
 
-    def _tol(self, x, w):
-        """Domain tolerance of a matrix, or of each matrix of a stack, x with
-        ascending eigenvalues w."""
-        return _PSD_TOL * np.fmax(1.0, np.abs(w).max(axis=-1))
-
-    def _feasible(self, x, w):
+    def _feasible(self, w):
+        """Domain flag of each spectrum of ascending eigenvalues w."""
         if self.scalar.alpha > 0:
             return w[..., 0] > 0
-        return w[..., 0] >= -self._tol(x, w)
+        return w[..., 0] >= -_PSD_TOL * np.fmax(1.0, np.abs(w).max(axis=-1))
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             return np.inf  # outside the domain, as domain_mask says
         w = sym_eigendecomposition(x).eigenvalues
-        return self.scalar.evaluate(np.maximum(w, 0.0)) if self._feasible(x, w) else np.inf
+        return self.scalar.evaluate(np.maximum(w, 0.0)) if self._feasible(w) else np.inf
 
     def prox(self, gamma, x):
         return spectral_apply(lambda w: self.scalar.prox(gamma, w), x)
@@ -337,7 +333,7 @@ class Spectral(NonsmoothPotential):
                     block = block.copy()
                     block[~finite] = 0.0
                 w = sym_eigendecomposition(block).eigenvalues
-                out[i : i + _DOMAIN_BLOCK] = finite & self._feasible(block, w)
+                out[i : i + _DOMAIN_BLOCK] = finite & self._feasible(w)
         return out
 
     def subgradient_min(self, x):
@@ -348,67 +344,33 @@ class Spectral(NonsmoothPotential):
         return self.scalar.conjugate(sym_eigendecomposition(_finite(y, "conjugate")).eigenvalues)
 
 
-class PsdIndicator(Spectral):
-    """Indicator of the positive semidefinite cone, the lift of LogBarrier(0, 0).
-    Its domain tolerance scales with ||x||_F."""
-
-    def __init__(self, d: int):
-        super().__init__(LogBarrier(0.0, 0.0), d)
-
-    def _tol(self, x, w):
-        return _PSD_TOL * np.fmax(1.0, frobenius(x))
-
-
 class AbsoluteValue(NonsmoothPotential):
-    """Weighted l1 term w * sum_i |x_i|; prox is the soft threshold."""
+    """Weighted l1 term w * sum_i |x_i| over the entries index selects: every
+    entry for None, a flat coordinate for (j,), a diagonal entry of a
+    symmetric matrix for (j, j).  The prox soft-thresholds them, so it keeps
+    a matrix symmetric."""
 
-    def __init__(self, weight: float = 1.0):
+    def __init__(self, weight: float = 1.0, index=None):
         self.weight = _weight(weight)
-
-    def evaluate(self, x):
-        return float(self.weight * np.sum(np.abs(np.asarray(x, dtype=float))))
-
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        x = np.asarray(x, dtype=float)
-        t = gamma * self.weight
-        return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-    prox_batch = prox
-
-    def subgradient_min(self, x):
-        return self.weight * np.sign(np.asarray(x, dtype=float))
-
-    def conjugate(self, y):
-        """Indicator of the l-infinity ball of radius w."""
-        y = np.asarray(y, dtype=float)
-        return 0.0 if np.max(np.abs(y), initial=0.0) <= self.weight + 1e-12 else np.inf
-
-
-class EntryAbsolute(NonsmoothPotential):
-    """w * |x[index]| for one entry of a point; the prox soft-thresholds it.
-
-    index is a tuple: (j,) names a flat coordinate, (j, j) a diagonal entry
-    of a symmetric matrix, which the prox keeps symmetric.
-    """
-
-    def __init__(self, weight: float, index):
-        self.weight = _weight(weight)
-        self.index = tuple(int(j) for j in index)
+        if index is not None:
+            js = [_integer(j, "entry index") for j in index] if isinstance(index, tuple) else []
+            if not (len(js) in (1, 2) and js[0] >= 0 and len(set(js)) == 1):
+                raise ValueError(f"entry index must be None, (j,) or (j, j), j >= 0: {index!r}")
+            index = tuple(js)
+        self.index = index
+        self._at = (...,) if index is None else (..., *index)  # of a point or each of a stack
 
     def fits(self, shape) -> bool:
-        """True when index names an entry of points of this shape."""
-        return len(self.index) == len(shape) and all(
-            0 <= j < n for j, n in zip(self.index, shape)
-        )
+        """True when index names entries of points of this shape, (d,) or (d, d)."""
+        return self.index is None or (len(self.index) == len(shape) and self.index[0] < shape[0])
 
     def evaluate(self, x):
-        return float(self.weight * abs(np.asarray(x, dtype=float)[self.index]))
+        return float(self.weight * np.sum(np.abs(np.asarray(x, dtype=float)[self._at])))
 
     def prox(self, gamma, x):
         _check_gamma(gamma)
-        out = np.asarray(x, dtype=float).copy()
-        at = (..., *self.index)  # the entry of a point or of each point of a stack
+        out = np.array(x, dtype=float)
+        at = self._at
         out[at] = np.sign(out[at]) * np.maximum(np.abs(out[at]) - gamma * self.weight, 0.0)
         return out
 
@@ -417,9 +379,16 @@ class EntryAbsolute(NonsmoothPotential):
     def subgradient_min(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        at = (..., *self.index)
-        out[at] = self.weight * np.sign(x[at])
+        out[self._at] = self.weight * np.sign(x[self._at])
         return out
+
+    def conjugate(self, y):
+        """Indicator of |y| <= w on the selected entries and y = 0 off them:
+        for index None, the l-infinity ball of radius w."""
+        y = np.array(y, dtype=float)
+        inside = np.max(np.abs(y[self._at]), initial=0.0) <= self.weight + 1e-12
+        y[self._at] = 0.0
+        return 0.0 if inside and not y.any() else np.inf
 
 
 class LipschitzProxTerm:
@@ -442,7 +411,7 @@ class LipschitzProxTerm:
 def absolute_entries_term(weight: float, shape) -> LipschitzProxTerm:
     """R(x) = (w/d) sum_j |x[j, ..., j]|, d = shape[0], on points of this shape:
     the coordinates of a vector, the diagonal of a matrix."""
-    return LipschitzProxTerm([EntryAbsolute(weight, (j,) * len(shape)) for j in range(shape[0])])
+    return LipschitzProxTerm([AbsoluteValue(weight, (j,) * len(shape)) for j in range(shape[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +499,8 @@ class FiniteSum(SmoothPotential):
     n * mean_k grad f_{I_k}(x) over the b indices of one rng.integers(n, size=b),
     drawn uniformly with replacement.  A subclass states its per-datum terms:
     that estimate for given indices, _minibatch_gradient(x, idx, b), and the
-    single-index estimate norms n ||grad f_i(x)||, _datum_grad_norms(x).
+    single-index estimate norms n ||grad f_i(x)||, _datum_grad_norms(x); and
+    its precomputed sums of the data, _sums(), which must be finite.
     """
 
     def __init__(self, data):
@@ -541,6 +511,11 @@ class FiniteSum(SmoothPotential):
             raise ValueError(f"{type(self).__name__} data must be finite")
         self.data = data
         self.n = data.shape[0]
+        with np.errstate(over="ignore"):  # finite data can still overflow a sum of it
+            sums = self._sums()
+        if not all(np.isfinite(v).all() for v in sums.values()):
+            raise ValueError(f"{type(self).__name__} data overflow: a sum of it is not finite")
+        vars(self).update(sums)
 
     def stochastic_gradient(self, x, rng, minibatch=1):
         if minibatch == "full":
@@ -571,8 +546,10 @@ class QuadraticSum(FiniteSum):
         super().__init__(data)
         self.point_shape = (self.data.shape[1],)
         self.L = self.lambda_f = float(self.n)
-        self._data_sum = self.data.sum(axis=0)
-        self._data_sqnorm = float(np.sum(self.data * self.data))
+
+    def _sums(self):
+        return {"_data_sum": self.data.sum(axis=0),
+                "_data_sqnorm": float(np.sum(self.data * self.data))}
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -604,10 +581,12 @@ class PrecisionLikelihood(FiniteSum):
             raise ValueError(f"data has dimension {self.data.shape[1]}, expected {d}")
         self.d = d
         self.point_shape = (1,) if d == 1 else (d, d)
-        scatter = self.data.T @ self.data
-        self.scatter = (scatter + scatter.T) / 2.0
         self._grad = (self.scatter / 2.0).reshape(self.point_shape)
         self._sq = self.data[:, 0] ** 2  # the d = 1 minibatch gradient sums its entries
+
+    def _sums(self):
+        scatter = self.data.T @ self.data
+        return {"scatter": (scatter + scatter.T) / 2.0}
 
     def evaluate(self, x):
         return float(np.vdot(self.scatter, x) / 2.0)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import EntryAbsolute, LipschitzProxTerm
+from .potentials import AbsoluteValue, LipschitzProxTerm
 from .space import RngStream, _finite_number, _integer, check_point, gaussian
 
 SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
@@ -144,7 +144,7 @@ def check_run(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
                 f"{type(term).__name__} acts on points of shape {term.point_shape}, "
                 f"but x0 has shape {x.shape}"
             )
-        if isinstance(term, EntryAbsolute) and not term.fits(x.shape):
+        if isinstance(term, AbsoluteValue) and not term.fits(x.shape):
             raise ValueError(
                 f"{type(term).__name__} index {term.index} does not fit x0 of shape {x.shape}"
             )

@@ -18,7 +18,6 @@ from .potentials import (
     AbsoluteValue,
     BoxIndicator,
     LogBarrier,
-    PsdIndicator,
     Quadratic,
     Spectral,
     dual_from_primal,
@@ -87,7 +86,7 @@ def _moreau_catalog():
         ("box", BoxIndicator(lo, hi), (4,)),
         ("l1", AbsoluteValue(0.7), (4,)),
         ("log-barrier", LogBarrier(1.3, 0.5), (3,)),
-        ("psd", PsdIndicator(4), (4, 4)),
+        ("psd", Spectral(LogBarrier(0.0, 0.0), 4), (4, 4)),
         ("spectral-log-barrier", Spectral(LogBarrier(0.8, 0.5), 4), (4, 4)),
     ]
 

@@ -638,6 +638,44 @@ def test_oversized_numbers_are_config_errors(tmp_path, capsys, body, keys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "experiment"])
+def test_an_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys, command):
+    """json.load raises a plain ValueError on an integer of more than 4300
+    digits, which exited 1 as a runtime error."""
+    path = tmp_path / "config.json"
+    path.write_text('{"experiment": "trunc-gauss", "seed": ' + "1" * 5000 + "}")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {path} ") and "4300 digits" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "experiment"])
+def test_a_mean_whose_square_overflows_is_a_config_error(tmp_path, capsys, command):
+    """The trunc-gauss data point 1e300 overflowed QuadraticSum's square norm
+    with a warning, and the run went on to exit 0."""
+    body = {"experiment": "trunc-gauss", "mean": 1e300, "lo": 1e300, "hi": 1.0000001e300}
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: QuadraticSum data overflow")
+    assert not out.exists()
+
+
+def test_sample_runs_one_chain(tmp_path, capsys):
+    """sample took --chains and a config num_chains, ran one chain anyway and
+    recorded the ignored count in its manifest."""
+    cfg = write_config(tmp_path, {"experiment": "trunc-gauss", "num_steps": 10})
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sample", "--config", cfg, "--out", str(out), "--chains", "64"])
+    assert exit_info.value.code == 2 and "--chains" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"experiment": "trunc-gauss", "num_steps": 10, "num_chains": 64})
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: sample runs one chain")
+    assert not out.exists()
+
+
 def test_num_steps_just_below_2_63_passes_the_check():
     """Only constructed: a run this long cannot be allocated."""
     assert SamplerConfig(0.1, 2**63 - 1).num_steps == 2**63 - 1

@@ -12,11 +12,9 @@ from proxlmc import (
     AbsoluteValue,
     BoxIndicator,
     ConjugateUnavailable,
-    EntryAbsolute,
     LipschitzProxTerm,
     LogBarrier,
     PrecisionLikelihood,
-    PsdIndicator,
     Quadratic,
     QuadraticSum,
     RngStream,
@@ -72,8 +70,8 @@ def test_prox_box_values():
     lambda: AbsoluteValue(-1.0),
     lambda: AbsoluteValue(np.nan),
     lambda: AbsoluteValue(np.inf),
-    lambda: EntryAbsolute(-1.0, (0,)),
-    lambda: EntryAbsolute(np.nan, (0, 0)),
+    lambda: AbsoluteValue(-1.0, (0,)),
+    lambda: AbsoluteValue(np.nan, (0, 0)),
     lambda: absolute_entries_term(-1.0, (3,)),
     lambda: absolute_entries_term(np.inf, (2, 2)),
 ], ids=["box-lo-above-hi", "box-nan-lo", "box-nan-hi", "barrier-negative-alpha",
@@ -88,14 +86,14 @@ def test_constructors_reject_bad_parameters(build):
 def test_prox_psd_clips_negative_eigenvalues():
     q, _ = np.linalg.qr(RngStream(2, 0).standard_normal((3, 3)))
     m = (q * np.array([-1.0, 0.5, 2.0])) @ q.T
-    p = PsdIndicator(3).prox(1.0, (m + m.T) / 2.0)
+    p = Spectral(LogBarrier(0.0, 0.0), 3).prox(1.0, (m + m.T) / 2.0)
     assert np.array_equal(p, p.T)
     w = np.linalg.eigvalsh(p)
     assert w.min() >= -1e-12
     assert np.allclose(np.sort(w), [0.0, 0.5, 2.0], atol=1e-10)
 
     spd = np.array([[2.0, 0.3], [0.3, 1.0]])
-    assert np.allclose(PsdIndicator(2).prox(3.0, spd), spd, atol=1e-12)
+    assert np.allclose(Spectral(LogBarrier(0.0, 0.0), 2).prox(3.0, spd), spd, atol=1e-12)
 
 
 def test_prox_logbarrier_scalar_optimality():
@@ -280,12 +278,12 @@ def test_spectral_proxes_match_per_eigenvalue_reference_bitwise(d, seed):
     assert np.signbit(sym_eigendecomposition(cases[-1]).eigenvalues[0])
     # each spectral lift against its scalar LogBarrier applied per eigenvalue
     lifts = [
-        (PsdIndicator(d), LogBarrier(0.0, 0.0)),
+        (Spectral(LogBarrier(0.0, 0.0), d), LogBarrier(0.0, 0.0)),
         (Spectral(LogBarrier(alpha, beta), d), LogBarrier(alpha, beta)),
         (Spectral(LogBarrier(0.0, beta), d), LogBarrier(0.0, beta)),
     ]
     for m in cases:
-        psd = PsdIndicator(d).prox(gamma, m)
+        psd = Spectral(LogBarrier(0.0, 0.0), d).prox(gamma, m)
         _assert_bitwise(psd, _per_eigenvalue_reference(lambda t: max(t, 0.0), m))
         w = sym_eigendecomposition(m).eigenvalues
         for g, f in lifts:
@@ -307,7 +305,7 @@ def test_stacked_spectral_layer_matches_per_matrix_bitwise(d, seed):
     for the ensemble's stacked prox."""
     stack = np.stack(_spectral_cases(d, seed))
     w, q = sym_eigendecomposition(stack)
-    psd, slb = PsdIndicator(d), Spectral(LogBarrier(1.7, 0.5), d)
+    psd, slb = Spectral(LogBarrier(0.0, 0.0), d), Spectral(LogBarrier(1.7, 0.5), d)
     batched = [spectral_apply(np.square, stack), psd.prox_batch(0.3, stack),
                slb.prox_batch(0.3, stack)]
     for i, m in enumerate(stack):
@@ -321,8 +319,9 @@ def test_stacked_spectral_layer_matches_per_matrix_bitwise(d, seed):
 
 def test_prox_logdet_alpha_zero_reduces_to_psd_projection():
     m = random_sym(RngStream(8, 0), 4, scale=2.0)
-    psd = PsdIndicator(4).prox(0.3, m)
-    _assert_bitwise(Spectral(LogBarrier(0.0, 0.0), 4).prox(0.3, m), psd)
+    g = Spectral(LogBarrier(0.0, 0.0), 4)
+    psd = g.prox(0.3, m)
+    assert g.is_indicator and g.evaluate(psd) == 0.0  # of the PSD cone
     assert np.allclose(psd, _per_eigenvalue_reference(lambda t: max(t, 0.0), m), atol=1e-12)
 
 
@@ -339,8 +338,8 @@ def catalog():
         (AbsoluteValue(0.7), 3),
         (LogBarrier(1.3, 0.5), 3),
         (LogBarrier(0.0, 0.5), 3),
-        (EntryAbsolute(0.7, (1,)), 3),
-        (PsdIndicator(3), (3, 3)),
+        (AbsoluteValue(0.7, (1,)), 3),
+        (Spectral(LogBarrier(0.0, 0.0), 3), (3, 3)),
         (Spectral(LogBarrier(0.8, 0.5), 3), (3, 3)),
     ]
 
@@ -447,10 +446,18 @@ def test_absolute_value_conjugate_is_the_ball_indicator():
     g = AbsoluteValue(0.7)
     assert g.conjugate(np.array([0.7, -0.7])) == 0.0
     assert g.conjugate(np.array([0.71, 0.0])) == np.inf
+    # on one entry: the ball there and y = 0 off it
+    entry = AbsoluteValue(0.7, (1,))
+    assert entry.conjugate(np.array([0.0, -0.7])) == 0.0
+    assert entry.conjugate(np.array([0.0, 0.71])) == np.inf
+    assert entry.conjugate(np.array([1e-300, 0.0])) == np.inf
+    diagonal = AbsoluteValue(0.7, (1, 1))
+    assert diagonal.conjugate(np.diag([0.0, 0.5])) == 0.0
+    assert diagonal.conjugate(np.array([[0.0, 0.1], [0.1, 0.5]])) == np.inf
 
 
 def test_psd_conjugate_is_the_nsd_indicator():
-    g = PsdIndicator(2)
+    g = Spectral(LogBarrier(0.0, 0.0), 2)
     assert g.conjugate(np.array([[-1.0, 0.0], [0.0, -2.0]])) == 0.0
     assert g.conjugate(np.array([[1.0, 0.0], [0.0, -2.0]])) == np.inf
 
@@ -468,7 +475,8 @@ def test_fenchel_young_equality_at_prox_pairs():
     lo = np.array([-1.0, 0.0])
     hi = np.array([1.0, 2.0])
     free = BoxIndicator(-np.inf, np.inf)
-    for g in (BoxIndicator(lo, hi), AbsoluteValue(0.7), free, LogBarrier(0.0, 0.5)):
+    for g in (BoxIndicator(lo, hi), AbsoluteValue(0.7), free, LogBarrier(0.0, 0.5),
+              AbsoluteValue(0.7, (1,))):
         for _ in range(50):
             x = 3.0 * rng.standard_normal(2)
             gamma = float(10.0 ** (-1 + 2 * rng.uniform()))
@@ -480,7 +488,7 @@ def test_fenchel_young_equality_at_prox_pairs():
 
 def test_fenchel_young_for_psd_projection():
     rng = RngStream(14, 0)
-    g = PsdIndicator(3)
+    g = Spectral(LogBarrier(0.0, 0.0), 3)
     for _ in range(30):
         x = random_sym(rng, 3, scale=2.0)
         p = g.prox(1.0, x)
@@ -506,7 +514,7 @@ def test_box_domain_and_subgradient():
 
 
 def test_psd_domain_tolerance():
-    g = PsdIndicator(2)
+    g = Spectral(LogBarrier(0.0, 0.0), 2)
     assert g.in_domain(np.eye(2))
     assert g.in_domain(np.diag([1.0, -1e-12]))  # tiny negative eig tolerated
     assert not g.in_domain(np.diag([1.0, -1e-3]))
@@ -515,12 +523,23 @@ def test_psd_domain_tolerance():
         g.subgradient_min(np.diag([1.0, 0.0]))
 
 
+def test_psd_tolerance_scales_with_the_largest_eigenvalue():
+    """Every closed spectral domain admits lambda_min >= -1e-10 max(1, max |lambda|).
+    diag(1, 1, 1, -1.5e-10) is outside: its ||x||_F = 2 would have let it in."""
+    g = Spectral(LogBarrier(0.0, 0.0), 4)
+    outside, inside = np.diag([1.0, 1.0, 1.0, -1.5e-10]), np.diag([1.0, 1.0, 1.0, -0.9e-10])
+    assert g.domain_mask(np.stack([outside, inside])).tolist() == [False, True]
+    assert not g.in_domain(outside) and g.evaluate(outside) == np.inf
+    assert g.in_domain(inside) and g.evaluate(inside) == 0.0
+
+
 def test_domain_tolerances_of_huge_matrices_do_not_overflow():
-    """The symmetry and PSD tolerances scale with ||x||_F, whose squared
-    entries overflow here: the PSD tolerance of diag(1e200, .) is 1e190."""
+    """The symmetry tolerance scales with ||x||_F, whose squared entries
+    overflow here, and the PSD tolerance with max |lambda|: that of
+    diag(1e200, .) is 1e190."""
     p = Spectral(LogBarrier(1.0, 0.0), 2).prox(0.1, np.array([[1e200, 1.0], [1.0 + 1e-12, 2.0]]))
     assert np.isfinite(p).all() and p[0, 0] == 1e200
-    g = PsdIndicator(2)
+    g = Spectral(LogBarrier(0.0, 0.0), 2)
     assert not g.in_domain(np.diag([1e200, -1e195]))
     assert g.in_domain(np.diag([1e200, -1e185]))
 
@@ -574,10 +593,7 @@ def _reference_in_domain(g, x):
         w = sym_eigendecomposition(x).eigenvalues
         if g.scalar.alpha > 0:
             return bool(w[0] > 0)
-        if isinstance(g, PsdIndicator):
-            tol = 1e-10 * max(1.0, float(np.linalg.norm(x)))
-        else:
-            tol = 1e-10 * max(1.0, float(np.abs(w).max(initial=1.0)))
+        tol = 1e-10 * max(1.0, float(np.abs(w).max(initial=1.0)))
         return bool(w[0] >= -tol)
     return True
 
@@ -628,7 +644,8 @@ def test_domain_mask_matches_per_point_rule_across_catalog(seed):
 @given(st.sampled_from([1, 2, 5, 10]), st.integers(min_value=0, max_value=2**32 - 1))
 def test_spectral_domain_mask_matches_per_point_rule(d, seed):
     stack = _matrix_domain_cases(d, seed)
-    for g in (PsdIndicator(d), Spectral(LogBarrier(0.8, 0.5), d), Spectral(LogBarrier(0.0, 0.5), d),
+    for g in (Spectral(LogBarrier(0.0, 0.0), d), Spectral(LogBarrier(0.8, 0.5), d),
+              Spectral(LogBarrier(0.0, 0.5), d),
               Spectral(LogBarrier(1.3, 0.0), d)):
         _assert_mask_matches_reference(g, stack)
 
@@ -638,7 +655,7 @@ def test_spectral_domain_mask_spans_blocks():
     as per-point checks, and an empty stack gives none."""
     stack = np.concatenate([_matrix_domain_cases(2, s) for s in range(50)])
     assert len(stack) > 2 * 512
-    for g in (PsdIndicator(2), Spectral(LogBarrier(0.8, 0.5), 2)):
+    for g in (Spectral(LogBarrier(0.0, 0.0), 2), Spectral(LogBarrier(0.8, 0.5), 2)):
         _assert_mask_matches_reference(g, stack)
         assert g.domain_mask(stack[:0]).shape == (0,)
 
@@ -688,7 +705,7 @@ def test_certified_domain_mask_matches_per_point_rule(d, seed, low, length):
         stack[at + 1] = (rotated + rotated.T) / 2.0
         if d > 1 and low in (("margin", 0.5), ("margin", 2.0)):
             assert potentials._cholesky_certifies(stack[at : at + 1]) == (low[1] == 2.0)
-    for g in (PsdIndicator(d), Spectral(LogBarrier(0.8, 0.5), d),
+    for g in (Spectral(LogBarrier(0.0, 0.0), d), Spectral(LogBarrier(0.8, 0.5), d),
               Spectral(LogBarrier(0.0, 0.5), d)):
         mask = g.domain_mask(stack)
         assert mask.tolist() == [_reference_in_domain(g, x) for x in stack]
@@ -731,7 +748,7 @@ def test_certificate_leaves_bad_stacks_to_the_eigendecomposition():
     with pytest.raises(ValueError, match="not symmetric"):
         g.domain_mask(np.stack([np.eye(3), upper]))
     with pytest.raises(ValueError, match="expected a square matrix"):
-        PsdIndicator(3).domain_mask(np.zeros((2, 3, 2)))
+        Spectral(LogBarrier(0.0, 0.0), 3).domain_mask(np.zeros((2, 3, 2)))
     with pytest.raises(ValueError, match="expected a square matrix"):
         Spectral(LogBarrier(0.0, 0.0), 1).domain_mask(np.array([[2.0], [-1.0]]))
     scalar = Spectral(LogBarrier(0.0, 0.0), 1)
@@ -745,7 +762,7 @@ def test_certificate_leaves_bad_stacks_to_the_eigendecomposition():
         stack = np.stack([np.eye(3), x])
         assert not potentials._cholesky_certifies(stack)
         _assert_mask_matches_reference(g, stack)
-        for lift in (g, PsdIndicator(3), Spectral(LogBarrier(0.0, 0.5), 3)):
+        for lift in (g, Spectral(LogBarrier(0.0, 0.0), 3), Spectral(LogBarrier(0.0, 0.5), 3)):
             assert lift.domain_mask(stack).tolist() == [True, False]
             assert feasibility_fraction(np.stack([x, x, x]), lift) == 0.0
 
@@ -756,7 +773,8 @@ def test_spectral_lifts_on_a_matrix_with_a_non_finite_entry():
     when the eigensolve fails on it (an off-diagonal entry) instead of
     raising EigenFailure; on the diagonal the prox maps it to a non-finite
     matrix, which the kernel reports as a divergence."""
-    lifts = (Spectral(LogBarrier(0.8, 0.5), 3), PsdIndicator(3), Spectral(LogBarrier(0.0, 0.5), 3))
+    lifts = (Spectral(LogBarrier(0.8, 0.5), 3), Spectral(LogBarrier(0.0, 0.0), 3),
+             Spectral(LogBarrier(0.0, 0.5), 3))
     for bad, at in itertools.product((np.nan, np.inf, -np.inf), ((0, 2), (1, 1))):
         x = np.eye(3)
         x[at] = x[at[::-1]] = bad
@@ -798,13 +816,51 @@ def test_certificate_is_not_tried_after_an_infeasible_matrix(monkeypatch):
 
 def test_entry_absolute_subgradient_on_a_stack_equals_per_point():
     rng = RngStream(13, 0)
-    for g, shape in ((EntryAbsolute(0.7, (1,)), (3,)), (EntryAbsolute(0.7, (2, 2)), (3, 3))):
+    for g, shape in ((AbsoluteValue(0.7, (1,)), (3,)), (AbsoluteValue(0.7, (2, 2)), (3, 3))):
         stack = rng.standard_normal((9, *shape))
         stack[0] = 0.0
         stack[1] = -0.0
         rows = np.stack([g.subgradient_min(x) for x in stack])
         _assert_bitwise(g.subgradient_min(stack), rows)
         assert np.count_nonzero(rows[2:]) == len(stack) - 2  # one entry per point
+
+
+@pytest.mark.parametrize("index, stored", [
+    (None, None), ((0,), (0,)), ((2, 2), (2, 2)), ((np.int64(1),), (1,)),
+    ((np.uint8(1), 1), (1, 1)),
+    *[(bad, ValueError) for bad in ((1.7,), (True,), ("1",), 2, [0], (), (0, 1), (1, 1.0),
+                                    (-1,), (-1, -1), (0, 0, 0))],
+])
+def test_absolute_value_index_is_none_or_one_entry(index, stored):
+    """index is None, (j,) or (j, j) with each j an integer >= 0.  (1.7,),
+    (True,) and ("1",) used to construct as (1,), 2 raised a TypeError, and
+    (0, 1) let an spla chain lose the symmetry of a matrix iterate."""
+    if stored is ValueError:
+        with pytest.raises(ValueError, match="entry index"):
+            AbsoluteValue(1.0, index)
+    else:
+        g = AbsoluteValue(1.0, index)
+        assert g.index == stored and all(type(j) is int for j in g.index or ())
+
+
+@given(
+    st.sampled_from([0.0, 0.7, 3.0]),
+    st.floats(min_value=1e-4, max_value=10.0),
+    arrays(np.float64, _barrier_shapes,
+           elements=st.one_of(st.floats(min_value=-1e300, max_value=1e300), _special_entries)),
+)
+def test_absolute_value_keeps_its_closed_forms_bitwise(w, gamma, x):
+    """On every entry the soft threshold sign(x) max(|x| - gamma w, 0), the
+    value w sum |x| and the subgradient w sign(x), bit for bit on points and
+    stacks of any shape, -0.0 and NaN included."""
+    g = AbsoluteValue(w)
+    prox = np.sign(x) * np.maximum(np.abs(x) - gamma * w, 0.0)
+    for out, ref in ((g.prox(gamma, x), prox), (g.prox_batch(gamma, x), prox),
+                     (g.subgradient_min(x), w * np.sign(x))):
+        assert out.shape == x.shape and out.tobytes() == np.asarray(ref).tobytes()
+    value = g.evaluate(x)
+    assert type(value) is float
+    assert np.float64(value).tobytes() == np.float64(w * np.sum(np.abs(x))).tobytes()
 
 
 def test_absolute_value_prox_and_subgradient():
@@ -844,7 +900,7 @@ def test_moreau_gradient_is_lipschitz(xs, ys, lam):
 # ---------------------------------------------------------------------------
 
 def test_coordinate_absolute_prox_touches_one_coordinate():
-    g = EntryAbsolute(2.0, (1,))
+    g = AbsoluteValue(2.0, (1,))
     x = np.array([5.0, 5.0, -5.0])
     assert np.allclose(g.prox(1.0, x), [5.0, 3.0, -5.0])
     assert g.evaluate(x) == pytest.approx(10.0)
@@ -852,7 +908,7 @@ def test_coordinate_absolute_prox_touches_one_coordinate():
 
 
 def test_diagonal_absolute_prox_touches_one_diagonal_entry():
-    g = EntryAbsolute(2.0, (0, 0))
+    g = AbsoluteValue(2.0, (0, 0))
     m = np.array([[5.0, 1.0], [1.0, -5.0]])
     p = g.prox(1.0, m)
     assert np.allclose(p, [[3.0, 1.0], [1.0, -5.0]])
@@ -868,7 +924,7 @@ def test_lipschitz_term_construction_and_moments():
     for shape, indices in (((4,), [(0,), (1,), (2,), (3,)]), ((3, 3), [(0, 0), (1, 1), (2, 2)])):
         term = absolute_entries_term(0.5, shape)
         assert [c.index for c in term.components] == indices
-        assert all(type(c) is EntryAbsolute and c.weight == 0.5 for c in term.components)
+        assert all(type(c) is AbsoluteValue and c.weight == 0.5 for c in term.components)
 
 
 def test_single_component_term_consumes_no_randomness():
@@ -1019,6 +1075,19 @@ def test_precision_likelihood_validates_dimensions():
 ], ids=["quadratic-sum", "precision-likelihood"])
 def test_smooth_terms_reject_non_finite_data(build, name):
     with pytest.raises(ValueError, match=f"^{name} data must be finite"):
+        build()
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: QuadraticSum(np.array([[1e300], [1e300]])), "QuadraticSum"),
+    (lambda: PrecisionLikelihood(np.array([[1e200]]), 1), "PrecisionLikelihood"),
+    (lambda: PrecisionLikelihood(np.full((2, 3), 1e154), 3), "PrecisionLikelihood"),
+], ids=["square-norm", "scatter", "summed-scatter"])
+def test_finite_sums_reject_data_whose_sums_overflow(build, name):
+    """Finite data whose precomputed sums overflow used to warn and leave an
+    infinite gradient; the suite turns a warning into an error, so the check
+    is silent too."""
+    with pytest.raises(ValueError, match=f"^{name} data overflow"):
         build()
 
 

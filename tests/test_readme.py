@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+import proxlmc
 from proxlmc.cli import _EXPERIMENT_KEYS, _build, resolve_config
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -39,3 +40,11 @@ def test_readme_lists_each_experiments_keys():
     rows = re.findall(r"^\| `([\w-]+)` +\| (.*?) +\|", TEXT, flags=re.M)
     listed = {name: set(re.findall(r"`(\w+)`", keys)) for name, keys in rows}
     assert listed == _EXPERIMENT_KEYS
+
+
+def test_readme_names_only_api_that_exists():
+    """Every name the README writes as a backticked call, `Name(`, is a
+    proxlmc export or a method of a potential."""
+    calls = set(re.findall(r"`(\w+)\(", TEXT))
+    methods = set(dir(proxlmc.NonsmoothPotential)) | set(dir(proxlmc.SmoothPotential))
+    assert calls and sorted(calls - set(proxlmc.__all__) - methods) == []

@@ -11,7 +11,6 @@ from proxlmc import (
     LipschitzProxTerm,
     LogBarrier,
     PrecisionLikelihood,
-    PsdIndicator,
     Quadratic,
     QuadraticSum,
     RngStream,
@@ -298,7 +297,7 @@ def _start(runner, smooth, g, cfg, x0):
 def test_non_finite_start_rejected(runner, x0):
     """A NaN is not unequal to its mirror image: a symmetric matrix with a
     NaN entry is a point, rejected for the NaN, not for asymmetry."""
-    g = BoxIndicator(-np.ones(2), np.ones(2)) if x0.ndim == 1 else PsdIndicator(2)
+    g = BoxIndicator(-np.ones(2), np.ones(2)) if x0.ndim == 1 else Spectral(LogBarrier(0.0, 0.0), 2)
     cfg = SamplerConfig(gamma=0.1, num_steps=10, seed=0)
     with pytest.raises(ValueError, match="x0 must be finite"):
         _start(runner, ZeroSmooth(), g, cfg, x0)
@@ -313,7 +312,7 @@ _MISMATCHES = {  # (F, G, x0, the shape the mismatched term acts on)
         (3,),
     ),
     "2d-box-on-sym-2": (ZeroSmooth(), BoxIndicator(-np.ones(2), np.ones(2)), np.eye(2), (2,)),
-    "psd-3-on-sym-2": (ZeroSmooth(), PsdIndicator(3), np.eye(2), (3, 3)),
+    "psd-3-on-sym-2": (ZeroSmooth(), Spectral(LogBarrier(0.0, 0.0), 3), np.eye(2), (3, 3)),
     "log-barrier-3-on-sym-2": (
         ZeroSmooth(), Spectral(LogBarrier(2.0, 0.5), 3), np.eye(2), (3, 3)
     ),
@@ -321,7 +320,8 @@ _MISMATCHES = {  # (F, G, x0, the shape the mismatched term acts on)
         QuadraticSum(np.zeros((4, 3))), BoxIndicator(-np.inf, np.inf), np.zeros(2), (3,)
     ),
     "precision-3-on-sym-2": (
-        PrecisionLikelihood(np.ones((4, 3)), 3), PsdIndicator(2), np.eye(2), (3, 3)
+        PrecisionLikelihood(np.ones((4, 3)), 3), Spectral(LogBarrier(0.0, 0.0), 2), np.eye(2),
+        (3, 3),
     ),
 }
 
@@ -560,10 +560,8 @@ def test_vectorized_ensemble_matches_for_myula(box_quadratic):
 
 
 def test_loop_ensemble_matches_per_chain_runs():
-    from proxlmc import PsdIndicator
-
     smooth = ZeroSmooth()
-    psd = PsdIndicator(2)
+    psd = Spectral(LogBarrier(0.0, 0.0), 2)
     cfg = SamplerConfig(gamma=0.2, num_steps=15, seed=17)
     x0 = np.eye(2)
     res = run_ensemble("psgla", smooth, psd, cfg, 3, [15], x0)
@@ -606,7 +604,7 @@ def test_batched_ensemble_matches_per_chain_runs(sampler, space, minibatch, term
     chains run one by one, bit for bit, on both spaces."""
     smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
     if sampler == "projected" and space == "sym":
-        g = PsdIndicator(3)
+        g = Spectral(LogBarrier(0.0, 0.0), 3)
     r = term(0.4, x0.shape) if term else None
     cfg = SamplerConfig(0.02, 25, seed=21, minibatch=minibatch, myula_lambda=0.3)
     res = run_ensemble(sampler, smooth, g, cfg, 4, [0, 7, 25], x0, lipschitz_term=r)
@@ -804,7 +802,8 @@ def test_run_chain_matches_the_reference_update_bitwise(sampler, space, minibatc
                 "precision-1d": _precision_1d_problem}
     smooth, g, x0 = problems[space]()
     if sampler == "projected" and space != "flat":
-        g = PsdIndicator(3) if space == "sym" else LogBarrier(0.0, 0.0)  # indicators
+        # projected Langevin needs an indicator G
+        g = Spectral(LogBarrier(0.0, 0.0), 3) if space == "sym" else LogBarrier(0.0, 0.0)
     r = absolute_entries_term(0.4, x0.shape)
     cfg = SamplerConfig(0.02, 30, seed=24, minibatch=minibatch, myula_lambda=0.3,
                         record_duals=True)

@@ -11,7 +11,6 @@ from proxlmc import (
     AbsoluteValue,
     BoxIndicator,
     EigenFailure,
-    EntryAbsolute,
     LogBarrier,
     RngStream,
     SamplerConfig,
@@ -166,7 +165,7 @@ _FREE = (ZeroSmooth(), BoxIndicator(-np.inf, np.inf))
     (lambda: LogBarrier("1", 0), "alpha must be a finite number >= 0, got '1'"),
     (lambda: LogBarrier(1, "0"), "beta must be a finite number, got '0'"),
     (lambda: AbsoluteValue(True), "weight must be a finite number >= 0, got True"),
-    (lambda: EntryAbsolute("1", (0,)), "weight must be a finite number >= 0, got '1'"),
+    (lambda: AbsoluteValue("1", (0,)), "weight must be a finite number >= 0, got '1'"),
     (lambda: WishartExperimentSpec("precision", "3", 5.0, np.ones((4, 3))),
      "d must be an integer, got '3'"),
     (lambda: WishartExperimentSpec("precision", 3, "5", np.ones((4, 3))), "got nu='5'"),
@@ -185,7 +184,7 @@ def test_public_constructors_take_numpy_scalars():
     assert SamplerConfig(np.float32(0.1), 10, record_duals=np.bool_(True)).record_duals
     assert LogBarrier(np.int64(2), np.float32(0.5)).alpha == 2.0
     assert AbsoluteValue(np.float64(0.5)).weight == 0.5
-    assert EntryAbsolute(np.int8(1), (0,)).weight == 1.0
+    assert AbsoluteValue(np.int8(1), (0,)).weight == 1.0
     WishartExperimentSpec("precision", np.int64(3), np.float64(5.0), np.ones((4, 3)))
     TruncGaussSpec(mean=np.float64(0.5), lo=np.int64(-1))
 
