@@ -35,7 +35,9 @@ class QuantileOracle:
 
     def midpoint_quantiles(self, n: int) -> np.ndarray:
         """The quantiles at levels (i - 1/2) / n, i = 1..n, as a read-only
-        float array; quantile runs once per n over this oracle's life."""
+        float array; quantile runs once per n >= 1 over this oracle's life."""
+        if _integer(n, "quantile grid size n") < 1:
+            raise ValueError(f"a quantile grid needs n >= 1 points, got {n}")
         grid = self._grids.get(n)
         if grid is None:
             u = (np.arange(1, n + 1) - 0.5) / n

@@ -21,6 +21,7 @@ Three setups, all log-concave composites exp(-F - G):
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -52,10 +53,18 @@ class TruncGaussSpec:
             raise ValueError(f"need finite mean, lo, hi, got {(self.mean, self.lo, self.hi)!r}")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        mass = _std_normal_cdf(self.hi - self.mean) - _std_normal_cdf(self.lo - self.mean)
+        a, b = self._offsets()
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"trunc-gauss box [{self.lo}, {self.hi}] lies too far from mean "
+                             f"{self.mean}: lo - mean or hi - mean overflows a float")
+        mass = _std_normal_cdf(b) - _std_normal_cdf(a)
         if not mass >= _MIN_BOX_MASS:
             raise ValueError(f"trunc-gauss box [{self.lo}, {self.hi}] holds Gaussian mass "
                              f"{mass:.3g} < {_MIN_BOX_MASS:g} around mean {self.mean}")
+
+    def _offsets(self):
+        """The box relative to the mean, (lo - mean, hi - mean), as floats."""
+        return float(self.lo) - float(self.mean), float(self.hi) - float(self.mean)
 
 
 @dataclass
@@ -131,18 +140,28 @@ def _check_u(u):
 
 def _bisect(cdf, p, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0):
     """The t in [lo, hi] with cdf(t) = p, elementwise, for an increasing
-    vectorized cdf: at most 200 halvings of every bracket at once, stopping
-    once max(hi - lo) <= max(atol, rtol * max(1, max(hi))).  A float for a
-    scalar p, else an array of p's shape."""
+    vectorized cdf: halvings of every bracket at once until
+    max(hi - lo) <= max(atol, rtol * max(1, max(hi))).  The halvings are
+    capped by what the bracket needs to reach max(atol, rtol), and a bracket
+    that still has not converged is a ValueError.  A float for a scalar p,
+    else an array of p's shape."""
     target = np.atleast_1d(p)
+    if target.size == 0:
+        return np.empty(np.shape(p))
+    # log2 of width / tolerance, the width taken as 2 (hi/2 - lo/2) lest it
+    # overflow, and a few halvings more for rounding
+    halvings = math.ceil(math.log2(hi / 2.0 - lo / 2.0) + 1.0 - math.log2(max(atol, rtol))) + 8
     lo, hi = np.full_like(target, lo), np.full_like(target, hi)
-    for _ in range(200):
+    for _ in range(halvings):
         mid = (lo + hi) / 2.0
         below = cdf(mid) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         if np.max(hi - lo) <= max(atol, rtol * max(1.0, float(hi.max()))):
             break
+    else:
+        raise ValueError(f"bisection did not reach tolerance max({atol:g}, {rtol:g} * max(1, hi)) "
+                         f"in {halvings} halvings: widest bracket {float(np.max(hi - lo)):.3g}")
     q = (lo + hi) / 2.0
     return float(q[0]) if np.ndim(p) == 0 else q
 
@@ -157,7 +176,7 @@ def gamma_quantile(shape: float, rate: float, u) -> np.ndarray:
     from scipy import special  # loaded here: it is most of a fresh process's set-up
 
     hi = (shape + 10.0 * np.sqrt(shape) + 10.0) / rate
-    while special.gammainc(shape, rate * hi) < u.max():
+    while special.gammainc(shape, rate * hi) < u.max(initial=0.0):
         hi *= 2.0
     return _bisect(lambda t: special.gammainc(shape, rate * t), u, 0.0, hi, rtol=1e-15)
 
@@ -172,10 +191,86 @@ def gamma_posterior_quantile(spec: WishartExperimentSpec, u):
     return gamma_quantile(shape, rate, u)
 
 
-def _std_normal_cdf(t):
-    from scipy import special  # loaded here, as in gamma_quantile
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) on |x| <= 1, erfc(a) = exp(-a^2) P(a) / Q(a)
+# on 1 < a < 8 and exp(-a^2) R(a) / S(a) beyond; U, Q and S have an implicit leading 1
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2  # log of the largest double; exp(-a^2) underflows past it
 
-    return 0.5 * (1.0 + special.erf(np.asarray(t, dtype=float) / np.sqrt(2.0)))
+
+def _horner(z, coefs, monic=False):
+    """Cephes' polevl, Horner's rule from coefs[0], or with monic its p1evl,
+    which has an implicit leading coefficient 1; in place on one new array."""
+    out = z + coefs[0] if monic else np.full_like(z, coefs[0])
+    for c in coefs[1:]:
+        out *= z
+        out += c
+    return out
+
+
+def _erf_core(x):
+    z = x * x
+    out = _horner(z, _ERF_T)
+    out *= x
+    out /= _horner(z, _ERF_U, monic=True)
+    return out
+
+
+def _erfc_tail(a):
+    """erfc(a) for a > 1, Cephes' way; 0 where -a^2 < -MAXLOG."""
+    a = np.minimum(a, 27.0)  # 27^2 > MAXLOG already, and a^2 stays finite
+    z = -(a * a)
+    y = np.fromiter(map(math.exp, z.tolist()), float, a.size)
+    near = a < 8.0
+    if near.all():
+        y *= _horner(a, _ERFC_P)
+        y /= _horner(a, _ERFC_Q, monic=True)
+    else:
+        for sel, p, q in ((near, _ERFC_P, _ERFC_Q), (~near, _ERFC_R, _ERFC_S)):
+            s = a[sel]
+            y[sel] = y[sel] * _horner(s, p) / _horner(s, q, monic=True)
+    y[z < -_MAXLOG] = 0.0
+    return y
+
+
+def _erf(x):
+    """The error function, bit for bit what scipy.special.erf returns.
+
+    A numpy port of Moshier's Cephes ndtr.c (Methods and Programs for
+    Mathematical Functions, 1989), operation for operation: x T(x^2) / U(x^2)
+    on |x| <= 1, so erf(-0.0) is -0.0, and +-(1 - erfc(|x|)) beyond; NaN
+    stays NaN.  exp(-a^2) goes through math.exp, the C library's exp that
+    the compiled Cephes calls: numpy's vectorized exp may differ from it in
+    the last bit (on an AVX-512 x86-64 CPU with numpy 2.4 it does on about
+    5% of these arguments), and that bit would move every quantile.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    tail = a > 1.0  # NaN is not
+    if not tail.any():
+        return _erf_core(x)
+    out = np.empty_like(x)
+    core = ~tail
+    out[core] = _erf_core(x[core])
+    r = 1.0 - _erfc_tail(a[tail])
+    out[tail] = np.where(x[tail] < 0.0, -r, r)
+    return out
+
+
+def _std_normal_cdf(t):
+    return 0.5 * (1.0 + _erf(np.asarray(t, dtype=float) / np.sqrt(2.0)))
 
 
 def trunc_gauss_quantile(spec: TruncGaussSpec, u):
@@ -183,8 +278,7 @@ def trunc_gauss_quantile(spec: TruncGaussSpec, u):
     [lo, hi]:  m + Phi^{-1}( Phi(a-m) + u (Phi(b-m) - Phi(a-m)) ),
     with Phi^{-1} evaluated by bisection to 1e-12."""
     u = _check_u(u)
-    a = spec.lo - spec.mean
-    b = spec.hi - spec.mean
+    a, b = spec._offsets()
     pa, pb = _std_normal_cdf(a), _std_normal_cdf(b)
     return spec.mean + _bisect(_std_normal_cdf, pa + u * (pb - pa), a, b, atol=1e-12)
 

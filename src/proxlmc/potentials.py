@@ -526,11 +526,16 @@ class FiniteSum(SmoothPotential):
         return self._minibatch_gradient(x, rng.integers(self.n, size=b), b)
 
     def grad_norm_variance(self, x, minibatch=1):
-        """Var_i ||n grad f_i(x)|| / b, i uniform; 0 for the full gradient."""
+        """Var_i ||n grad f_i(x)|| / b, i uniform; 0 for the full gradient.
+        A ValueError where it is not finite."""
         if minibatch == "full":
             return 0.0
-        norms = self._datum_grad_norms(np.asarray(x, dtype=float))
-        return float(np.mean(norms**2) - np.mean(norms) ** 2) / int(minibatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = self._datum_grad_norms(np.asarray(x, dtype=float))
+            var = float(np.mean(norms**2) - np.mean(norms) ** 2) / int(minibatch)
+        if not np.isfinite(var):
+            raise ValueError(f"{type(self).__name__} gradient norm variance is not finite at x")
+        return var
 
 
 class QuadraticSum(FiniteSum):
@@ -582,11 +587,11 @@ class PrecisionLikelihood(FiniteSum):
         self.d = d
         self.point_shape = (1,) if d == 1 else (d, d)
         self._grad = (self.scatter / 2.0).reshape(self.point_shape)
-        self._sq = self.data[:, 0] ** 2  # the d = 1 minibatch gradient sums its entries
 
     def _sums(self):
         scatter = self.data.T @ self.data
-        return {"scatter": (scatter + scatter.T) / 2.0}
+        # ||D_i||^2, the d = 1 minibatch gradient's summands and the datum gradient norms
+        return {"scatter": (scatter + scatter.T) / 2.0, "_sq": np.sum(self.data**2, axis=1)}
 
     def evaluate(self, x):
         return float(np.vdot(self.scatter, x) / 2.0)
@@ -607,7 +612,7 @@ class PrecisionLikelihood(FiniteSum):
     def _datum_grad_norms(self, x):
         # ||D D^T||_F = ||D||^2, so the norm of a single-index estimate is
         # n ||D_I||^2 / 2 regardless of x.
-        return self.n * np.sum(self.data**2, axis=1) / 2.0
+        return self.n * self._sq / 2.0
 
 
 # ---------------------------------------------------------------------------

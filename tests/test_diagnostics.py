@@ -421,6 +421,19 @@ def test_diagnostic_counts_must_be_integers(count):
         bootstrap_w2_se(a[:, 0], oracle, num_bootstrap=count)
 
 
+@pytest.mark.parametrize("n, match", [
+    (0, "n >= 1"), (-1, "n >= 1"), (2.5, "n must be an integer"), (True, "n must be an integer"),
+    ("4", "n must be an integer"),
+], ids=["zero", "negative", "float", "bool", "str"])
+def test_midpoint_quantiles_need_a_positive_integer_count(n, match):
+    """n = 0 and n = -1 used to raise numpy's zero-size reduction error from
+    the bisection, and n = 2.5 blamed the quantile levels."""
+    oracle = assemble_experiment(TruncGaussSpec()).quantile_oracle
+    with pytest.raises(ValueError, match=match):
+        oracle.midpoint_quantiles(n)
+    assert oracle.midpoint_quantiles(np.int64(3)).shape == (3,)
+
+
 def test_diagnostic_counts_accept_numpy_integers():
     a = RngStream(3, 0).standard_normal((20, 2))
     oracle = QuantileOracle(quantile=lambda u: np.asarray(u))

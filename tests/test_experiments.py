@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -7,6 +8,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import special, stats
 
 from proxlmc import (
@@ -26,6 +30,7 @@ from proxlmc import (
     sample_wishart,
     trunc_gauss_quantile,
 )
+from proxlmc.experiments import _MAXLOG, _erf
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +71,64 @@ def test_trunc_gauss_quantile_matches_scipy(lo, hi):
     u = (np.arange(4096) + 0.5) / 4096
     q = trunc_gauss_quantile(TruncGaussSpec(mean=0.0, lo=lo, hi=hi), u)
     assert np.max(np.abs(q - stats.truncnorm(lo, hi).ppf(u))) <= 1e-7
+
+
+@pytest.mark.parametrize("hi", [1e6, 1e50, 1e300])
+def test_trunc_gauss_quantile_converges_on_a_wide_box(hi):
+    """A half-line is written hi = 1e300 in a JSON config.  From a bracket
+    wider than 2^200 * 1e-12 the 200 halvings the bisection used to stop at
+    fell short, and every level of [0, 1e300] read 3.11e239."""
+    levels = np.array([0.1, 0.5, 0.9])
+    q = trunc_gauss_quantile(TruncGaussSpec(mean=0.5, lo=0.0, hi=hi), levels)
+    assert np.max(np.abs(q - stats.truncnorm(-0.5, hi - 0.5, loc=0.5).ppf(levels))) <= 1e-9
+
+
+@pytest.mark.parametrize("mean, lo, hi", [(-1e308, -1e308, 1e308), (1e308, -1e308, 1e308)])
+def test_trunc_gauss_spec_rejects_a_box_offset_that_overflows(mean, lo, hi):
+    """hi - mean = 2e308 is not a float: the quantile used to return inf."""
+    with pytest.raises(ValueError, match="overflows a float"):
+        TruncGaussSpec(mean=mean, lo=lo, hi=hi)
+
+
+def test_quantiles_of_no_levels_are_empty():
+    assert trunc_gauss_quantile(TruncGaussSpec(), []).shape == (0,)
+    assert gamma_quantile(2.0, 1.0, np.empty((2, 0))).shape == (2, 0)
+
+
+# ---------------------------------------------------------------------------
+# erf: the Cephes port against scipy, bit for bit
+# ---------------------------------------------------------------------------
+
+def _assert_erf_bitwise(x):
+    x = np.asarray(x, dtype=float)
+    ours, ref = _erf(x), special.erf(x)
+    assert np.array_equal(ours, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref)), "the sign of a zero differs"
+
+
+def test_erf_matches_scipy_bitwise_on_a_million_points():
+    rng = RngStream(25, 0)
+    for scale in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e3):
+        _assert_erf_bitwise(scale * rng.standard_normal(125_000))
+
+
+@settings(max_examples=300)
+@given(arrays(np.float64, st.integers(1, 64),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_erf_matches_scipy_bitwise_on_any_finite_float(x):
+    _assert_erf_bitwise(x)
+
+
+def test_erf_matches_scipy_bitwise_at_its_edges():
+    """The branch points |x| = 1 and 8, the underflow edge sqrt(MAXLOG), the
+    signed zeros, subnormals, infinities and NaN, each with its neighbours."""
+    edges = [0.0, 1.0, 8.0, math.sqrt(_MAXLOG), 1e308, np.inf, 5e-324]
+    edges += list(np.linspace(26.5, 27.5, 101))
+    x = np.array(edges + [-e for e in edges])
+    _assert_erf_bitwise(np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
+                                        [np.nan]]))
+    for v in (0.0, -0.0, 0.5, -2.0, 30.0, np.nan):  # 0-d arrays, through either branch
+        _assert_erf_bitwise(v)
 
 
 def test_wishart_spec_validation():
@@ -212,44 +275,51 @@ _D1_SPEC = dict(kind="precision", d=1, nu=4.0, data=[[0.3], [-1.2], [2.0]])
 _TG_SPEC = dict(mean=0.3, lo=-0.5, hi=1.2)
 
 # A fresh interpreter makes Wishart runs and a verify suite, which evaluate no
-# quantile, then the two exact quantiles; it prints the scipy modules it had
-# loaded before the quantiles, and the quantiles' bytes.
+# quantile, then trunc-gauss runs and a quantile, whose erf is the package's
+# own, then the Gamma quantile; it prints the scipy modules it had loaded
+# before and after the Gamma quantile, and the two quantiles' bytes.
 _FRESH_PROCESS = """
 import json, sys
 import numpy as np
 import proxlmc
 from proxlmc import cli
 
-levels, d1_spec, tg_spec, sample_cfg, experiment_cfg, out = json.loads(sys.argv[1])
+levels, d1_spec, tg_spec, configs, out = json.loads(sys.argv[1])
 codes = [
-    cli.main(["sample", "--config", sample_cfg, "--out", out + "/sample"]),
-    cli.main(["experiment", "--config", experiment_cfg, "--out", out + "/experiment"]),
+    cli.main(["sample", "--config", configs["sample"], "--out", out + "/sample"]),
+    cli.main(["experiment", "--config", configs["experiment"], "--out", out + "/experiment"]),
     cli.main(["verify", "--suite", "reductions", "--trials", "5"]),
+    cli.main(["sample", "--config", configs["tg"], "--out", out + "/tg-sample"]),
+    cli.main(["experiment", "--config", configs["tg"], "--chains", "64",
+              "--out", out + "/tg-experiment"]),
 ]
-scipy_before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 u = np.array(levels)
 tg = proxlmc.trunc_gauss_quantile(proxlmc.TruncGaussSpec(**tg_spec), u)
+scipy_before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 d1 = proxlmc.gamma_posterior_quantile(proxlmc.WishartExperimentSpec(**d1_spec), u)
 print(json.dumps({"codes": codes, "scipy_before": scipy_before,
+                  "scipy_after": "scipy.special" in sys.modules,
                   "tg": tg.tobytes().hex(), "d1": d1.tobytes().hex()}))
 """
 
 
 def test_runs_without_a_quantile_never_load_scipy(tmp_path):
-    """scipy is most of a fresh process's set-up and only the exact quantiles
-    use it: importing proxlmc, Wishart sample/experiment runs that evaluate no
-    quantile and verify must not load it, and the quantiles that load it on
-    first use keep their bits."""
-    configs = []
+    """scipy is most of a fresh process's set-up and only the Gamma quantile
+    uses it: importing proxlmc, Wishart sample/experiment runs that evaluate
+    no quantile, verify, and trunc-gauss sample, ensemble experiment and
+    quantile must not load it, and the quantiles keep their bits."""
+    configs = {}
     for name, body in (
         ("sample", {"experiment": "wishart-precision", "d": 1, "n": 20, "minibatch": 5,
                     "num_steps": 200}),
         ("experiment", {"experiment": "wishart-precision", "d": 3, "num_steps": 200}),
+        ("tg", {"experiment": "trunc-gauss", "mean": 0.5, "lo": -1.0, "hi": 1.0,
+                "num_steps": 200, "snapshot_steps": [100, 200]}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(body))
-        configs.append(str(path))
-    args = [_LEVELS, _D1_SPEC, _TG_SPEC, *configs, str(tmp_path / "out")]
+        configs[name] = str(path)
+    args = [_LEVELS, _D1_SPEC, _TG_SPEC, configs, str(tmp_path / "out")]
     root = pathlib.Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_PROCESS, json.dumps(args)],
@@ -258,8 +328,9 @@ def test_runs_without_a_quantile_never_load_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0, 0]
     assert report["scipy_before"] == []
+    assert report["scipy_after"]
     u = np.array(_LEVELS)
     tg = trunc_gauss_quantile(TruncGaussSpec(**_TG_SPEC), u)
     d1 = gamma_posterior_quantile(WishartExperimentSpec(**_D1_SPEC), u)

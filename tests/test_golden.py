@@ -6,7 +6,8 @@ chain and three ensembles: no eigensolve is on their path and every BLAS
 product they make has one term.  Their bytes depend on numpy's Philox
 stream, its ziggurat normal and bounded-integer samplers, IEEE double
 arithmetic and Python's float repr, and the ensembles' reports also on the
-exact quantiles they are scored against: scipy.special.erf for trunc-gauss,
+exact quantiles they are scored against: the package's numpy port of Cephes
+erf for trunc-gauss, bit for bit scipy.special.erf, and
 scipy.special.gammainc for the d = 1 Wishart posterior, whose report also
 holds the C estimate over the oracle's quantile grid.  The first two
 digests were computed before the per-step optimizations of the kernel,

@@ -1062,6 +1062,7 @@ def test_precision_likelihood_stochastic_gradient():
     v = f.grad_norm_variance(np.eye(2), minibatch=1)
     norms = 6.0 * np.sum(data**2, axis=1) / 2.0
     assert v == pytest.approx(norms.var())
+    assert v == float(np.mean(norms**2) - np.mean(norms) ** 2)  # the formula, bit for bit
 
 
 def test_precision_likelihood_validates_dimensions():
@@ -1082,13 +1083,29 @@ def test_smooth_terms_reject_non_finite_data(build, name):
     (lambda: QuadraticSum(np.array([[1e300], [1e300]])), "QuadraticSum"),
     (lambda: PrecisionLikelihood(np.array([[1e200]]), 1), "PrecisionLikelihood"),
     (lambda: PrecisionLikelihood(np.full((2, 3), 1e154), 3), "PrecisionLikelihood"),
-], ids=["square-norm", "scatter", "summed-scatter"])
+    # 2 D^2 = 1.4e308 keeps the scatter finite, the row's 3 D^2 is not
+    (lambda: PrecisionLikelihood(np.full((1, 3), 8.5e153), 3), "PrecisionLikelihood"),
+], ids=["square-norm", "scatter", "summed-scatter", "datum-square-norm"])
 def test_finite_sums_reject_data_whose_sums_overflow(build, name):
     """Finite data whose precomputed sums overflow used to warn and leave an
     infinite gradient; the suite turns a warning into an error, so the check
     is silent too."""
     with pytest.raises(ValueError, match=f"^{name} data overflow"):
         build()
+
+
+@pytest.mark.parametrize("f, x", [
+    (PrecisionLikelihood(np.full((1, 3), 2.6e153), 3), np.eye(3)),
+    (PrecisionLikelihood(np.array([[1e80, 1e80, 1e80], [1e79, 0.0, 0.0]]), 3), np.eye(3)),
+    (QuadraticSum(np.array([[0.0], [1.0]])), np.array([1e300])),
+], ids=["one-datum", "two-data", "quadratic-sum-far-x"])
+def test_grad_norm_variance_that_overflows_is_a_value_error(f, x):
+    """Finite data, or an iterate, whose single-index gradient norms square
+    past the largest float: the variance used to warn on overflow and return
+    NaN, which would reach a report's sigma_f_sq and C estimate."""
+    name = type(f).__name__
+    with pytest.raises(ValueError, match=f"^{name} gradient norm variance is not finite"):
+        f.grad_norm_variance(x, 1)
 
 
 @pytest.mark.parametrize("build, name", [
