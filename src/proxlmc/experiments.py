@@ -138,21 +138,20 @@ def _check_u(u):
     return u
 
 
+_HALVINGS = 1100  # log2(2 * 1.8e308 / 1e-15) < 1075
+
+
 def _bisect(cdf, p, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0):
     """The t in [lo, hi] with cdf(t) = p, elementwise, for an increasing
     vectorized cdf: halvings of every bracket at once until
-    max(hi - lo) <= max(atol, rtol * max(1, max(hi))).  The halvings are
-    capped by what the bracket needs to reach max(atol, rtol), and a bracket
-    that still has not converged is a ValueError.  A float for a scalar p,
-    else an array of p's shape."""
+    max(hi - lo) <= max(atol, rtol * max(1, max(hi))).  1100 halvings take
+    any finite bracket to 1e-15, and a bracket that still has not converged is
+    a ValueError.  A float for a scalar p, else an array of p's shape."""
     target = np.atleast_1d(p)
     if target.size == 0:
         return np.empty(np.shape(p))
-    # log2 of width / tolerance, the width taken as 2 (hi/2 - lo/2) lest it
-    # overflow, and a few halvings more for rounding
-    halvings = math.ceil(math.log2(hi / 2.0 - lo / 2.0) + 1.0 - math.log2(max(atol, rtol))) + 8
     lo, hi = np.full_like(target, lo), np.full_like(target, hi)
-    for _ in range(halvings):
+    for _ in range(_HALVINGS):
         mid = (lo + hi) / 2.0
         below = cdf(mid) < target
         lo = np.where(below, mid, lo)
@@ -161,7 +160,7 @@ def _bisect(cdf, p, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0):
             break
     else:
         raise ValueError(f"bisection did not reach tolerance max({atol:g}, {rtol:g} * max(1, hi)) "
-                         f"in {halvings} halvings: widest bracket {float(np.max(hi - lo)):.3g}")
+                         f"in {_HALVINGS} halvings: widest bracket {float(np.max(hi - lo)):.3g}")
     q = (lo + hi) / 2.0
     return float(q[0]) if np.ndim(p) == 0 else q
 
@@ -234,11 +233,8 @@ def _erfc_tail(a):
     z = -(a * a)
     y = np.fromiter(map(math.exp, z.tolist()), float, a.size)
     near = a < 8.0
-    if near.all():
-        y *= _horner(a, _ERFC_P)
-        y /= _horner(a, _ERFC_Q, monic=True)
-    else:
-        for sel, p, q in ((near, _ERFC_P, _ERFC_Q), (~near, _ERFC_R, _ERFC_S)):
+    for sel, p, q in ((near, _ERFC_P, _ERFC_Q), (~near, _ERFC_R, _ERFC_S)):
+        if sel.any():
             s = a[sel]
             y[sel] = y[sel] * _horner(s, p) / _horner(s, q, monic=True)
     y[z < -_MAXLOG] = 0.0
@@ -259,8 +255,6 @@ def _erf(x):
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     tail = a > 1.0  # NaN is not
-    if not tail.any():
-        return _erf_core(x)
     out = np.empty_like(x)
     core = ~tail
     out[core] = _erf_core(x[core])

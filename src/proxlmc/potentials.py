@@ -527,12 +527,16 @@ class FiniteSum(SmoothPotential):
 
     def grad_norm_variance(self, x, minibatch=1):
         """Var_i ||n grad f_i(x)|| / b, i uniform; 0 for the full gradient.
-        A ValueError where it is not finite."""
+        Where mean(norms^2) - mean(norms)^2 overflows, the two-pass
+        mean((norms - mean(norms))^2); a ValueError where that is not finite."""
         if minibatch == "full":
             return 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             norms = self._datum_grad_norms(np.asarray(x, dtype=float))
-            var = float(np.mean(norms**2) - np.mean(norms) ** 2) / int(minibatch)
+            var = float(np.mean(norms**2) - np.mean(norms) ** 2)
+            if not np.isfinite(var):
+                var = float(np.mean((norms - np.mean(norms)) ** 2))
+            var /= int(minibatch)
         if not np.isfinite(var):
             raise ValueError(f"{type(self).__name__} gradient norm variance is not finite at x")
         return var
@@ -570,7 +574,12 @@ class QuadraticSum(FiniteSum):
         return self.n * (np.asarray(x, dtype=float) - self.data[idx].sum(axis=0) / b)
 
     def _datum_grad_norms(self, x):
-        return self.n * np.linalg.norm(x - self.data, axis=1)
+        diff = x - self.data
+        norms = np.linalg.norm(diff, axis=1)
+        if not np.isfinite(norms).all():  # a square overflowed: scale the entries first
+            scale = np.max(np.abs(diff))
+            norms = scale * np.linalg.norm(diff / scale, axis=1)
+        return self.n * norms
 
 
 class PrecisionLikelihood(FiniteSum):

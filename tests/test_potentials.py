@@ -1095,17 +1095,30 @@ def test_finite_sums_reject_data_whose_sums_overflow(build, name):
 
 
 @pytest.mark.parametrize("f, x", [
-    (PrecisionLikelihood(np.full((1, 3), 2.6e153), 3), np.eye(3)),
     (PrecisionLikelihood(np.array([[1e80, 1e80, 1e80], [1e79, 0.0, 0.0]]), 3), np.eye(3)),
-    (QuadraticSum(np.array([[0.0], [1.0]])), np.array([1e300])),
-], ids=["one-datum", "two-data", "quadratic-sum-far-x"])
+    (QuadraticSum(np.array([[-9e153], [9e153]])), np.array([9e153])),
+    (QuadraticSum(np.array([[0.0], [1.0]])), np.array([np.inf])),
+], ids=["two-data", "quadratic-sum-far-apart", "quadratic-sum-infinite-x"])
 def test_grad_norm_variance_that_overflows_is_a_value_error(f, x):
-    """Finite data, or an iterate, whose single-index gradient norms square
-    past the largest float: the variance used to warn on overflow and return
-    NaN, which would reach a report's sigma_f_sq and C estimate."""
+    """Finite data, or an iterate, whose single-index gradient norms spread
+    wider than a float's square root: the variance used to warn on overflow
+    and return NaN, which would reach a report's sigma_f_sq and C estimate."""
     name = type(f).__name__
     with pytest.raises(ValueError, match=f"^{name} gradient norm variance is not finite"):
         f.grad_norm_variance(x, 1)
+
+
+@pytest.mark.parametrize("f, x", [
+    (PrecisionLikelihood(np.full((1, 3), 2.6e153), 3), np.eye(3)),
+    (QuadraticSum(np.array([[0.0], [1.0]])), np.array([1e300])),
+    # trunc-gauss's F, one datum, at an iterate that has not come in yet
+    (QuadraticSum(np.array([[0.5]])), np.array([1e200])),
+], ids=["one-datum", "quadratic-sum-far-x", "quadratic-sum-one-datum-far-x"])
+def test_grad_norm_variance_of_equal_norms_past_the_square_root_is_zero(f, x):
+    """Equal finite norms whose squares overflow: mean(norms^2) - mean(norms)^2
+    is inf - inf, and the two-pass form gives the true variance 0.  A
+    QuadraticSum norm of x - D_i past 1.3e154 scales before it squares."""
+    assert f.grad_norm_variance(x, 1) == 0.0
 
 
 @pytest.mark.parametrize("build, name", [
