@@ -274,10 +274,9 @@ def _write_trace_csv(path, trace, feasible_flags):
         header += [f"y{i}" for i in range(m)]
         columns.append(flatten_points(trace.duals))
     header.append("feasible")
-    values = np.concatenate(columns, axis=1).tolist()
-    rows = ([str(step), *map(repr, row), "1" if flag else "0"]
-            for step, row, flag in zip(trace.steps, values, feasible_flags.tolist()))
-    _write_csv(path, header, rows)
+    values = np.concatenate(columns, axis=1).T.tolist()
+    flags = ("1" if flag else "0" for flag in feasible_flags.tolist())
+    _write_csv(path, header, zip(map(str, trace.steps), *[map(repr, col) for col in values], flags))
 
 
 def _write_histogram_csv(path, samples: np.ndarray):
@@ -478,7 +477,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (RuntimeError, OSError, ValueError) as err:
+    except (RuntimeError, OSError, ValueError, MemoryError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 1
 

@@ -497,10 +497,10 @@ class FiniteSum(SmoothPotential):
     """F(x) = sum_i f_i(x) over n >= 1 finite data rows D_i, with one minibatch
     rule: "full" gives the exact gradient, and b >= 1 the unbiased estimate
     n * mean_k grad f_{I_k}(x) over the b indices of one rng.integers(n, size=b),
-    drawn uniformly with replacement.  A subclass states its per-datum terms:
-    that estimate for given indices, _minibatch_gradient(x, idx, b), and the
-    single-index estimate norms n ||grad f_i(x)||, _datum_grad_norms(x); and
-    its precomputed sums of the data, _sums(), which must be finite.
+    drawn uniformly with replacement.  A subclass splits it into the x-free
+    _minibatch_mean(idx, b) of an index block (..., b) and _minibatch_combine(x,
+    mean) with x (by default the mean), and states the norms n ||grad f_i(x)||,
+    _datum_grad_norms(x), and the finite sums of its data, _sums().
     """
 
     def __init__(self, data):
@@ -523,7 +523,10 @@ class FiniteSum(SmoothPotential):
         b = int(minibatch)
         if b < 1:
             raise ValueError("minibatch size must be >= 1 or 'full'")
-        return self._minibatch_gradient(x, rng.integers(self.n, size=b), b)
+        return self._minibatch_combine(x, self._minibatch_mean(rng.integers(self.n, size=b), b))
+
+    def _minibatch_combine(self, x, mean):
+        return mean
 
     def grad_norm_variance(self, x, minibatch=1):
         """Var_i ||n grad f_i(x)|| / b, i uniform; 0 for the full gradient.
@@ -569,9 +572,12 @@ class QuadraticSum(FiniteSum):
     def full_gradient(self, x):
         return self.n * np.asarray(x, dtype=float) - self._data_sum
 
-    def _minibatch_gradient(self, x, idx, b):
+    def _minibatch_mean(self, idx, b):
         # sum / b is bitwise np.mean, without its per-call overhead
-        return self.n * (np.asarray(x, dtype=float) - self.data[idx].sum(axis=0) / b)
+        return self.data[idx].sum(axis=-2) / b
+
+    def _minibatch_combine(self, x, mean):
+        return self.n * (x - mean)
 
     def _datum_grad_norms(self, x):
         diff = x - self.data
@@ -610,13 +616,13 @@ class PrecisionLikelihood(FiniteSum):
         out[...] = self._grad
         return out
 
-    def _minibatch_gradient(self, x, idx, b):
+    def _minibatch_mean(self, idx, b):  # the estimate itself: F is linear in x
         if self.d == 1:
             # add.reduce / b: bitwise .sum() / b and np.mean of the 1-d gather
-            return np.array([self.n * (np.add.reduce(self._sq[idx]) / b) / 2.0])
+            return (self.n * (np.add.reduce(self._sq[idx], axis=-1) / b) / 2.0)[..., None]
         rows = self.data[idx]
-        est = (rows.T @ rows) / b * self.n / 2.0
-        return (est + est.T) / 2.0
+        est = rows.mT @ rows / b * self.n / 2.0
+        return (est + est.mT) / 2.0
 
     def _datum_grad_norms(self, x):
         # ||D D^T||_F = ||D||^2, so the norm of a single-index estimate is

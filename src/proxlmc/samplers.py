@@ -16,10 +16,11 @@ target exp(-F - G) with step size gamma and noise sqrt(2 gamma) W:
 g is the full or stochastic gradient of F at x, and a prox step has the dual
 point y' = (x_half - x') / gamma.  One private kernel writes these updates
 once over a leading chain axis: run_ensemble drives it on many chains,
-run_chain on a stack of one, and step_psgla is one of its steps.  Per step,
-draws happen in a fixed order on each chain's stream: minibatch indices
-first, then the Gaussian, then (for spla) the R component index.  Samplers
-that prox through G keep the iterates inside dom(G); ula and myula do not.
+run_chain on a stack of one, and step_psgla is one of its steps.  Each
+chain pre-draws a chunk of steps at a time, per step in a fixed order:
+minibatch indices, the Gaussian, (for spla) the R component index; each
+step's x meets the chunk's x-free mean of the drawn data in a minibatch
+gradient.  Samplers that prox through G keep the iterates inside dom(G).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import AbsoluteValue, LipschitzProxTerm
+from .potentials import AbsoluteValue, FiniteSum, LipschitzProxTerm
 from .space import RngStream, _finite_number, _integer, check_point, gaussian
 
 SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
@@ -211,31 +212,31 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps
     """Advance the stack xs (leading chain axis; chain c draws from gens[c])
     from step done to step num_steps, yielding (k, x_half, xs) after step k.
 
-    x_half is the stack handed to the G-prox, or None for ula and myula.
-    Each step makes one gradient batch and one prox_batch (one stacked
-    eigendecomposition for matrices).  Only the draw schedule varies.  With a
-    full gradient and no SPLA index draw, each chain's noise is pre-drawn in
-    chunks of at most 1024 numbers, a cache-sized tile of chains at a time
-    scaled by sqrt(2 gamma) and copied transposed into a step-major block, so
-    step j reads the contiguous slab block[j]; W = min(CPUs, tiles) workers
-    with a tile each fill it, set by no option and with the same bits for any
-    W (_fill).  Otherwise each chain draws per step in kernel order (minibatch
-    indices, noise, SPLA index) into buffers and the R-prox runs per chain.  A
-    non-finite iterate, or a G-prox that fails on a non-finite x_half, raises
-    ChainDivergence, naming the lowest such chain of a stack of several.
+    x_half is the stack handed to the G-prox, or None for ula and myula.  A
+    step is one gradient batch, one update, one R-prox per component over the
+    chains that drew it, and one prox_batch (one stacked eigendecomposition
+    for matrices).  Each chain pre-draws chunks of at most 1024 // size steps,
+    never past num_steps, into step-major blocks allocated before step 1 (step
+    j reads block[j]).  Noise alone is drawn a cache-sized tile of chains at a
+    time by W = min(CPUs, tiles) workers, with the same bits for any W (_fill);
+    minibatch indices and R components are drawn with it on the calling
+    thread, in kernel order.  A FiniteSum's x-free minibatch mean is taken once
+    per chunk and each step combines it with the stack.  A non-finite iterate,
+    or a failed G-prox of a non-finite x_half, raises ChainDivergence.
     """
     n = len(gens)
     gamma, noise_scale = cfg.gamma, math.sqrt(2.0 * cfg.gamma)
-    minibatch, shape = cfg.minibatch, xs.shape[1:]
-    r_term = lipschitz_term if sampler == "spla" else None
-    per_step = minibatch != "full" or (r_term is not None and len(r_term.components) > 1)
-    g_prox = sampler not in ("ula", "myula")
-    size = xs[0].size
-    if per_step:
-        grads, noise = np.empty_like(xs), np.empty_like(xs)
-    else:  # one block and one tile per worker, refilled chunk by chunk
-        chunk = max(1, min(1024 // size, int(5e6 / (n * size)), num_steps - done))
-        block = np.empty((chunk, n) + shape)
+    shape, size = xs.shape[1:], xs[0].size
+    b = int(cfg.minibatch) if cfg.minibatch != "full" and isinstance(smooth, FiniteSum) else 0
+    components = lipschitz_term.components if sampler == "spla" and lipschitz_term else []
+    picked = len(components) > 1  # a component index drawn per step
+    # numbers per chain-step: the noise, b indices and the data rows they gather, a component
+    drawn = size + (b * (1 + smooth.data.shape[1]) if b else 0) + picked
+    chunk = max(1, min(1024 // size, 5_000_000 // (n * drawn), num_steps - done))
+    block = np.empty((chunk, n) + shape)
+    idx = np.empty((chunk, n, b), dtype=np.int64) if b else None
+    picks = np.empty((chunk, n), dtype=np.intp) if picked else None
+    if not (b or picked):  # one tile per worker, refilled chunk by chunk
         per_tile = min(n, max(1, _TILE_BYTES // (8 * chunk * size)))
         tiles = np.empty((min(_cpu_count(), -(-n // per_tile)), per_tile, chunk) + shape)
     # x * 0 is 0 for finite x and NaN otherwise, so this dot is NaN exactly
@@ -243,24 +244,32 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps
     zeros = np.zeros(xs.size)
     x_half = None
     for k in range(done + 1, num_steps + 1):
-        if per_step:
-            for c, g in enumerate(gens):
-                grads[c] = smooth.stochastic_gradient(xs[c], g, minibatch)
-                noise[c] = gaussian(g, shape)
-            scaled_noise = noise_scale * noise
-        else:
-            j = (k - done - 1) % chunk
-            if j == 0:
-                _fill(block[: min(chunk, num_steps - k + 1)], tiles, gens, noise_scale)
-            grads, scaled_noise = smooth.full_gradient(xs), block[j]
+        j = (k - done - 1) % chunk
+        if j == 0:
+            steps = min(chunk, num_steps - k + 1)
+            if not (b or picked):
+                _fill(block[:steps], tiles, gens, noise_scale)
+            else:
+                for c, g in enumerate(gens):  # tiny generator calls hold the GIL
+                    for i, noise in enumerate(block[:steps, c]):
+                        if b:
+                            idx[i, c] = g.integers(smooth.n, size=b)
+                        gaussian(g, shape, out=noise)
+                        if picked:
+                            picks[i, c] = g.integers(len(components))
+                block[:steps] *= noise_scale
+                mean = smooth._minibatch_mean(idx[:steps], b) if b else None
+        grads = smooth._minibatch_combine(xs, mean[j]) if b else smooth.full_gradient(xs)
         if sampler == "myula":
             lam = cfg.myula_lambda
             grads = grads + (xs - nonsmooth.prox_batch(lam, xs)) / lam
-        xs = xs - gamma * grads + scaled_noise
-        if r_term is not None:
-            for c, g in enumerate(gens):
-                xs[c] = r_term.prox_sample(gamma, xs[c], g)
-        if g_prox:
+        xs = xs - gamma * grads + block[j]
+        for i, r in enumerate(components):
+            if not picked:
+                xs = r.prox_batch(gamma, xs)
+            elif (chosen := picks[j] == i).any():
+                xs[chosen] = r.prox_batch(gamma, xs[chosen])
+        if sampler not in ("ula", "myula"):  # a G-prox
             try:
                 x_half, xs = xs, nonsmooth.prox_batch(gamma, xs)
             except ValueError:  # an eigensolve fails on a non-finite entry
@@ -323,16 +332,9 @@ def _record(steps, sampler, cfg, x0, mean_checkpoints) -> ChainTrace:
     )
 
 
-def run_chain(
-    sampler: str,
-    smooth,
-    nonsmooth,
-    cfg: SamplerConfig,
-    x0,
-    lipschitz_term: LipschitzProxTerm | None = None,
-    stream_id: int = 0,
-    mean_checkpoints=(),
-) -> ChainTrace:
+def run_chain(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, x0,
+              lipschitz_term: LipschitzProxTerm | None = None, stream_id: int = 0,
+              mean_checkpoints=()) -> ChainTrace:
     """Run one chain, the kernel on a stack of one, and record its trace.
 
     Iterates x^1 .. x^num_steps; step k is recorded when k > burn_in and
@@ -351,17 +353,9 @@ def run_chain(
     return _record(steps, sampler, cfg, x, mean_checkpoints)
 
 
-def run_ensemble(
-    sampler: str,
-    smooth,
-    nonsmooth,
-    cfg: SamplerConfig,
-    num_chains: int,
-    snapshot_steps,
-    x0,
-    lipschitz_term: LipschitzProxTerm | None = None,
-    mean_checkpoints=None,
-) -> EnsembleResult:
+def run_ensemble(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, num_chains: int,
+                 snapshot_steps, x0, lipschitz_term: LipschitzProxTerm | None = None,
+                 mean_checkpoints=None) -> EnsembleResult:
     """Run num_chains independent chains, keeping only snapshot cross-sections.
 
     Chain c runs on stream (cfg.seed, c) and equals run_chain(..., stream_id=c)

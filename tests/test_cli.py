@@ -705,6 +705,26 @@ def test_divergence_exits_1(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("minibatch", [10**17, 10**400])
+def test_an_unallocatable_minibatch_is_a_runtime_error_before_any_step(
+    minibatch, tmp_path, capsys, monkeypatch
+):
+    """The kernel allocates its pre-draw blocks before step 1: a minibatch of
+    10**17 indices, 8e17 bytes that no address space holds, or of more than
+    numpy's dimension limit, fails there, and the CLI reports it as one
+    runtime error line, not a traceback."""
+    from proxlmc import samplers
+
+    monkeypatch.setattr(samplers, "gaussian", lambda *a, **k: pytest.fail("a step ran"))
+    cfg = write_config(tmp_path, {"experiment": "wishart-precision", "d": 1, "n": 50,
+                                  "gamma": 0.01, "num_steps": 50, "minibatch": minibatch})
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("runtime error: ")
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_experiment_with_chains_records_chain_zero_in_the_ensemble_pass(tmp_path, monkeypatch):
     """With --chains, one kernel pass also records chain 0: the run writes
     the bytes it wrote when a separate run_chain recorded that chain, and

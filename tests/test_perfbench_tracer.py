@@ -52,18 +52,25 @@ def test_each_workload_runs_one_clean_untraced_call(name, monkeypatch, tmp_path)
     assert res.problems == []
 
 
-# (scale, steps) at which two noise workers each fill several tiles of a
-# chunk: flat-ensemble 1024 chains of 131 per tile, matrix-ensemble 192 of 32.
-TWO_WORKER_SIZES = {"flat-ensemble": (0.25, 250), "matrix-ensemble": (3, 20)}
+# (workload, scale, steps, config keys) at which two noise workers each fill
+# several tiles of a chunk: flat-ensemble 1024 chains of 131 per tile,
+# matrix-ensemble 192 of 32; 1024 minibatch chains draw on the calling thread.
+TWO_WORKER_CASES = {
+    "flat-ensemble": ("flat-ensemble", 0.25, 250, {}),
+    "matrix-ensemble": ("matrix-ensemble", 3, 20, {}),
+    "flat-ensemble-minibatch": ("flat-ensemble", 0.25, 60, {"minibatch": 1}),
+}
 
 
-@pytest.mark.parametrize("name", sorted(TWO_WORKER_SIZES))
-def test_traced_calls_on_two_noise_workers_repeat_their_counters(name, monkeypatch, tmp_path):
+@pytest.mark.parametrize("case", sorted(TWO_WORKER_CASES))
+def test_traced_calls_on_two_noise_workers_repeat_their_counters(case, monkeypatch, tmp_path):
     """perfbench/run.py fails a traced run whose exact counters differ between
     calls of one sub-seed.  The tracer keeps one span stack for all threads,
     so the noise fill's worker threads must call nothing it rebinds: two
     traced calls of sub-seed 0 on two workers count the same.  A short
-    thread switch interval makes the workers interleave within a chunk."""
+    thread switch interval makes the workers interleave within a chunk.  A
+    minibatch ensemble draws its indices and noise on the calling thread,
+    and its traced calls must count alike too."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "tracer", raising=False)
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
@@ -73,9 +80,11 @@ def test_traced_calls_on_two_noise_workers_repeat_their_counters(name, monkeypat
     from proxlmc import samplers
 
     monkeypatch.setattr(samplers, "_cpu_count", lambda: 2)
-    scale, num_steps = TWO_WORKER_SIZES[name]
+    name, scale, num_steps, keys = TWO_WORKER_CASES[case]
     wl = workloads.WORKLOADS[name](3, scale=scale)
     wl.num_steps = num_steps
+    if keys:
+        wl.raw_config = lambda sub, base=wl.raw_config: {**base(sub), **keys}
     wl.prepare()
     counters = []
     switch_s = sys.getswitchinterval()

@@ -1164,6 +1164,42 @@ def test_minibatch_gradients_equal_the_mean_formula():
             assert np.array_equal(f1.stochastic_gradient(x[:1], rng, b), expected)
 
 
+@given(
+    st.sampled_from([
+        ("sum", 1, 1), ("sum", 1, 7), ("sum", 1, 8), ("sum", 1, 9), ("sum", 1, 16),
+        ("sum", 1, 130), ("sum", 3, 1), ("sum", 3, 7), ("sum", 3, 8), ("sum", 3, 9),
+        ("sum", 3, 16), ("sum", 3, 130), ("precision", 1, 8), ("precision", 1, 9),
+        ("precision", 1, 130), ("precision", 2, 1), ("precision", 2, 9), ("precision", 3, 7),
+        ("precision", 3, 16),
+    ]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stacked_minibatch_means_equal_the_per_call_gradient_bitwise(case, seed):
+    """The kernel takes a FiniteSum's x-free minibatch mean once over a
+    (steps, chains, b) index block and combines it with each step's stack;
+    that equals stochastic_gradient drawing the same indices one call at a
+    time, bit for bit: sums of b rows summed one by one, in unrolled blocks
+    and pairwise (b < 8, <= 128 and > 128), and the stacked d > 1 scatter
+    matmul against the 2-d one."""
+    kind, d, b = case
+    rng = RngStream(seed, 0)
+    data = rng.standard_normal((11, d))
+    f = QuadraticSum(data) if kind == "sum" else PrecisionLikelihood(data, d)
+    shape = f.point_shape
+    steps, chains = 4, 3
+    xs = rng.standard_normal((steps, chains) + shape)
+    xs = (xs + np.swapaxes(xs, -1, -2)) / 2.0 if len(shape) == 2 else xs
+    streams = [RngStream(seed, 1 + c) for c in range(chains)]
+    idx = np.stack([[g.integers(11, size=b) for g in streams] for _ in range(steps)])
+    stacked = f._minibatch_combine(xs, f._minibatch_mean(idx, b))
+    replay = [RngStream(seed, 1 + c) for c in range(chains)]
+    for j in range(steps):
+        for c, g in enumerate(replay):
+            one = f.stochastic_gradient(xs[j, c], g, b)
+            assert one.shape == shape
+            assert one.tobytes() == stacked[j, c].tobytes()
+
+
 def _smooth_catalog(d, rng):
     """Every smooth potential with a d-dimensional point, and that point's shape."""
     b = rng.standard_normal((d, d))

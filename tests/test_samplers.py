@@ -792,15 +792,17 @@ def _precision_1d_problem():
     return PrecisionLikelihood(data, 1), LogBarrier(25.0, 0.5), np.ones(1)
 
 
+_PROBLEMS = {"flat": _flat_problem, "sym": lambda: _matrix_problem(3),
+             "precision-1d": _precision_1d_problem}
+
+
 @pytest.mark.parametrize("minibatch", ["full", 2])
 @pytest.mark.parametrize("space", ["flat", "sym", "precision-1d"])
 @pytest.mark.parametrize("sampler", ["ula", "psgla", "projected", "myula", "spla"])
 def test_run_chain_matches_the_reference_update_bitwise(sampler, space, minibatch):
     """run_chain, which shares its kernel with run_ensemble, against the
     per-step updates written out independently."""
-    problems = {"flat": _flat_problem, "sym": lambda: _matrix_problem(3),
-                "precision-1d": _precision_1d_problem}
-    smooth, g, x0 = problems[space]()
+    smooth, g, x0 = _PROBLEMS[space]()
     if sampler == "projected" and space != "flat":
         # projected Langevin needs an indicator G
         g = Spectral(LogBarrier(0.0, 0.0), 3) if space == "sym" else LogBarrier(0.0, 0.0)
@@ -815,6 +817,50 @@ def test_run_chain_matches_the_reference_update_bitwise(sampler, space, minibatc
         if x_half is not None:
             assert np.array_equal(trace.duals[k], (x_half - x_new) / cfg.gamma)
     assert len(trace.duals) == (0 if sampler in ("ula", "myula") else 30)
+
+
+@pytest.mark.parametrize("sampler, minibatch", [("psgla", 2), ("spla", "full"), ("spla", 2)])
+@pytest.mark.parametrize("space", ["flat", "sym", "precision-1d"])
+def test_run_chain_matches_the_reference_update_across_draw_chunks(sampler, space, minibatch):
+    """Minibatch indices, noise and SPLA component indices are pre-drawn per
+    chunk of 1024 // size steps; over two chunk boundaries and a partial
+    last chunk, each step still equals the reference update drawing one
+    step at a time."""
+    smooth, g, x0 = _PROBLEMS[space]()
+    r = absolute_entries_term(0.4, x0.shape)
+    num_steps = 2 * (1024 // x0.size) + 7
+    cfg = SamplerConfig(0.02, num_steps, seed=27, minibatch=minibatch, record_duals=True)
+    trace = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r)
+    ref = _reference_chain(sampler, smooth, g, cfg, x0, r)
+    assert len(trace.primal) == len(ref) == num_steps
+    for k, (x_half, x_new) in enumerate(ref):
+        assert np.array_equal(trace.primal[k], x_new)
+        assert np.array_equal(trace.duals[k], (x_half - x_new) / cfg.gamma)
+
+
+@pytest.mark.parametrize("sampler, minibatch", [("psgla", "full"), ("psgla", 2), ("spla", "full")])
+@pytest.mark.parametrize("space", ["flat", "sym", "precision-1d"])
+def test_chain_zero_goes_on_from_a_mid_chunk_snapshot_on_an_untouched_stream(
+    sampler, space, minibatch
+):
+    """The ensemble's pre-draws stop at its last snapshot, here inside its
+    second chunk; chain 0 then draws on alone from there, over chunks of
+    its own, and its trace equals run_chain on stream 0 bit for bit."""
+    smooth, g, x0 = _PROBLEMS[space]()
+    r = absolute_entries_term(0.4, x0.shape)
+    chunk = 1024 // x0.size
+    num_steps = 3 * chunk + 5
+    cfg = SamplerConfig(0.02, num_steps, seed=28, minibatch=minibatch, record_duals=True)
+    checkpoints = [chunk, chunk + chunk // 2 + 1, num_steps]
+    res = run_ensemble(sampler, smooth, g, cfg, 3, [chunk + chunk // 2], x0, lipschitz_term=r,
+                       mean_checkpoints=checkpoints)
+    ref = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, mean_checkpoints=checkpoints)
+    assert np.array_equal(res.trace.primal, ref.primal)
+    assert np.array_equal(res.trace.duals, ref.duals)
+    for (_, ours), (_, theirs) in zip(res.trace.mean_checkpoints, ref.mean_checkpoints):
+        assert np.array_equal(ours, theirs)
+    lone = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, stream_id=2)
+    assert np.array_equal(res.snapshot(chunk + chunk // 2)[2], lone.primal[chunk + chunk // 2 - 1])
 
 
 def test_ula_ensemble_reaches_the_biased_stationary_variance():
