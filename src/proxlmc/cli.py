@@ -471,9 +471,13 @@ def main(argv=None) -> int:
         # sample has no --chains: it runs one chain
         cfg = resolve_config(load_config(args.config), args.seed, getattr(args, "chains", None))
         out_dir = _resolve_out_dir(args.out, cfg.out)
-        if args.command == "sample":
-            return cmd_sample(cfg, out_dir)
-        return cmd_experiment(cfg, out_dir)
+        made = not os.path.exists(out_dir)
+        try:
+            return (cmd_sample if args.command == "sample" else cmd_experiment)(cfg, out_dir)
+        except BaseException:  # a failed run removes the out_dir it made while it is empty
+            if made and os.path.isdir(out_dir) and not os.listdir(out_dir):
+                os.rmdir(out_dir)
+            raise
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

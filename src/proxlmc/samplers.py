@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import AbsoluteValue, FiniteSum, LipschitzProxTerm
-from .space import RngStream, _finite_number, _integer, check_point, gaussian
+from .space import RngStream, _finite_number, _integer, _stream_start, check_point, gaussian
 
 SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
 _TILE_BYTES = 1 << 18  # pre-drawn noise per tile of chains, which fits in the L2 cache
@@ -182,18 +182,18 @@ def _cpu_count() -> int:  # the CPUs this process may run on
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _fill(block, tiles, gens, noise_scale):
-    """Fill block[:, c] with chain c's next points times noise_scale: worker w
-    of W = len(tiles), 0 being the caller, fills tiles w, w + W, ... of chains."""
-    n, shape, per_tile, workers = len(gens), block.shape[2:], tiles.shape[1], len(tiles)
+def _fill(block, tiles, gens, noise_scale, chains):
+    """Fill block[:, c] with chain c's next points times noise_scale: worker w of
+    W = len(tiles), 0 being the caller, fills tiles w, w + W, ... of chains on gens[w]."""
+    n, shape, per_tile, workers = block.shape[1], block.shape[2:], tiles.shape[1], len(tiles)
     errors = [None] * workers  # (first tile, exception) of each failed worker
 
     def work(w):
         try:
             for c0 in range(w * per_tile, n, workers * per_tile):
                 rows = tiles[w, : n - c0, : len(block)]
-                for c, row in zip(range(c0, n), rows):  # each chain on its own stream
-                    gaussian(gens[c], shape, out=row)
+                for c in chains(gens[w], range(c0, c0 + len(rows))):
+                    gaussian(gens[w], shape, out=rows[c - c0])
                 np.multiply(rows.swapaxes(0, 1), noise_scale, out=block[:, c0 : c0 + per_tile])
         except BaseException as err:  # the lowest chain's is raised after every join
             errors[w] = (c0, err)
@@ -208,9 +208,10 @@ def _fill(block, tiles, gens, noise_scale):
         raise min(e for e in errors if e)[1]
 
 
-def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps, done=0):
-    """Advance the stack xs (leading chain axis; chain c draws from gens[c])
-    from step done to step num_steps, yielding (k, x_half, xs) after step k.
+def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps, done=0,
+            keep=False):
+    """Advance the stack xs (leading chain axis) from step done to step
+    num_steps, yielding (k, x_half, xs) after step k.
 
     x_half is the stack handed to the G-prox, or None for ula and myula.  A
     step is one gradient batch, one update, one R-prox per component over the
@@ -223,8 +224,13 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps
     thread, in kernel order.  A FiniteSum's x-free minibatch mean is taken once
     per chunk and each step combines it with the stack.  A non-finite iterate,
     or a failed G-prox of a non-finite x_half, raises ChainDivergence.
+    A stack of one draws on rng where it stands.  Chain c of several, stream
+    (cfg.seed, c), draws on its worker's generator (rng for worker 0) set to the
+    stream's start or to the state, ~0.9 KiB, that the chain saved after its
+    last chunk; it saves only if it draws again in this call, or after it as
+    chain 0 with keep, which leaves rng on chain 0.
     """
-    n = len(gens)
+    n = len(xs)
     gamma, noise_scale = cfg.gamma, math.sqrt(2.0 * cfg.gamma)
     shape, size = xs.shape[1:], xs[0].size
     b = int(cfg.minibatch) if cfg.minibatch != "full" and isinstance(smooth, FiniteSum) else 0
@@ -236,9 +242,20 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps
     block = np.empty((chunk, n) + shape)
     idx = np.empty((chunk, n, b), dtype=np.int64) if b else None
     picks = np.empty((chunk, n), dtype=np.intp) if picked else None
-    if not (b or picked):  # one tile per worker, refilled chunk by chunk
+    if not (b or picked):  # one tile and one generator per worker, refilled chunk by chunk
         per_tile = min(n, max(1, _TILE_BYTES // (8 * chunk * size)))
         tiles = np.empty((min(_cpu_count(), -(-n // per_tile)), per_tile, chunk) + shape)
+        gens = [rng] + [RngStream(cfg.seed) for _ in range(len(tiles) - 1)]
+    saved = [None] * n  # each chain's Philox state, while it has later draws to make
+
+    def chains(g, cs):  # each chain c of cs, g at its stream position while c is drawn
+        for c in cs:
+            if n > 1:
+                g._gen.bit_generator.state = saved[c] or _stream_start(cfg.seed, c)
+            yield c
+            if n > 1 and (k + steps <= num_steps or (keep and c == 0)):  # draws again
+                saved[c] = g._gen.bit_generator.state
+
     # x * 0 is 0 for finite x and NaN otherwise, so this dot is NaN exactly
     # when xs has a non-finite entry; unlike a sum, it cannot overflow
     zeros = np.zeros(xs.size)
@@ -248,17 +265,19 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term, num_steps
         if j == 0:
             steps = min(chunk, num_steps - k + 1)
             if not (b or picked):
-                _fill(block[:steps], tiles, gens, noise_scale)
+                _fill(block[:steps], tiles, gens, noise_scale, chains)
             else:
-                for c, g in enumerate(gens):  # tiny generator calls hold the GIL
+                for c in chains(rng, range(n)):  # tiny generator calls hold the GIL
                     for i, noise in enumerate(block[:steps, c]):
                         if b:
-                            idx[i, c] = g.integers(smooth.n, size=b)
-                        gaussian(g, shape, out=noise)
+                            idx[i, c] = rng.integers(smooth.n, size=b)
+                        gaussian(rng, shape, out=noise)
                         if picked:
-                            picks[i, c] = g.integers(len(components))
+                            picks[i, c] = rng.integers(len(components))
                 block[:steps] *= noise_scale
                 mean = smooth._minibatch_mean(idx[:steps], b) if b else None
+            if keep and k + steps > num_steps:  # the last chunk: leave rng on chain 0
+                rng._gen.bit_generator.state = saved[0]
         grads = smooth._minibatch_combine(xs, mean[j]) if b else smooth.full_gradient(xs)
         if sampler == "myula":
             lam = cfg.myula_lambda
@@ -289,7 +308,7 @@ def step_psgla(x, smooth, nonsmooth, cfg, rng):
     x gets the same start-up checks as run_chain and run_ensemble.
     """
     x = _prepare("psgla", smooth, nonsmooth, cfg, x, None)
-    steps = _kernel("psgla", smooth, nonsmooth, cfg, x[None], [rng], None, 1)
+    steps = _kernel("psgla", smooth, nonsmooth, cfg, x[None], rng, None, 1)
     _, x_half, xs = next(steps)
     return x_half[0], xs[0], (x_half[0] - xs[0]) / cfg.gamma
 
@@ -348,8 +367,8 @@ def run_chain(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, x0,
     non-finite iterate.
     """
     x = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
-    gens = [RngStream(cfg.seed, stream_id)]
-    steps = _kernel(sampler, smooth, nonsmooth, cfg, x[None], gens, lipschitz_term, cfg.num_steps)
+    rng = RngStream(cfg.seed, stream_id)
+    steps = _kernel(sampler, smooth, nonsmooth, cfg, x[None], rng, lipschitz_term, cfg.num_steps)
     return _record(steps, sampler, cfg, x, mean_checkpoints)
 
 
@@ -359,11 +378,12 @@ def run_ensemble(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, num_chains
     """Run num_chains independent chains, keeping only snapshot cross-sections.
 
     Chain c runs on stream (cfg.seed, c) and equals run_chain(..., stream_id=c)
-    bit for bit: both drive the same kernel.  Memory is the snapshots plus one
-    chunk of noise, O(num_chains * chunk).  Snapshot step 0 stores x0.  Given
-    mean_checkpoints, trace is run_chain's trace of chain 0: the ensemble
-    stops at its last snapshot and chain 0 goes on alone.  A divergence
-    reports the earliest non-finite step and the lowest chain there.
+    bit for bit: both drive the same kernel.  Memory is the snapshots, a chunk
+    of noise, O(num_chains * chunk), a generator per worker and, past one
+    chunk, a state per chain.  Snapshot step 0 stores x0.  Given
+    mean_checkpoints, trace is run_chain's trace of chain 0: the ensemble stops
+    at its last snapshot and chain 0 goes on alone.  A divergence reports the
+    earliest non-finite step and the lowest chain there.
     """
     if _integer(num_chains, "num_chains") < 2:
         raise ValueError(f"an ensemble needs num_chains >= 2, got {num_chains}")
@@ -371,18 +391,19 @@ def run_ensemble(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, num_chains
     steps = _step_list(snapshot_steps, "snapshot step", 0, cfg.num_steps)
     if not steps:
         raise ValueError("snapshot_steps must be non-empty")
-    gens = [RngStream(cfg.seed, c) for c in range(num_chains)]
+    rng = RngStream(cfg.seed)  # worker 0's generator, then chain 0's alone
+    keep = mean_checkpoints is not None and steps[-1] < cfg.num_steps
     xs = np.repeat(x0[None], num_chains, axis=0)
     snaps = dict.fromkeys(steps, xs)  # step 0 keeps x0, the kernel fills the others
 
     def advance(xs):  # to the last snapshot; then chain 0 alone, if it is recorded
-        for k, x_half, xs in _kernel(sampler, smooth, nonsmooth, cfg, xs, gens, lipschitz_term,
-                                     steps[-1]):
+        for k, x_half, xs in _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term,
+                                     steps[-1], keep=keep):
             if k in snaps:
                 snaps[k] = xs
             yield k, x_half, xs
         if mean_checkpoints is not None:
-            yield from _kernel(sampler, smooth, nonsmooth, cfg, xs[:1], gens[:1], lipschitz_term,
+            yield from _kernel(sampler, smooth, nonsmooth, cfg, xs[:1], rng, lipschitz_term,
                                cfg.num_steps, done=steps[-1])
 
     run = advance(xs)

@@ -725,6 +725,44 @@ def test_an_unallocatable_minibatch_is_a_runtime_error_before_any_step(
     assert "Traceback" not in captured.err + captured.out
 
 
+_FAILING_RUNS = {  # a MemoryError before step 1, a ChainDivergence during the run
+    "minibatch": ("sample", {"experiment": "wishart-precision", "d": 1, "n": 50, "gamma": 0.01,
+                             "num_steps": 50, "minibatch": 10**17}),
+    "divergence": ("experiment", {"experiment": "trunc-gauss", "sampler": "ula", "gamma": 50.0,
+                                  "num_steps": 400}),
+}
+
+
+@pytest.mark.parametrize("existed", [False, True])
+@pytest.mark.parametrize("case", sorted(_FAILING_RUNS))
+def test_a_failed_run_removes_the_empty_out_dir_it_made(case, existed, tmp_path, capsys):
+    """A run that fails at run time exits 1 and leaves no output directory
+    behind that it made; a directory that existed before the run stays."""
+    command, body = _FAILING_RUNS[case]
+    out = tmp_path / "o"
+    if existed:
+        out.mkdir()
+    argv = [command, "--config", write_config(tmp_path, body), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the diverging run's step-size warning
+        code = main(argv + (["--chains", "8"] if command == "experiment" else []))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("runtime error: ")
+    assert out.is_dir() == existed
+    assert not existed or list(out.iterdir()) == []
+
+
+def test_an_uncreatable_out_dir_fails_before_any_step(tmp_path, capsys, monkeypatch):
+    from proxlmc import samplers
+
+    monkeypatch.setattr(samplers, "gaussian", lambda *a, **k: pytest.fail("a step ran"))
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path, {"experiment": "trunc-gauss", "num_steps": 50})
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "file" / "o")]) == 1
+    assert capsys.readouterr().err.startswith("runtime error: ")
+    assert (tmp_path / "file").read_text() == ""
+
+
 def test_experiment_with_chains_records_chain_zero_in_the_ensemble_pass(tmp_path, monkeypatch):
     """With --chains, one kernel pass also records chain 0: the run writes
     the bytes it wrote when a separate run_chain recorded that chain, and

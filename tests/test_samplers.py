@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import threading
 
 import numpy as np
@@ -641,6 +642,11 @@ def test_batched_ensemble_matches_per_chain_runs_across_chunks_and_tiles(space, 
             assert np.array_equal(res.snapshot(k)[c], trace.primal[k - 1])
 
 
+def _chain_of(rng):
+    """The chain a worker's generator is pointed at: the stream id of its Philox key."""
+    return int(rng._gen.bit_generator.state["state"]["key"][1])
+
+
 @pytest.mark.parametrize("space", ["flat", "sym"])
 def test_ensemble_bits_do_not_depend_on_the_worker_count(space, monkeypatch):
     """The noise of a chunk is filled by W = min(CPUs, tiles) workers, tile i
@@ -660,7 +666,7 @@ def test_ensemble_bits_do_not_depend_on_the_worker_count(space, monkeypatch):
         drawn_on = {}  # chain -> the thread that filled its first chunk
 
         def spy(rng, *args, **kwargs):
-            drawn_on.setdefault(rng.stream_id, threading.current_thread().name)
+            drawn_on.setdefault(_chain_of(rng), threading.current_thread().name)
             return draw(rng, *args, **kwargs)
 
         monkeypatch.setattr(samplers, "_cpu_count", lambda: cpus)
@@ -691,8 +697,8 @@ def test_a_draw_error_on_any_worker_reaches_the_caller(cpus, monkeypatch):
 
     def broken(rng, *args, **kwargs):
         drawn_on.add(threading.current_thread().name)
-        if rng.stream_id in failing:
-            raise FloatingPointError(f"draw of chain {rng.stream_id}")
+        if _chain_of(rng) in failing:
+            raise FloatingPointError(f"draw of chain {_chain_of(rng)}")
         return draw(rng, *args, **kwargs)
 
     monkeypatch.setattr(samplers, "_cpu_count", lambda: cpus)
@@ -703,6 +709,47 @@ def test_a_draw_error_on_any_worker_reaches_the_caller(cpus, monkeypatch):
         run_ensemble("psgla", smooth, g, cfg, 4 * per_tile, [chunk], x0)
     assert threading.active_count() == before
     assert len(drawn_on) == cpus  # four tiles, so one worker per CPU
+
+
+@pytest.mark.parametrize("minibatch", ["full", 3])
+def test_rekeyed_generators_under_thread_switches_match_lone_chains(minibatch, monkeypatch):
+    """Eight noise workers on tiles of three chains, with a thread switch
+    every 10 us: over three chunks, a partial last tile, a last snapshot
+    inside a chunk and chain 0 recorded past it, every chain and chain 0's
+    trace equal their lone runs bit for bit.  The ensemble builds at most one
+    generator per CPU plus one, all on the calling thread."""
+    smooth, g, x0 = _flat_problem()
+    chunk = 1024 // x0.size
+    monkeypatch.setattr(samplers, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(samplers, "_TILE_BYTES", 8 * chunk * x0.size * 3)
+    num_chains = 8 * 3 + 2  # nine tiles, the last one partial
+    cfg = SamplerConfig(0.02, 3 * chunk + 40, seed=27, minibatch=minibatch)
+    steps, checkpoints = [1, chunk, 2 * chunk + 50], [chunk + 1, 3 * chunk + 40]
+    lone = [run_chain("psgla", smooth, g, cfg, x0, stream_id=c) for c in range(num_chains)]
+    ref = run_chain("psgla", smooth, g, cfg, x0, mean_checkpoints=checkpoints)
+    built, init = [], RngStream.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(threading.current_thread())
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "__init__", counted)
+    switch_s = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        res = run_ensemble("psgla", smooth, g, cfg, num_chains, steps, x0,
+                           mean_checkpoints=checkpoints)
+    finally:
+        sys.setswitchinterval(switch_s)
+    assert 1 <= len(built) <= samplers._cpu_count() + 1
+    assert set(built) == {threading.current_thread()}
+    for c in range(num_chains):
+        for k in steps:
+            assert np.array_equal(res.snapshot(k)[c], lone[c].primal[k - 1])
+    assert np.array_equal(res.trace.primal, ref.primal)
+    assert len(res.trace.mean_checkpoints) == len(ref.mean_checkpoints) == 2
+    for (_, ours), (_, theirs) in zip(res.trace.mean_checkpoints, ref.mean_checkpoints):
+        assert np.array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from proxlmc import (
     spectral_apply,
     sym_eigendecomposition,
 )
-from proxlmc.space import flatten_points, frobenius
+from proxlmc.space import _stream_start, flatten_points, frobenius
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +109,10 @@ def test_stream_is_philox_at_its_key(seed, stream_id):
 
 
 def test_stream_key_holds_no_array():
-    """One key per ensemble chain lives as long as the ensemble.  The
-    peak-RSS finding: a key array per stream left holes in the heap around
-    the ensemble's 31.25 MiB noise block and raised the flat-ensemble
-    benchmark's peak RSS from 136 to 168 MiB, so the key keeps two ints."""
+    """The key keeps two ints.  The peak-RSS finding, made when an ensemble
+    kept one stream per chain: a key array per stream left holes in the heap
+    around the ensemble's 31.25 MiB noise block and raised the flat-ensemble
+    benchmark's peak RSS from 136 to 168 MiB."""
     key = RngStream(5, 9)._gen.bit_generator.seed_seq
     held = [getattr(key, name) for name in type(key).__slots__] + list(vars(key).values())
     assert held == [5, 9] and all(type(v) is int for v in held)
@@ -125,6 +125,45 @@ def test_stream_key_refuses_other_state_requests(n_words, dtype):
     assert np.array_equal(key.generate_state(2, np.uint64), np.array([5, 9], dtype=np.uint64))
     with pytest.raises(ValueError, match="2 uint64 words"):
         key.generate_state(n_words, dtype)
+
+
+def _draw(rng, kind, size):
+    """One call of the kinds the kernel makes: minibatch indices (a small n
+    leaves half a uint64 buffered), a stack of vectors, or a symmetric matrix."""
+    if kind == "integers":
+        return rng.integers(10 * size + 1, size=size)
+    if kind == "vectors":
+        return gaussian(rng, (size,), out=np.empty((2, size)))
+    return gaussian(rng, (size, size))
+
+
+_CALLS = st.lists(
+    st.tuples(st.sampled_from(["integers", "vectors", "sym"]), st.integers(1, 5), st.booleans()),
+    min_size=1, max_size=12,
+)
+
+
+@pytest.mark.parametrize("stream_id", [0, 2**64 - 1])
+@pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+@given(calls=_CALLS)
+def test_a_rekeyed_generator_draws_what_its_stream_draws(seed, stream_id, calls):
+    """One generator set to a stream's start draws what RngStream(seed,
+    stream_id) draws, call for call, when between any two calls its state is
+    saved, another chain draws on it, and the state is restored; the other
+    chain's draws are its own stream's too."""
+    ref = RngStream(seed, stream_id)
+    other_id = stream_id ^ 1
+    other_ref, other = RngStream(seed, other_id), _stream_start(seed, other_id)
+    rng = RngStream(3, 4)  # its own key is overwritten
+    bits = rng._gen.bit_generator
+    bits.state = _stream_start(seed, stream_id)
+    for kind, size, switch in calls:
+        assert np.array_equal(_draw(rng, kind, size), _draw(ref, kind, size))
+        if switch:
+            saved, bits.state = bits.state, other
+            assert np.array_equal(_draw(rng, kind, size), _draw(other_ref, kind, size))
+            other, bits.state = bits.state, saved
+    assert _same_state(bits.state, ref._gen.bit_generator.state)
 
 
 @pytest.mark.parametrize("seed, stream_id, what", [
