@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import AbsoluteValue, FiniteSum, LipschitzProxTerm
-from .space import RngStream, _finite_number, _integer, _stream_start, check_point, gaussian
+from .space import RngStream, _finite_number, _integer, _position, _seek, check_point, gaussian
 
 SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
 _TILE_BYTES = 1 << 18  # pre-drawn noise per tile of chains, which fits in the L2 cache
@@ -208,8 +208,7 @@ def _fill(block, tiles, gens, noise_scale, chains):
         raise min(e for e in errors if e)[1]
 
 
-def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps, done=0,
-            keep=False):
+def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps, done=0):
     """Advance the stack xs (leading chain axis) from step done to step
     num_steps, yielding (k, x_half, xs) after step k.
 
@@ -224,11 +223,9 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps,
     thread, in kernel order.  A FiniteSum's x-free minibatch mean is taken once
     per chunk and each step combines it with the stack.  A non-finite iterate,
     or a failed G-prox of a non-finite x_half, raises ChainDivergence.
-    A stack of one draws on rng where it stands.  Chain c of several, stream
-    (cfg.seed, c), draws on its worker's generator (rng for worker 0) set to the
-    stream's start or to the state, ~0.9 KiB, that the chain saved after its
-    last chunk; it saves only if it draws again in this call, or after it as
-    chain 0 with keep, which leaves rng on chain 0.
+    A stack of one draws on rng where it stands; chain c of several draws on its
+    worker's generator (rng for worker 0) set to c's position (space._seek), and
+    saves it to draw again in this call or, as chain 0, to leave rng there.
     """
     n = len(xs)
     gamma, noise_scale = cfg.gamma, math.sqrt(2.0 * cfg.gamma)
@@ -246,15 +243,15 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps,
         per_tile = min(n, max(1, _TILE_BYTES // (8 * chunk * size)))
         tiles = np.empty((min(_cpu_count(), -(-n // per_tile)), per_tile, chunk) + shape)
         gens = [rng] + [RngStream(cfg.seed) for _ in range(len(tiles) - 1)]
-    saved = [None] * n  # each chain's Philox state, while it has later draws to make
+    saved = [None] * n  # each chain's position, while it has later draws to make
 
     def chains(g, cs):  # each chain c of cs, g at its stream position while c is drawn
         for c in cs:
             if n > 1:
-                g._gen.bit_generator.state = saved[c] or _stream_start(cfg.seed, c)
+                _seek(g, saved[c] or c)
             yield c
-            if n > 1 and (k + steps <= num_steps or (keep and c == 0)):  # draws again
-                saved[c] = g._gen.bit_generator.state
+            if n > 1 and (c == 0 or k + steps <= num_steps):
+                saved[c] = _position(g)
 
     # x * 0 is 0 for finite x and NaN otherwise, so this dot is NaN exactly
     # when xs has a non-finite entry; unlike a sum, it cannot overflow
@@ -276,8 +273,8 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps,
                             picks[i, c] = rng.integers(len(components))
                 block[:steps] *= noise_scale
                 mean = smooth._minibatch_mean(idx[:steps], b) if b else None
-            if keep and k + steps > num_steps:  # the last chunk: leave rng on chain 0
-                rng._gen.bit_generator.state = saved[0]
+            if n > 1 and k + steps > num_steps:  # the last chunk: leave rng on chain 0
+                _seek(rng, saved[0])
         grads = smooth._minibatch_combine(xs, mean[j]) if b else smooth.full_gradient(xs)
         if sampler == "myula":
             lam = cfg.myula_lambda
@@ -380,7 +377,7 @@ def run_ensemble(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, num_chains
     Chain c runs on stream (cfg.seed, c) and equals run_chain(..., stream_id=c)
     bit for bit: both drive the same kernel.  Memory is the snapshots, a chunk
     of noise, O(num_chains * chunk), a generator per worker and, past one
-    chunk, a state per chain.  Snapshot step 0 stores x0.  Given
+    chunk, a position per chain.  Snapshot step 0 stores x0.  Given
     mean_checkpoints, trace is run_chain's trace of chain 0: the ensemble stops
     at its last snapshot and chain 0 goes on alone.  A divergence reports the
     earliest non-finite step and the lowest chain there.
@@ -392,13 +389,12 @@ def run_ensemble(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, num_chains
     if not steps:
         raise ValueError("snapshot_steps must be non-empty")
     rng = RngStream(cfg.seed)  # worker 0's generator, then chain 0's alone
-    keep = mean_checkpoints is not None and steps[-1] < cfg.num_steps
     xs = np.repeat(x0[None], num_chains, axis=0)
     snaps = dict.fromkeys(steps, xs)  # step 0 keeps x0, the kernel fills the others
 
     def advance(xs):  # to the last snapshot; then chain 0 alone, if it is recorded
         for k, x_half, xs in _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term,
-                                     steps[-1], keep=keep):
+                                     steps[-1]):
             if k in snaps:
                 snaps[k] = xs
             yield k, x_half, xs

@@ -89,6 +89,17 @@ def test_config_accepts_numpy_integers(box_quadratic):
     assert a.steps == b.steps and np.array_equal(a.primal, b.primal)
 
 
+@pytest.mark.parametrize("seed", [np.uint64(4), np.int64(-1)])
+def test_ensemble_accepts_a_numpy_seed(box_quadratic, seed):
+    """Every chain of an ensemble is keyed by the seed; a numpy seed keys the
+    streams a Python int of its value keys."""
+    smooth, box = box_quadratic
+    runs = [run_ensemble("psgla", smooth, box, SamplerConfig(0.1, 20, seed=s), 3, [5, 20],
+                         np.zeros(2), mean_checkpoints=[10, 20]) for s in (seed, int(seed))]
+    assert all(np.array_equal(runs[0].snapshot(k), runs[1].snapshot(k)) for k in (5, 20))
+    assert np.array_equal(runs[0].trace.primal, runs[1].trace.primal)
+
+
 def test_minibatch_accepts_numpy_integers():
     f = QuadraticSum(RngStream(12, 0).standard_normal((8, 2)))
     box = BoxIndicator(-2 * np.ones(2), 2 * np.ones(2))
@@ -642,11 +653,6 @@ def test_batched_ensemble_matches_per_chain_runs_across_chunks_and_tiles(space, 
             assert np.array_equal(res.snapshot(k)[c], trace.primal[k - 1])
 
 
-def _chain_of(rng):
-    """The chain a worker's generator is pointed at: the stream id of its Philox key."""
-    return int(rng._gen.bit_generator.state["state"]["key"][1])
-
-
 @pytest.mark.parametrize("space", ["flat", "sym"])
 def test_ensemble_bits_do_not_depend_on_the_worker_count(space, monkeypatch):
     """The noise of a chunk is filled by W = min(CPUs, tiles) workers, tile i
@@ -666,7 +672,7 @@ def test_ensemble_bits_do_not_depend_on_the_worker_count(space, monkeypatch):
         drawn_on = {}  # chain -> the thread that filled its first chunk
 
         def spy(rng, *args, **kwargs):
-            drawn_on.setdefault(_chain_of(rng), threading.current_thread().name)
+            drawn_on.setdefault(rng.stream_id, threading.current_thread().name)
             return draw(rng, *args, **kwargs)
 
         monkeypatch.setattr(samplers, "_cpu_count", lambda: cpus)
@@ -697,8 +703,8 @@ def test_a_draw_error_on_any_worker_reaches_the_caller(cpus, monkeypatch):
 
     def broken(rng, *args, **kwargs):
         drawn_on.add(threading.current_thread().name)
-        if _chain_of(rng) in failing:
-            raise FloatingPointError(f"draw of chain {_chain_of(rng)}")
+        if rng.stream_id in failing:
+            raise FloatingPointError(f"draw of chain {rng.stream_id}")
         return draw(rng, *args, **kwargs)
 
     monkeypatch.setattr(samplers, "_cpu_count", lambda: cpus)

@@ -27,7 +27,7 @@ from proxlmc import (
     spectral_apply,
     sym_eigendecomposition,
 )
-from proxlmc.space import _stream_start, flatten_points, frobenius
+from proxlmc.space import _position, _seek, flatten_points, frobenius
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,21 @@ def test_stream_key_holds_no_array():
     assert held == [5, 9] and all(type(v) is int for v in held)
 
 
+def test_a_position_holds_no_array():
+    """A chain that draws again keeps its position between chunks, one per
+    chain of an ensemble: plain ints, not the state getter's three arrays,
+    which held twice the memory."""
+    rng = RngStream(5, 9)
+    rng.integers(7, size=3)
+    position = _position(rng)
+    leaves = [v for p in position for v in (p if isinstance(p, tuple) else (p,))]
+    assert len(leaves) == 12 and all(type(v) is int for v in leaves)
+    rekeyed = RngStream(5)
+    _seek(rekeyed, position)
+    assert _position(rekeyed) == position
+    assert np.array_equal(rekeyed.standard_normal(3), rng.standard_normal(3))
+
+
 @pytest.mark.parametrize("n_words, dtype", [(1, np.uint64), (4, np.uint64), (2, np.uint32),
                                             (4, np.uint32), (2, np.int64)])
 def test_stream_key_refuses_other_state_requests(n_words, dtype):
@@ -147,23 +162,25 @@ _CALLS = st.lists(
 @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
 @given(calls=_CALLS)
 def test_a_rekeyed_generator_draws_what_its_stream_draws(seed, stream_id, calls):
-    """One generator set to a stream's start draws what RngStream(seed,
-    stream_id) draws, call for call, when between any two calls its state is
-    saved, another chain draws on it, and the state is restored; the other
-    chain's draws are its own stream's too."""
+    """A generator of the seed set to a stream's start draws what
+    RngStream(seed, stream_id) draws, call for call, when between any two
+    calls its position is saved, another chain draws on it, and the position
+    is restored; the other chain's draws are its own stream's too."""
     ref = RngStream(seed, stream_id)
-    other_id = stream_id ^ 1
-    other_ref, other = RngStream(seed, other_id), _stream_start(seed, other_id)
-    rng = RngStream(3, 4)  # its own key is overwritten
-    bits = rng._gen.bit_generator
-    bits.state = _stream_start(seed, stream_id)
+    other_ref, other = RngStream(seed, stream_id ^ 1), stream_id ^ 1
+    rng = RngStream(seed, 4)  # its own stream is left
+    _seek(rng, stream_id)
     for kind, size, switch in calls:
         assert np.array_equal(_draw(rng, kind, size), _draw(ref, kind, size))
         if switch:
-            saved, bits.state = bits.state, other
+            saved = _position(rng)
+            _seek(rng, other)
+            assert repr(rng) == repr(other_ref)
             assert np.array_equal(_draw(rng, kind, size), _draw(other_ref, kind, size))
-            other, bits.state = bits.state, saved
-    assert _same_state(bits.state, ref._gen.bit_generator.state)
+            other = _position(rng)
+            _seek(rng, saved)
+    assert repr(rng) == repr(ref)
+    assert _same_state(rng._gen.bit_generator.state, ref._gen.bit_generator.state)
 
 
 @pytest.mark.parametrize("seed, stream_id, what", [
