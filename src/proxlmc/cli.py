@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -471,12 +472,14 @@ def main(argv=None) -> int:
         # sample has no --chains: it runs one chain
         cfg = resolve_config(load_config(args.config), args.seed, getattr(args, "chains", None))
         out_dir = _resolve_out_dir(args.out, cfg.out)
-        made = not os.path.exists(out_dir)
+        path = pathlib.Path(out_dir).absolute()
+        new = [d for d in (path, *path.parents) if not d.exists()]  # made by the run, deepest first
         try:
             return (cmd_sample if args.command == "sample" else cmd_experiment)(cfg, out_dir)
-        except BaseException:  # a failed run removes the out_dir it made while it is empty
-            if made and os.path.isdir(out_dir) and not os.listdir(out_dir):
-                os.rmdir(out_dir)
+        except BaseException:  # a failed run removes the directories it made while they are empty
+            for d in new:
+                if d.is_dir() and not any(d.iterdir()):
+                    d.rmdir()
             raise
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -182,18 +182,19 @@ def _cpu_count() -> int:  # the CPUs this process may run on
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _fill(block, tiles, gens, noise_scale, chains):
+def _fill(block, tiles, gens, noise_scale, draw):
     """Fill block[:, c] with chain c's next points times noise_scale: worker w of
-    W = len(tiles), 0 being the caller, fills tiles w, w + W, ... of chains on gens[w]."""
-    n, shape, per_tile, workers = block.shape[1], block.shape[2:], tiles.shape[1], len(tiles)
+    W = len(tiles), 0 being the caller, fills tiles w, w + W, ... of chains on gens[w],
+    draw(gens[w], c, rows) filling chain c's rows of its tile."""
+    n, per_tile, workers = block.shape[1], tiles.shape[1], len(tiles)
     errors = [None] * workers  # (first tile, exception) of each failed worker
 
     def work(w):
         try:
             for c0 in range(w * per_tile, n, workers * per_tile):
                 rows = tiles[w, : n - c0, : len(block)]
-                for c in chains(gens[w], range(c0, c0 + len(rows))):
-                    gaussian(gens[w], shape, out=rows[c - c0])
+                for c, chain_rows in enumerate(rows, c0):
+                    draw(gens[w], c, chain_rows)
                 np.multiply(rows.swapaxes(0, 1), noise_scale, out=block[:, c0 : c0 + per_tile])
         except BaseException as err:  # the lowest chain's is raised after every join
             errors[w] = (c0, err)
@@ -217,15 +218,17 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps,
     chains that drew it, and one prox_batch (one stacked eigendecomposition
     for matrices).  Each chain pre-draws chunks of at most 1024 // size steps,
     never past num_steps, into step-major blocks allocated before step 1 (step
-    j reads block[j]).  Noise alone is drawn a cache-sized tile of chains at a
-    time by W = min(CPUs, tiles) workers, with the same bits for any W (_fill);
-    minibatch indices and R components are drawn with it on the calling
-    thread, in kernel order.  A FiniteSum's x-free minibatch mean is taken once
-    per chunk and each step combines it with the stack.  A non-finite iterate,
-    or a failed G-prox of a non-finite x_half, raises ChainDivergence.
-    A stack of one draws on rng where it stands; chain c of several draws on its
-    worker's generator (rng for worker 0) set to c's position (space._seek), and
-    saves it to draw again in this call or, as chain 0, to leave rng there.
+    j reads block[j]).  Every chunk is drawn one way, by _fill: a cache-sized
+    tile of chains at a time, each chain's draws in kernel order (per step:
+    minibatch indices, the noise, the R component; noise alone in one call),
+    by W workers with the same bits for any W.  W is min(CPUs, tiles) when
+    chains draw noise alone and 1 otherwise, as per-step calls hold the GIL.
+    A FiniteSum's x-free minibatch mean is taken once per chunk and each step
+    combines it with the stack.  A non-finite iterate, or a failed G-prox of a
+    non-finite x_half, raises ChainDivergence.  A stack of one draws on rng
+    where it stands; chain c of several draws on its worker's generator (rng
+    for worker 0) set to c's position (space._seek), and saves it to draw
+    again in this call or, as chain 0, to leave rng there.
     """
     n = len(xs)
     gamma, noise_scale = cfg.gamma, math.sqrt(2.0 * cfg.gamma)
@@ -239,19 +242,28 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps,
     block = np.empty((chunk, n) + shape)
     idx = np.empty((chunk, n, b), dtype=np.int64) if b else None
     picks = np.empty((chunk, n), dtype=np.intp) if picked else None
-    if not (b or picked):  # one tile and one generator per worker, refilled chunk by chunk
-        per_tile = min(n, max(1, _TILE_BYTES // (8 * chunk * size)))
-        tiles = np.empty((min(_cpu_count(), -(-n // per_tile)), per_tile, chunk) + shape)
-        gens = [rng] + [RngStream(cfg.seed) for _ in range(len(tiles) - 1)]
+    per_tile = min(n, max(1, _TILE_BYTES // (8 * chunk * size)))
+    # one worker when a chain draws more than noise: its tiny generator calls hold the
+    # GIL, and perfbench's tracer, which rebinds RngStream.integers, is not thread-safe
+    workers = 1 if b or picked else min(_cpu_count(), -(-n // per_tile))
+    tiles = np.empty((workers, per_tile, chunk) + shape)  # refilled chunk by chunk
+    gens = [rng] + [RngStream(cfg.seed) for _ in range(workers - 1)]
     saved = [None] * n  # each chain's position, while it has later draws to make
 
-    def chains(g, cs):  # each chain c of cs, g at its stream position while c is drawn
-        for c in cs:
-            if n > 1:
-                _seek(g, saved[c] or c)
-            yield c
-            if n > 1 and (c == 0 or k + steps <= num_steps):
-                saved[c] = _position(g)
+    def draw(g, c, rows):  # chain c's draws of the chunk in kernel order, g at c's position
+        if n > 1:
+            _seek(g, saved[c] or c)
+        if not (b or picked):  # noise alone: the whole chunk in one call
+            gaussian(g, shape, out=rows)
+        else:
+            for i, noise in enumerate(rows):
+                if b:
+                    idx[i, c] = g.integers(smooth.n, size=b)
+                gaussian(g, shape, out=noise)
+                if picked:
+                    picks[i, c] = g.integers(len(components))
+        if n > 1 and (c == 0 or k + steps <= num_steps):
+            saved[c] = _position(g)
 
     # x * 0 is 0 for finite x and NaN otherwise, so this dot is NaN exactly
     # when xs has a non-finite entry; unlike a sum, it cannot overflow
@@ -261,18 +273,8 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps,
         j = (k - done - 1) % chunk
         if j == 0:
             steps = min(chunk, num_steps - k + 1)
-            if not (b or picked):
-                _fill(block[:steps], tiles, gens, noise_scale, chains)
-            else:
-                for c in chains(rng, range(n)):  # tiny generator calls hold the GIL
-                    for i, noise in enumerate(block[:steps, c]):
-                        if b:
-                            idx[i, c] = rng.integers(smooth.n, size=b)
-                        gaussian(rng, shape, out=noise)
-                        if picked:
-                            picks[i, c] = rng.integers(len(components))
-                block[:steps] *= noise_scale
-                mean = smooth._minibatch_mean(idx[:steps], b) if b else None
+            _fill(block[:steps], tiles, gens, noise_scale, draw)
+            mean = smooth._minibatch_mean(idx[:steps], b) if b else None
             if n > 1 and k + steps > num_steps:  # the last chunk: leave rng on chain 0
                 _seek(rng, saved[0])
         grads = smooth._minibatch_combine(xs, mean[j]) if b else smooth.full_gradient(xs)

@@ -10,9 +10,11 @@ Randomness comes from :class:`RngStream`, a counter-based Philox stream keyed
 by (seed, stream_id).  The key is the whole stream: identical keys replay
 identical sequences, and distinct stream ids share no state, which is what
 lets ensemble chains run on stream_id = chain index without coordination.
-Building a stream reads no OS entropy.  A generator of the seed set to a
-stream's position (:func:`_seek`) draws on as that stream, so an ensemble keeps
-a generator per worker, ~0.8 KiB, and a position per chain, ~0.45 KiB.
+A Philox stream is only its key and its counter, so one mechanism keys them
+all: :func:`_seek` sets a generator of the seed to the start of stream
+(seed, c), or to a position :func:`_position` saved.  A new stream is a
+generator seeded without OS entropy and sought to its start; an ensemble
+keeps a generator per worker, ~0.8 KiB, and a position per chain, ~0.45 KiB.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import sys
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _TWO64 = 2**64
 
@@ -39,26 +40,6 @@ def _finite_number(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-class _PhiloxKey(ISeedSequence):
-    """Hands Philox its 128-bit key (seed, stream_id) as its seed sequence,
-    so the bit generator starts at that key with a zero counter, the state
-    ``Philox(key=[seed, stream_id])`` starts in, without first seeding itself
-    from fresh OS entropy and throwing it away."""
-
-    __slots__ = ("seed", "stream_id")
-
-    def __init__(self, seed: int, stream_id: int):
-        self.seed = seed
-        self.stream_id = stream_id
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(
-                f"a Philox key is 2 uint64 words, not {n_words} of {np.dtype(dtype)}"
-            )
-        return np.array([self.seed, self.stream_id], dtype=np.uint64)
-
-
 class RngStream:
     """Deterministic random stream keyed by (seed, stream_id).
 
@@ -66,15 +47,17 @@ class RngStream:
     (seed, stream_id) -> sequence is injective and reproducible across
     runs and platforms.  Batched draws consume the stream exactly like
     the same draws issued one at a time.  seed is any integer, taken mod
-    2**64; stream_id is an integer in [0, 2**64).
+    2**64; stream_id is an integer in [0, 2**64).  The generator starts on
+    a throwaway key and is sought (:func:`_seek`) to its own.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = _integer(seed, "seed") % _TWO64
-        self.stream_id = _integer(stream_id, "stream_id")
-        if not 0 <= self.stream_id < _TWO64:
+        stream_id = _integer(stream_id, "stream_id")
+        if not 0 <= stream_id < _TWO64:
             raise ValueError(f"stream_id must be in [0, 2**64), got {stream_id}")
-        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream_id)))
+        self._gen = np.random.Generator(np.random.Philox(0))  # SeedSequence(0) reads no OS entropy
+        _seek(self, stream_id)
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)

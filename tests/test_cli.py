@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import warnings
 
@@ -735,21 +736,36 @@ _FAILING_RUNS = {  # a MemoryError before step 1, a ChainDivergence during the r
 
 @pytest.mark.parametrize("existed", [False, True])
 @pytest.mark.parametrize("case", sorted(_FAILING_RUNS))
-def test_a_failed_run_removes_the_empty_out_dir_it_made(case, existed, tmp_path, capsys):
-    """A run that fails at run time exits 1 and leaves no output directory
-    behind that it made; a directory that existed before the run stays."""
+def test_a_failed_run_removes_the_empty_out_dir_it_made(case, existed, tmp_path, capsys,
+                                                         monkeypatch):
+    """A run that fails at run time exits 1 and removes, deepest first, each
+    directory of its --out path that it made and left empty.  What existed
+    before the run stays: with existed, o and the a of a/b/o.  So does c of
+    c/d/o, which the run made but something else wrote into meanwhile."""
     command, body = _FAILING_RUNS[case]
-    out = tmp_path / "o"
-    if existed:
-        out.mkdir()
-    argv = [command, "--config", write_config(tmp_path, body), "--out", str(out)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the diverging run's step-size warning
-        code = main(argv + (["--chains", "8"] if command == "experiment" else []))
-    assert code == 1
-    assert capsys.readouterr().err.startswith("runtime error: ")
-    assert out.is_dir() == existed
-    assert not existed or list(out.iterdir()) == []
+    cfg = write_config(tmp_path, body)
+    monkeypatch.chdir(tmp_path)
+    before = ["a", "o"] if existed else []
+    for d in before:
+        (tmp_path / d).mkdir()
+    makedirs = os.makedirs
+
+    def makedirs_beside(name, *args, **kwargs):
+        makedirs(name, *args, **kwargs)
+        if name == os.path.join("c", "d", "o"):
+            (tmp_path / "c" / "other").write_text("")
+
+    monkeypatch.setattr(os, "makedirs", makedirs_beside)
+    for out in ("o", os.path.join("a", "b", "o"), os.path.join("c", "d", "o")):
+        argv = [command, "--config", cfg, "--out", out]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the diverging run's step-size warning
+            code = main(argv + (["--chains", "8"] if command == "experiment" else []))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("runtime error: ")
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == sorted(before + ["c"])
+    assert all(list((tmp_path / d).iterdir()) == [] for d in before)
+    assert list((tmp_path / "c").iterdir()) == [tmp_path / "c" / "other"]
 
 
 def test_an_uncreatable_out_dir_fails_before_any_step(tmp_path, capsys, monkeypatch):

@@ -653,35 +653,53 @@ def test_batched_ensemble_matches_per_chain_runs_across_chunks_and_tiles(space, 
             assert np.array_equal(res.snapshot(k)[c], trace.primal[k - 1])
 
 
-@pytest.mark.parametrize("space", ["flat", "sym"])
-def test_ensemble_bits_do_not_depend_on_the_worker_count(space, monkeypatch):
-    """The noise of a chunk is filled by W = min(CPUs, tiles) workers, tile i
-    by worker i mod W and worker 0 on the calling thread.  For W = 1, 2, 3
-    and more CPUs than tiles, over a chain count that no tile x W divides and
-    a partial last chunk, the snapshots, chain 0's trace and every chain
-    equal the lone runs bit for bit."""
+_WORKER_CASES = {  # sampler, space, minibatch, R term
+    "flat": ("psgla", "flat", "full", None),
+    "sym": ("psgla", "sym", "full", None),
+    "flat-minibatch": ("psgla", "flat", 2, None),
+    "sym-spla": ("spla", "sym", "full", absolute_entries_term),
+    "flat-minibatch-spla": ("spla", "flat", 3, absolute_entries_term),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WORKER_CASES))
+def test_ensemble_bits_do_not_depend_on_the_worker_count(case, monkeypatch):
+    """Every chunk is filled by _fill.  Noise alone is filled by W =
+    min(CPUs, tiles) workers, tile i by worker i mod W and worker 0 on the
+    calling thread; a chain that also draws minibatch indices or an R
+    component draws on the calling thread alone.  For 1, 2, 3 and more CPUs
+    than tiles, over a chain count that no tile x W divides and a partial
+    last chunk, the snapshots, chain 0's trace and every chain equal the lone
+    runs bit for bit."""
+    sampler, space, minibatch, term = _WORKER_CASES[case]
     smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
+    r = term(0.4, x0.shape) if term else None
     chunk, per_tile = 1024 // x0.size, _tile_chains(x0.size)
     num_chains = 3 * per_tile + 5  # four tiles, the last one partial
-    cfg = SamplerConfig(0.02, 2 * chunk + 7, seed=26)
+    cfg = SamplerConfig(0.02, 2 * chunk + 7, seed=26, minibatch=minibatch)
     steps, checkpoints = [chunk, chunk + 1, 2 * chunk + 3], [chunk, 2 * chunk + 7]
-    lone = [run_chain("psgla", smooth, g, cfg, x0, stream_id=c) for c in range(num_chains)]
-    ref = run_chain("psgla", smooth, g, cfg, x0, mean_checkpoints=checkpoints)
-    draw = samplers.gaussian
+    lone = [run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, stream_id=c)
+            for c in range(num_chains)]
+    ref = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, mean_checkpoints=checkpoints)
+    draw, caller = samplers.gaussian, threading.current_thread()
     for cpus in (1, 2, 3, 64):
         drawn_on = {}  # chain -> the thread that filled its first chunk
+        elsewhere = set()  # chains with a draw of any chunk off the calling thread
 
         def spy(rng, *args, **kwargs):
             drawn_on.setdefault(rng.stream_id, threading.current_thread().name)
+            if threading.current_thread() is not caller:
+                elsewhere.add(rng.stream_id)
             return draw(rng, *args, **kwargs)
 
         monkeypatch.setattr(samplers, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(samplers, "gaussian", spy)
-        res = run_ensemble("psgla", smooth, g, cfg, num_chains, steps, x0,
+        res = run_ensemble(sampler, smooth, g, cfg, num_chains, steps, x0, lipschitz_term=r,
                            mean_checkpoints=checkpoints)
-        workers = min(cpus, 4)
+        workers = min(cpus, 4) if minibatch == "full" and term is None else 1
         split = {((c // per_tile) % workers, drawn_on[c]) for c in range(num_chains)}
         assert len(split) == len(set(drawn_on.values())) == workers
+        assert elsewhere if workers > 1 else not elsewhere
         assert drawn_on[0] == threading.current_thread().name
         for c in range(num_chains):
             for k in steps:

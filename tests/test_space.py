@@ -27,6 +27,7 @@ from proxlmc import (
     spectral_apply,
     sym_eigendecomposition,
 )
+from proxlmc import samplers
 from proxlmc.space import _position, _seek, flatten_points, frobenius
 
 
@@ -108,16 +109,6 @@ def test_stream_is_philox_at_its_key(seed, stream_id):
     assert np.array_equal(stream.uniform(3), ref.uniform(size=3))
 
 
-def test_stream_key_holds_no_array():
-    """The key keeps two ints.  The peak-RSS finding, made when an ensemble
-    kept one stream per chain: a key array per stream left holes in the heap
-    around the ensemble's 31.25 MiB noise block and raised the flat-ensemble
-    benchmark's peak RSS from 136 to 168 MiB."""
-    key = RngStream(5, 9)._gen.bit_generator.seed_seq
-    held = [getattr(key, name) for name in type(key).__slots__] + list(vars(key).values())
-    assert held == [5, 9] and all(type(v) is int for v in held)
-
-
 def test_a_position_holds_no_array():
     """A chain that draws again keeps its position between chunks, one per
     chain of an ensemble: plain ints, not the state getter's three arrays,
@@ -133,13 +124,22 @@ def test_a_position_holds_no_array():
     assert np.array_equal(rekeyed.standard_normal(3), rng.standard_normal(3))
 
 
-@pytest.mark.parametrize("n_words, dtype", [(1, np.uint64), (4, np.uint64), (2, np.uint32),
-                                            (4, np.uint32), (2, np.int64)])
-def test_stream_key_refuses_other_state_requests(n_words, dtype):
-    key = RngStream(5, 9)._gen.bit_generator.seed_seq
-    assert np.array_equal(key.generate_state(2, np.uint64), np.array([5, 9], dtype=np.uint64))
-    with pytest.raises(ValueError, match="2 uint64 words"):
-        key.generate_state(n_words, dtype)
+def test_a_stream_reads_no_os_entropy(monkeypatch):
+    """Every stream is keyed by _seek from a generator seeded with a fixed
+    seed sequence, so neither a stream nor an ensemble's worker generators
+    ask the OS for entropy, which an unseeded Philox does."""
+    def no_entropy(*args, **kwargs):
+        raise AssertionError("OS entropy read")
+
+    want = np.random.Generator(np.random.Philox(key=[5, 2**32])).standard_normal(3)
+    monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+    with pytest.raises(AssertionError, match="OS entropy read"):
+        np.random.Philox(key=[5, 2**32])  # a key alone still seeds from the OS first
+    assert np.array_equal(RngStream(5, 2**32).standard_normal(3), want)
+    monkeypatch.setattr(samplers, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(samplers, "_TILE_BYTES", 8 * 10 * 2)  # three tiles of two chains
+    res = run_ensemble("ula", *_FREE, SamplerConfig(0.1, 10, seed=-1), 5, [10], np.zeros(1))
+    assert np.isfinite(res.snapshot(10)).all()
 
 
 def _draw(rng, kind, size):
