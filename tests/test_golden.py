@@ -1,14 +1,14 @@
-"""Golden digests: the data files of four small CLI runs, pinned by sha256.
+"""Golden digests: the data files of five small CLI runs, pinned by sha256.
 
 Per-step changes to the kernel, the potentials and the writers must keep
 every output byte.  Every run is flat and one-dimensional, a minibatch
-chain and three ensembles: no eigensolve is on their path and every BLAS
-product they make has one term.  Their bytes depend on numpy's Philox
-stream, its ziggurat normal and bounded-integer samplers, IEEE double
-arithmetic and Python's float repr, and the ensembles' reports also on the
-exact quantiles they are scored against: the package's numpy port of Cephes
-erf for trunc-gauss, bit for bit scipy.special.erf, and
-scipy.special.gammainc for the d = 1 Wishart posterior, whose report also
+chain, an SPLA chain and three ensembles: no eigensolve is on their path
+and every BLAS product they make has one term.  Their bytes depend on
+numpy's Philox stream, its ziggurat normal and bounded-integer samplers,
+IEEE double arithmetic and Python's float repr, and the ensembles'
+reports also on the exact quantiles they are scored against: the
+package's numpy port of Cephes erf for trunc-gauss, bit for bit
+scipy.special.erf, and scipy.special.gammainc for the d = 1 Wishart posterior, whose report also
 holds the C estimate over the oracle's quantile grid.  The first two
 digests were computed before the per-step optimizations of the kernel,
 LogBarrier.prox, the minibatch gradient and the trace writer, the third
@@ -17,7 +17,9 @@ before the two quantile bisections became one, the fourth while
 ensemble's pass began to record chain 0 and the noise block became
 step-major.  Two ensembles take their last snapshot at num_steps; the
 fourth takes it at step 700 of 1500, so its recorded chain goes on alone
-past the first 1024-step noise chunk of a lone chain.
+past the first 1024-step noise chunk of a lone chain.  The SPLA chain's
+trace was pinned while its R term was still a list of one AbsoluteValue
+component per entry; its report is not pinned, as the scores ignore R.
 """
 
 import hashlib
@@ -34,6 +36,12 @@ RUNS = {
         {"experiment": "wishart-precision", "d": 1, "minibatch": 5, "gamma": 0.01,
          "num_steps": 2000, "record_duals": True, "seed": 3},
         {"trace.csv": "0ad57bf70c284e8608655b770d046b6eb4ada9823a83d70fb09f289fc3a63559"},
+    ),
+    "sample-trunc-gauss-spla": (
+        ["sample"],
+        {"experiment": "trunc-gauss", "sampler": "spla", "spla_r_weight": 3,
+         "record_duals": True, "mean": 0.5, "num_steps": 600, "seed": 7},
+        {"trace.csv": "201eaab72f057a236c9a9c80b923c60c0f55213d851d4c5d3a89cbe67b6abe6d"},
     ),
     "experiment-trunc-gauss-ensemble": (
         ["experiment", "--chains", "64"],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import sys
@@ -932,6 +933,28 @@ def test_chain_zero_goes_on_from_a_mid_chunk_snapshot_on_an_untouched_stream(
         assert np.array_equal(ours, theirs)
     lone = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, stream_id=2)
     assert np.array_equal(res.snapshot(chunk + chunk // 2)[2], lone.primal[chunk + chunk // 2 - 1])
+
+
+def test_spla_ensemble_drawing_entries_keeps_its_digest():
+    """A flat d = 3 SPLA ensemble with minibatch 2 draws, per step, the
+    minibatch indices, the noise and the entry its R-prox soft-thresholds.
+    Its snapshot past the first chunk and chain 0's trace, recorded on alone
+    to num_steps, are pinned by sha256: no eigensolve and no BLAS product is
+    on their path.  The digest was computed while R was still a list of one
+    AbsoluteValue component per entry."""
+    data = RngStream(29, 0).standard_normal((6, 3))
+    smooth, g, x0 = QuadraticSum(data), BoxIndicator(-np.ones(3), np.ones(3)), np.full(3, 0.2)
+    chunk = 1024 // 3
+    cfg = SamplerConfig(0.02, 2 * chunk + 30, burn_in=10, record_every=2, seed=30, minibatch=2,
+                        record_duals=True)
+    r = absolute_entries_term(2.0, x0.shape)
+    res = run_ensemble("spla", smooth, g, cfg, 5, [chunk + 20], x0, lipschitz_term=r,
+                       mean_checkpoints=[chunk, 2 * chunk + 30])
+    h = hashlib.sha256()
+    for a in (res.snapshot(chunk + 20), res.trace.primal, res.trace.duals,
+              *(m for _, m in res.trace.mean_checkpoints)):
+        h.update(a.tobytes())
+    assert h.hexdigest() == "59f5b3268ab8d75886d5599632097da73cac88cb2d08d9004f43e0e3f9bee04a"
 
 
 def test_ula_ensemble_reaches_the_biased_stationary_variance():
