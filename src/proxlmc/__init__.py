@@ -23,7 +23,6 @@ from .potentials import (
     AbsoluteValue,
     BoxIndicator,
     ConjugateUnavailable,
-    LipschitzProxTerm,
     LogBarrier,
     NonsmoothPotential,
     PrecisionLikelihood,
@@ -32,7 +31,6 @@ from .potentials import (
     SmoothPotential,
     Spectral,
     ZeroSmooth,
-    absolute_entries_term,
     build_gamma_potential,
     dual_from_primal,
 )

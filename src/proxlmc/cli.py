@@ -44,7 +44,6 @@ from .experiments import (
     generate_gaussian_data,
     sample_wishart,
 )
-from .potentials import absolute_entries_term
 from .samplers import (
     SamplerConfig,
     _step_list,
@@ -85,7 +84,6 @@ class RunConfig(SamplerConfig):
     snapshot_steps: list
     out: str | None = None
     x0: float | None = None  # fills a vector or scales the identity
-    spla_r_weight: float | None = None
     # the experiment's own fields; _EXPERIMENT_KEYS says which apply
     d: int = 1
     nu: float
@@ -207,7 +205,7 @@ def resolve_config(raw: dict, seed_override=None, chains_override=None) -> RunCo
 
 
 def _build(cfg: RunConfig):
-    """Assemble the experiment, R term, and initial point for a run config.
+    """Assemble the experiment and initial point for a run config.
     The experiment checks its own parameters and check_run, the start-up
     check of run_chain and run_ensemble, the sampler's; their errors, and a
     run the assembled experiment cannot serve, raise ConfigError."""
@@ -220,22 +218,20 @@ def _build(cfg: RunConfig):
                                          d=cfg.d, nu=cfg.nu, data=data)
         assembled = assemble_experiment(spec)
         shape = assembled.shape
-        # RunConfig allows spla_r_weight for spla only
-        lipschitz = absolute_entries_term(cfg.spla_r_weight, shape) if cfg.spla_r_weight else None
         if cfg.x0 is None:
             x0 = assembled.default_x0(cfg.gamma)
         elif len(shape) == 1:
             x0 = np.full(shape, cfg.x0)
         else:
             x0 = cfg.x0 * np.eye(shape[0])
-        x0 = check_run(cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg, x0, lipschitz)
+        x0 = check_run(cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg, x0)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     # ensemble snapshots are scored against an exact quantile oracle
     _require(cfg.num_chains == 1 or assembled.quantile_oracle is not None,
              f"num_chains >= 2 needs an exact quantile oracle, which {cfg.experiment} "
              f"with d = {cfg.d} lacks")
-    return assembled, lipschitz, x0
+    return assembled, x0
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +317,11 @@ def _resolve_out_dir(flag_value, cfg_out) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(cfg: RunConfig, out_dir: str) -> int:
-    assembled, lipschitz, x0 = _build(cfg)
+    assembled, x0 = _build(cfg)
     _require(cfg.num_chains == 1, "sample runs one chain; num_chains >= 2 needs experiment")
     os.makedirs(out_dir, exist_ok=True)  # only once the config is known to run
     t0 = time.perf_counter()
-    trace = run_chain(cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg, x0, lipschitz)
+    trace = run_chain(cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg, x0)
     flags = assembled.nonsmooth.domain_mask(trace.primal)
     _write_trace_csv(os.path.join(out_dir, "trace.csv"), trace, flags)
     warn = step_size_warning(assembled.smooth, cfg.gamma)
@@ -347,16 +343,16 @@ def _c_estimate_samples(cfg: RunConfig, assembled, trace):
 
 
 def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
-    assembled, lipschitz, x0 = _build(cfg)
+    assembled, x0 = _build(cfg)
     os.makedirs(out_dir, exist_ok=True)  # only once the config is known to run
     t0 = time.perf_counter()
     args = (cfg.sampler, assembled.smooth, assembled.nonsmooth, cfg)
     if cfg.num_chains >= 2:  # one kernel pass: the ensemble's chain 0 is the recorded chain
-        ensemble = run_ensemble(*args, cfg.num_chains, cfg.snapshot_steps, x0, lipschitz,
+        ensemble = run_ensemble(*args, cfg.num_chains, cfg.snapshot_steps, x0,
                                 mean_checkpoints=cfg.snapshot_steps)
         trace = ensemble.trace
     else:
-        trace = run_chain(*args, x0, lipschitz, mean_checkpoints=cfg.snapshot_steps)
+        trace = run_chain(*args, x0, mean_checkpoints=cfg.snapshot_steps)
 
     report = {
         "experiment": cfg.experiment,

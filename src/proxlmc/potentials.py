@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .space import _finite_number, _integer, frobenius, norm, spectral_apply, sym_eigendecomposition
+from .space import _finite_number, frobenius, norm, spectral_apply, sym_eigendecomposition
 
 _PSD_TOL = 1e-10
 # Shift of the Cholesky domain certificate, relative to ||x||_F (Spectral.domain_mask)
@@ -345,73 +345,29 @@ class Spectral(NonsmoothPotential):
 
 
 class AbsoluteValue(NonsmoothPotential):
-    """Weighted l1 term w * sum_i |x_i| over the entries index selects: every
-    entry for None, a flat coordinate for (j,), a diagonal entry of a
-    symmetric matrix for (j, j).  The prox soft-thresholds them, so it keeps
-    a matrix symmetric."""
+    """Weighted l1 term w * sum_i |x_i| over every entry; the prox
+    soft-thresholds each entry, so it keeps a matrix symmetric."""
 
-    def __init__(self, weight: float = 1.0, index=None):
+    def __init__(self, weight: float = 1.0):
         self.weight = _weight(weight)
-        if index is not None:
-            js = [_integer(j, "entry index") for j in index] if isinstance(index, tuple) else []
-            if not (len(js) in (1, 2) and js[0] >= 0 and len(set(js)) == 1):
-                raise ValueError(f"entry index must be None, (j,) or (j, j), j >= 0: {index!r}")
-            index = tuple(js)
-        self.index = index
-        self._at = (...,) if index is None else (..., *index)  # of a point or each of a stack
-
-    def fits(self, shape) -> bool:
-        """True when index names entries of points of this shape, (d,) or (d, d)."""
-        return self.index is None or (len(self.index) == len(shape) and self.index[0] < shape[0])
 
     def evaluate(self, x):
-        return float(self.weight * np.sum(np.abs(np.asarray(x, dtype=float)[self._at])))
+        return float(self.weight * np.sum(np.abs(np.asarray(x, dtype=float))))
 
     def prox(self, gamma, x):
         _check_gamma(gamma)
-        out = np.array(x, dtype=float)
-        at = self._at
-        out[at] = np.sign(out[at]) * np.maximum(np.abs(out[at]) - gamma * self.weight, 0.0)
-        return out
+        x = np.asarray(x, dtype=float)
+        return np.sign(x) * np.maximum(np.abs(x) - gamma * self.weight, 0.0)
 
     prox_batch = prox
 
     def subgradient_min(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[self._at] = self.weight * np.sign(x[self._at])
-        return out
+        return self.weight * np.sign(np.asarray(x, dtype=float))
 
     def conjugate(self, y):
-        """Indicator of |y| <= w on the selected entries and y = 0 off them:
-        for index None, the l-infinity ball of radius w."""
-        y = np.array(y, dtype=float)
-        inside = np.max(np.abs(y[self._at]), initial=0.0) <= self.weight + 1e-12
-        y[self._at] = 0.0
-        return 0.0 if inside and not y.any() else np.inf
-
-
-class LipschitzProxTerm:
-    """Extra Lipschitz term R(x) = mean_i r_i(x) over nonsmooth potentials with
-    full-domain proxes.  It reaches a chain only through the prox of one r_i,
-    drawn uniformly per step (no draw when there is only one, so a
-    deterministic R consumes no randomness)."""
-
-    def __init__(self, components):
-        if not components:
-            raise ValueError("LipschitzProxTerm needs at least one component")
-        self.components = list(components)
-
-    def prox_sample(self, gamma, x, rng):
-        n = len(self.components)
-        idx = 0 if n == 1 else int(rng.integers(n))
-        return self.components[idx].prox(gamma, x)
-
-
-def absolute_entries_term(weight: float, shape) -> LipschitzProxTerm:
-    """R(x) = (w/d) sum_j |x[j, ..., j]|, d = shape[0], on points of this shape:
-    the coordinates of a vector, the diagonal of a matrix."""
-    return LipschitzProxTerm([AbsoluteValue(weight, (j,) * len(shape)) for j in range(shape[0])])
+        """Indicator of the l-infinity ball of radius w."""
+        inside = np.max(np.abs(np.asarray(y, dtype=float)), initial=0.0) <= self.weight + 1e-12
+        return 0.0 if inside else np.inf
 
 
 # ---------------------------------------------------------------------------

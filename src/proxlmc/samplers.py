@@ -8,9 +8,10 @@ target exp(-F - G) with step size gamma and noise sqrt(2 gamma) W:
 * projected  psgla restricted to indicator G (projection onto the support)
 * myula      ula on F + G^lam, the Moreau-smoothed potential: g gains
              the Moreau term (x - prox_{lam G}(x)) / lam
-* spla       psgla with an extra Lipschitz term R handled by its own prox
+* spla       psgla with the Lipschitz term R(x) = (w/d) sum_j |x[j, ..., j]|
+             (w = spla_r_weight) handled by the prox of one drawn entry j
              between the noise and the G-prox:
-             x_half = prox_{gamma r(., xi)}(x - gamma g + sqrt(2 gamma) W),
+             x_half = prox_{gamma w |x[j, ..., j]|}(x - gamma g + sqrt(2 gamma) W),
              x' = prox_{gamma G}(x_half)
 
 g is the full or stochastic gradient of F at x, and a prox step has the dual
@@ -18,7 +19,7 @@ point y' = (x_half - x') / gamma.  One private kernel writes these updates
 once over a leading chain axis: run_ensemble drives it on many chains,
 run_chain on a stack of one, and step_psgla is one of its steps.  Each
 chain pre-draws a chunk of steps at a time, per step in a fixed order:
-minibatch indices, the Gaussian, (for spla) the R component index; each
+minibatch indices, the Gaussian, (for spla with d > 1) the R entry j; each
 step's x meets the chunk's x-free mean of the drawn data in a minibatch
 gradient.  Samplers that prox through G keep the iterates inside dom(G).
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import AbsoluteValue, FiniteSum, LipschitzProxTerm
+from .potentials import AbsoluteValue, FiniteSum, _weight
 from .space import RngStream, _finite_number, _integer, _position, _seek, check_point, gaussian
 
 SAMPLER_IDS = ("ula", "psgla", "projected", "myula", "spla")
@@ -61,6 +62,7 @@ class SamplerConfig:
     seed: int = 0
     record_every: int = 1
     record_duals: bool = False
+    spla_r_weight: float | None = None  # w of spla's R term; 0 or None: no R term
 
     def __post_init__(self):
         for name in ("num_steps", "burn_in", "record_every", "seed"):
@@ -82,6 +84,8 @@ class SamplerConfig:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if not isinstance(self.record_duals, (bool, np.bool_)):
             raise ValueError(f"record_duals must be a bool, got {self.record_duals!r}")
+        if self.spla_r_weight is not None:
+            _weight(self.spla_r_weight, "spla_r_weight")
 
 
 @dataclass
@@ -122,12 +126,11 @@ def _step_list(steps, what, lo, num_steps) -> list:
     return out
 
 
-def check_run(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
+def check_run(sampler, smooth, nonsmooth, cfg, x0):
     """The start-up check of run_chain and run_ensemble, before any step:
     ValueError unless the sampler is known, projected Langevin has an
     indicator G and myula a myula_lambda > 0, and x0 is a finite point of the
-    shape the potentials, and for spla the components of the R term, act on.
-    Returns the checked start x0."""
+    shape the potentials act on.  Returns the checked start x0."""
     if sampler not in SAMPLER_IDS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_IDS}")
     if sampler == "projected" and not nonsmooth.is_indicator:
@@ -137,24 +140,18 @@ def check_run(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
     x = check_point(x0)
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
-    spla_r = sampler == "spla" and lipschitz_term is not None
-    components = lipschitz_term.components if spla_r else []
-    for term in (smooth, nonsmooth, *components):
+    for term in (smooth, nonsmooth):
         if term.point_shape is not None and term.point_shape != x.shape:
             raise ValueError(
                 f"{type(term).__name__} acts on points of shape {term.point_shape}, "
                 f"but x0 has shape {x.shape}"
             )
-        if isinstance(term, AbsoluteValue) and not term.fits(x.shape):
-            raise ValueError(
-                f"{type(term).__name__} index {term.index} does not fit x0 of shape {x.shape}"
-            )
     return x
 
 
-def _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term):
+def _prepare(sampler, smooth, nonsmooth, cfg, x0):
     """check_run, then the step-size warning, once per run."""
-    x = check_run(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
+    x = check_run(sampler, smooth, nonsmooth, cfg, x0)
     if step_size_warning(smooth, cfg.gamma):
         warnings.warn(
             f"gamma = {cfg.gamma} exceeds 1/L = {1.0 / smooth.L}; "
@@ -209,20 +206,22 @@ def _fill(block, tiles, gens, noise_scale, draw):
         raise min(e for e in errors if e)[1]
 
 
-def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps, done=0):
+def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, num_steps, done=0):
     """Advance the stack xs (leading chain axis) from step done to step
     num_steps, yielding (k, x_half, xs) after step k.
 
     x_half is the stack handed to the G-prox, or None for ula and myula.  A
-    step is one gradient batch, one update, one R-prox per component over the
-    chains that drew it, and one prox_batch (one stacked eigendecomposition
-    for matrices).  Each chain pre-draws chunks of at most 1024 // size steps,
-    never past num_steps, into step-major blocks allocated before step 1 (step
-    j reads block[j]).  Every chunk is drawn one way, by _fill: a cache-sized
-    tile of chains at a time, each chain's draws in kernel order (per step:
-    minibatch indices, the noise, the R component; noise alone in one call),
-    by W workers with the same bits for any W.  W is min(CPUs, tiles) when
-    chains draw noise alone and 1 otherwise, as per-step calls hold the GIL.
+    step is one gradient batch, one update, for spla with spla_r_weight w > 0
+    one AbsoluteValue(w).prox of the stacked entries x[c, e_c, ..., e_c],
+    chain c's drawn R entry e_c (0 when d = 1, undrawn), and one prox_batch
+    (one stacked eigendecomposition for matrices).  Each chain pre-draws
+    chunks of at most 1024 // size steps, never past num_steps, into
+    step-major blocks allocated before step 1 (step j reads block[j]).
+    Every chunk is drawn one way, by _fill: a cache-sized tile of chains at
+    a time, each chain's draws in kernel order (per step: minibatch indices,
+    the noise, the R entry; noise alone in one call), by W workers with the
+    same bits for any W.  W is min(CPUs, tiles) when chains draw noise alone
+    and 1 otherwise, as per-step calls hold the GIL.
     A FiniteSum's x-free minibatch mean is taken once per chunk and each step
     combines it with the stack.  A non-finite iterate, or a failed G-prox of a
     non-finite x_half, raises ChainDivergence.  A stack of one draws on rng
@@ -234,9 +233,9 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps,
     gamma, noise_scale = cfg.gamma, math.sqrt(2.0 * cfg.gamma)
     shape, size = xs.shape[1:], xs[0].size
     b = int(cfg.minibatch) if cfg.minibatch != "full" and isinstance(smooth, FiniteSum) else 0
-    components = lipschitz_term.components if sampler == "spla" and lipschitz_term else []
-    picked = len(components) > 1  # a component index drawn per step
-    # numbers per chain-step: the noise, b indices and the data rows they gather, a component
+    r = AbsoluteValue(cfg.spla_r_weight) if sampler == "spla" and cfg.spla_r_weight else None
+    picked = r is not None and shape[0] > 1  # an R entry drawn per step
+    # numbers per chain-step: the noise, b indices and the data rows they gather, an R entry
     drawn = size + (b * (1 + smooth.data.shape[1]) if b else 0) + picked
     chunk = max(1, min(1024 // size, 5_000_000 // (n * drawn), num_steps - done))
     block = np.empty((chunk, n) + shape)
@@ -261,14 +260,14 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps,
                     idx[i, c] = g.integers(smooth.n, size=b)
                 gaussian(g, shape, out=noise)
                 if picked:
-                    picks[i, c] = g.integers(len(components))
+                    picks[i, c] = g.integers(shape[0])
         if n > 1 and (c == 0 or k + steps <= num_steps):
             saved[c] = _position(g)
 
     # x * 0 is 0 for finite x and NaN otherwise, so this dot is NaN exactly
     # when xs has a non-finite entry; unlike a sum, it cannot overflow
     zeros = np.zeros(xs.size)
-    x_half = None
+    chains, x_half = np.arange(n), None
     for k in range(done + 1, num_steps + 1):
         j = (k - done - 1) % chunk
         if j == 0:
@@ -282,11 +281,9 @@ def _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term, num_steps,
             lam = cfg.myula_lambda
             grads = grads + (xs - nonsmooth.prox_batch(lam, xs)) / lam
         xs = xs - gamma * grads + block[j]
-        for i, r in enumerate(components):
-            if not picked:
-                xs = r.prox_batch(gamma, xs)
-            elif (chosen := picks[j] == i).any():
-                xs[chosen] = r.prox_batch(gamma, xs[chosen])
+        if r is not None:  # one gather, prox and scatter of each chain's R entry
+            at = (chains, *[picks[j] if picked else 0] * len(shape))
+            xs[at] = r.prox(gamma, xs[at])
         if sampler not in ("ula", "myula"):  # a G-prox
             try:
                 x_half, xs = xs, nonsmooth.prox_batch(gamma, xs)
@@ -306,8 +303,8 @@ def step_psgla(x, smooth, nonsmooth, cfg, rng):
     prox_{gamma G}(x_half), and the dual point (x_half - x_new) / gamma.
     x gets the same start-up checks as run_chain and run_ensemble.
     """
-    x = _prepare("psgla", smooth, nonsmooth, cfg, x, None)
-    steps = _kernel("psgla", smooth, nonsmooth, cfg, x[None], rng, None, 1)
+    x = _prepare("psgla", smooth, nonsmooth, cfg, x)
+    steps = _kernel("psgla", smooth, nonsmooth, cfg, x[None], rng, 1)
     _, x_half, xs = next(steps)
     return x_half[0], xs[0], (x_half[0] - xs[0]) / cfg.gamma
 
@@ -350,8 +347,7 @@ def _record(steps, sampler, cfg, x0, mean_checkpoints) -> ChainTrace:
     )
 
 
-def run_chain(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, x0,
-              lipschitz_term: LipschitzProxTerm | None = None, stream_id: int = 0,
+def run_chain(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, x0, stream_id: int = 0,
               mean_checkpoints=()) -> ChainTrace:
     """Run one chain, the kernel on a stack of one, and record its trace.
 
@@ -365,15 +361,14 @@ def run_chain(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, x0,
     keeping every iterate.  Aborts with ChainDivergence on the first
     non-finite iterate.
     """
-    x = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
+    x = _prepare(sampler, smooth, nonsmooth, cfg, x0)
     rng = RngStream(cfg.seed, stream_id)
-    steps = _kernel(sampler, smooth, nonsmooth, cfg, x[None], rng, lipschitz_term, cfg.num_steps)
+    steps = _kernel(sampler, smooth, nonsmooth, cfg, x[None], rng, cfg.num_steps)
     return _record(steps, sampler, cfg, x, mean_checkpoints)
 
 
 def run_ensemble(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, num_chains: int,
-                 snapshot_steps, x0, lipschitz_term: LipschitzProxTerm | None = None,
-                 mean_checkpoints=None) -> EnsembleResult:
+                 snapshot_steps, x0, mean_checkpoints=None) -> EnsembleResult:
     """Run num_chains independent chains, keeping only snapshot cross-sections.
 
     Chain c runs on stream (cfg.seed, c) and equals run_chain(..., stream_id=c)
@@ -386,7 +381,7 @@ def run_ensemble(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, num_chains
     """
     if _integer(num_chains, "num_chains") < 2:
         raise ValueError(f"an ensemble needs num_chains >= 2, got {num_chains}")
-    x0 = _prepare(sampler, smooth, nonsmooth, cfg, x0, lipschitz_term)
+    x0 = _prepare(sampler, smooth, nonsmooth, cfg, x0)
     steps = _step_list(snapshot_steps, "snapshot step", 0, cfg.num_steps)
     if not steps:
         raise ValueError("snapshot_steps must be non-empty")
@@ -395,14 +390,13 @@ def run_ensemble(sampler: str, smooth, nonsmooth, cfg: SamplerConfig, num_chains
     snaps = dict.fromkeys(steps, xs)  # step 0 keeps x0, the kernel fills the others
 
     def advance(xs):  # to the last snapshot; then chain 0 alone, if it is recorded
-        for k, x_half, xs in _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, lipschitz_term,
-                                     steps[-1]):
+        for k, x_half, xs in _kernel(sampler, smooth, nonsmooth, cfg, xs, rng, steps[-1]):
             if k in snaps:
                 snaps[k] = xs
             yield k, x_half, xs
         if mean_checkpoints is not None:
-            yield from _kernel(sampler, smooth, nonsmooth, cfg, xs[:1], rng, lipschitz_term,
-                               cfg.num_steps, done=steps[-1])
+            yield from _kernel(sampler, smooth, nonsmooth, cfg, xs[:1], rng, cfg.num_steps,
+                               done=steps[-1])
 
     run = advance(xs)
     trace = None if mean_checkpoints is None else _record(run, sampler, cfg, x0, mean_checkpoints)

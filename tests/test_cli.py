@@ -16,7 +16,6 @@ from proxlmc import (
     SamplerConfig,
     TruncGaussSpec,
     WishartExperimentSpec,
-    absolute_entries_term,
     assemble_experiment,
     generate_gaussian_data,
     posterior_ground_truth,
@@ -104,7 +103,10 @@ def test_spla_r_weight_rules():
     with pytest.raises(ConfigError, match="spla"):
         resolve_config({"experiment": "trunc-gauss", "spla_r_weight": 0.3})
     zero = resolve_config({"experiment": "trunc-gauss", "sampler": "spla", "spla_r_weight": 0.0})
-    assert _build(zero)[1] is None  # a zero weight runs spla without an R term
+    assembled, x0 = _build(zero)
+    spla, psgla = (run_chain(sampler, assembled.smooth, assembled.nonsmooth, zero, x0)
+                   for sampler in ("spla", "psgla"))
+    assert np.array_equal(spla.primal, psgla.primal)  # a zero weight runs spla without R
 
 
 def test_snapshot_steps_validation():
@@ -225,8 +227,9 @@ def _one_step(sampler, **fields):
                      SamplerConfig(gamma=0.1, num_steps=1, **fields), np.zeros(1))
 
 
-# Rules stated once, in the library, that a CLI run reaches through _build:
-# (config, message, the library call that raises it).  The chains rule is the
+# Rules stated once, in the library, that a CLI run reaches through
+# resolve_config (the sampler config's own rules) or _build: (config,
+# message, the library call that raises it).  The chains rule is the
 # CLI's own, so its library call shows the missing oracle instead.
 _STATED_ONCE = {
     "unknown-sampler": ({"experiment": "trunc-gauss", "sampler": "bogus"},
@@ -241,7 +244,7 @@ _STATED_ONCE = {
     "negative-spla-weight": ({"experiment": "trunc-gauss", "sampler": "spla",
                               "spla_r_weight": -0.3},
                              "weight must be a finite number >= 0, got -0.3",
-                             lambda: absolute_entries_term(-0.3, (1,))),
+                             lambda: SamplerConfig(0.1, 1, spla_r_weight=-0.3)),
     "d-zero": ({"experiment": "wishart-precision", "d": 0}, "d must be >= 1, got 0",
                lambda: WishartExperimentSpec("precision", 0, 3.0, np.zeros((5, 0)))),
     "d-negative": ({"experiment": "wishart-precision", "d": -1}, "d = -1",
@@ -283,9 +286,8 @@ def test_a_rule_stated_once_reaches_the_cli(tmp_path, capsys, rule, command):
     else:
         with pytest.raises(ValueError, match=message):
             library()
-    cfg = resolve_config(body)
     with pytest.raises(ConfigError, match=message):
-        _build(cfg)
+        _build(resolve_config(body))
     path = write_config(tmp_path, body)
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -334,22 +336,25 @@ def test_overrides_beat_config_values():
 
 def test_build_applies_scalar_x0():
     flat = resolve_config({"experiment": "trunc-gauss", "x0": 0.25})
-    _, _, x0 = _build(flat)
+    _, x0 = _build(flat)
     assert np.array_equal(x0, [0.25])
     mat = resolve_config({"experiment": "wishart-precision", "d": 2, "x0": 2.0})
-    _, _, x0m = _build(mat)
+    _, x0m = _build(mat)
     assert np.array_equal(x0m, 2.0 * np.eye(2))
 
 
-def test_build_wires_the_spla_r_term():
-    cfg = resolve_config(
-        {"experiment": "wishart-precision", "d": 2, "sampler": "spla", "spla_r_weight": 0.2}
-    )
-    _, term, _ = _build(cfg)
-    assert [(c.weight, c.index) for c in term.components] == [(0.2, (0, 0)), (0.2, (1, 1))]
-    cfg2 = resolve_config({"experiment": "wishart-precision", "d": 2})
-    _, term2, _ = _build(cfg2)
-    assert term2 is None
+def test_build_wires_the_spla_r_term(tmp_path):
+    """The config's spla_r_weight reaches the kernel: each step of a d = 2
+    run soft-thresholds one drawn diagonal entry, so the trace moves off
+    the run without it."""
+    body = {"experiment": "wishart-precision", "d": 2, "sampler": "spla", "num_steps": 30}
+    traces = []
+    for weight in (0.2, None):
+        out = tmp_path / f"run-{weight}"
+        config = write_config(tmp_path, {**body, "spla_r_weight": weight})
+        assert main(["sample", "--config", config, "--out", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] != traces[1]
 
 
 def test_load_config_errors(tmp_path):

@@ -320,7 +320,7 @@ def test_stacked_estimate_c_equals_the_per_sample_loop_on_flat_potentials(seed):
     inside = np.abs(rng.standard_normal((30, 3))) + 0.1
     for g, stack in ((LogBarrier(1.3, 0.5), inside), (LogBarrier(1.3, 0.5), 3.0 + pts),
                      (LogBarrier(1.3, 0.5), pts), (BoxIndicator(-np.ones(3), np.ones(3)), pts),
-                     (AbsoluteValue(0.7), pts), (AbsoluteValue(0.7, (1,)), pts)):
+                     (AbsoluteValue(0.7), pts)):
         fields = _estimate_c_fields(stack, g, 1.0, 3, 0.0)
         assert fields == _estimate_c_per_sample(stack, g, 1.0, 3, 0.0)
 

@@ -12,7 +12,6 @@ from proxlmc import (
     AbsoluteValue,
     BoxIndicator,
     ConjugateUnavailable,
-    LipschitzProxTerm,
     LogBarrier,
     PrecisionLikelihood,
     Quadratic,
@@ -22,7 +21,6 @@ from proxlmc import (
     Spectral,
     WishartExperimentSpec,
     ZeroSmooth,
-    absolute_entries_term,
     assemble_experiment,
     build_gamma_potential,
     dual_from_primal,
@@ -70,14 +68,9 @@ def test_prox_box_values():
     lambda: AbsoluteValue(-1.0),
     lambda: AbsoluteValue(np.nan),
     lambda: AbsoluteValue(np.inf),
-    lambda: AbsoluteValue(-1.0, (0,)),
-    lambda: AbsoluteValue(np.nan, (0, 0)),
-    lambda: absolute_entries_term(-1.0, (3,)),
-    lambda: absolute_entries_term(np.inf, (2, 2)),
 ], ids=["box-lo-above-hi", "box-nan-lo", "box-nan-hi", "barrier-negative-alpha",
         "barrier-nan-alpha", "barrier-inf-alpha", "barrier-nan-beta", "barrier-inf-beta",
-        "spectral-nan-alpha", "l1-negative", "l1-nan", "l1-inf", "entry-negative", "entry-nan",
-        "coordinate-term-negative", "diagonal-term-inf"])
+        "spectral-nan-alpha", "l1-negative", "l1-nan", "l1-inf"])
 def test_constructors_reject_bad_parameters(build):
     with pytest.raises(ValueError):
         build()
@@ -338,7 +331,6 @@ def catalog():
         (AbsoluteValue(0.7), 3),
         (LogBarrier(1.3, 0.5), 3),
         (LogBarrier(0.0, 0.5), 3),
-        (AbsoluteValue(0.7, (1,)), 3),
         (Spectral(LogBarrier(0.0, 0.0), 3), (3, 3)),
         (Spectral(LogBarrier(0.8, 0.5), 3), (3, 3)),
     ]
@@ -446,14 +438,6 @@ def test_absolute_value_conjugate_is_the_ball_indicator():
     g = AbsoluteValue(0.7)
     assert g.conjugate(np.array([0.7, -0.7])) == 0.0
     assert g.conjugate(np.array([0.71, 0.0])) == np.inf
-    # on one entry: the ball there and y = 0 off it
-    entry = AbsoluteValue(0.7, (1,))
-    assert entry.conjugate(np.array([0.0, -0.7])) == 0.0
-    assert entry.conjugate(np.array([0.0, 0.71])) == np.inf
-    assert entry.conjugate(np.array([1e-300, 0.0])) == np.inf
-    diagonal = AbsoluteValue(0.7, (1, 1))
-    assert diagonal.conjugate(np.diag([0.0, 0.5])) == 0.0
-    assert diagonal.conjugate(np.array([[0.0, 0.1], [0.1, 0.5]])) == np.inf
 
 
 def test_psd_conjugate_is_the_nsd_indicator():
@@ -475,8 +459,7 @@ def test_fenchel_young_equality_at_prox_pairs():
     lo = np.array([-1.0, 0.0])
     hi = np.array([1.0, 2.0])
     free = BoxIndicator(-np.inf, np.inf)
-    for g in (BoxIndicator(lo, hi), AbsoluteValue(0.7), free, LogBarrier(0.0, 0.5),
-              AbsoluteValue(0.7, (1,))):
+    for g in (BoxIndicator(lo, hi), AbsoluteValue(0.7), free, LogBarrier(0.0, 0.5)):
         for _ in range(50):
             x = 3.0 * rng.standard_normal(2)
             gamma = float(10.0 ** (-1 + 2 * rng.uniform()))
@@ -814,35 +797,6 @@ def test_certificate_is_not_tried_after_an_infeasible_matrix(monkeypatch):
     assert tried == [512]
 
 
-def test_entry_absolute_subgradient_on_a_stack_equals_per_point():
-    rng = RngStream(13, 0)
-    for g, shape in ((AbsoluteValue(0.7, (1,)), (3,)), (AbsoluteValue(0.7, (2, 2)), (3, 3))):
-        stack = rng.standard_normal((9, *shape))
-        stack[0] = 0.0
-        stack[1] = -0.0
-        rows = np.stack([g.subgradient_min(x) for x in stack])
-        _assert_bitwise(g.subgradient_min(stack), rows)
-        assert np.count_nonzero(rows[2:]) == len(stack) - 2  # one entry per point
-
-
-@pytest.mark.parametrize("index, stored", [
-    (None, None), ((0,), (0,)), ((2, 2), (2, 2)), ((np.int64(1),), (1,)),
-    ((np.uint8(1), 1), (1, 1)),
-    *[(bad, ValueError) for bad in ((1.7,), (True,), ("1",), 2, [0], (), (0, 1), (1, 1.0),
-                                    (-1,), (-1, -1), (0, 0, 0))],
-])
-def test_absolute_value_index_is_none_or_one_entry(index, stored):
-    """index is None, (j,) or (j, j) with each j an integer >= 0.  (1.7,),
-    (True,) and ("1",) used to construct as (1,), 2 raised a TypeError, and
-    (0, 1) let an spla chain lose the symmetry of a matrix iterate."""
-    if stored is ValueError:
-        with pytest.raises(ValueError, match="entry index"):
-            AbsoluteValue(1.0, index)
-    else:
-        g = AbsoluteValue(1.0, index)
-        assert g.index == stored and all(type(j) is int for j in g.index or ())
-
-
 @given(
     st.sampled_from([0.0, 0.7, 3.0]),
     st.floats(min_value=1e-4, max_value=10.0),
@@ -893,59 +847,6 @@ def test_moreau_gradient_is_lipschitz(xs, ys, lam):
     a, b = np.array(xs), np.array(ys)
     ga, gb = dual_from_primal(lam, a, g), dual_from_primal(lam, b, g)
     assert norm(ga - gb) <= (1.0 / lam) * norm(a - b) + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# per-coordinate absolute terms and the stochastic R wrapper
-# ---------------------------------------------------------------------------
-
-def test_coordinate_absolute_prox_touches_one_coordinate():
-    g = AbsoluteValue(2.0, (1,))
-    x = np.array([5.0, 5.0, -5.0])
-    assert np.allclose(g.prox(1.0, x), [5.0, 3.0, -5.0])
-    assert g.evaluate(x) == pytest.approx(10.0)
-    assert np.array_equal(g.subgradient_min(x), [0.0, 2.0, 0.0])
-
-
-def test_diagonal_absolute_prox_touches_one_diagonal_entry():
-    g = AbsoluteValue(2.0, (0, 0))
-    m = np.array([[5.0, 1.0], [1.0, -5.0]])
-    p = g.prox(1.0, m)
-    assert np.allclose(p, [[3.0, 1.0], [1.0, -5.0]])
-    assert np.array_equal(p, p.T)
-    assert g.evaluate(m) == pytest.approx(10.0)
-
-
-def test_lipschitz_term_construction_and_moments():
-    """The builder makes one weighted entry per coordinate of a vector and per
-    diagonal entry of a matrix; R = mean_i r_i weighs each by 1/d."""
-    with pytest.raises(ValueError):
-        LipschitzProxTerm([])
-    for shape, indices in (((4,), [(0,), (1,), (2,), (3,)]), ((3, 3), [(0, 0), (1, 1), (2, 2)])):
-        term = absolute_entries_term(0.5, shape)
-        assert [c.index for c in term.components] == indices
-        assert all(type(c) is AbsoluteValue and c.weight == 0.5 for c in term.components)
-
-
-def test_single_component_term_consumes_no_randomness():
-    term = LipschitzProxTerm([BoxIndicator(-np.inf, np.inf)])
-    rng = RngStream(15, 0)
-    x = np.array([1.0, 2.0])
-    p = term.prox_sample(0.5, x, rng)
-    assert np.array_equal(p, x)
-    # the stream is untouched: next draw equals a fresh stream's first draw
-    assert rng.standard_normal() == RngStream(15, 0).standard_normal()
-
-
-def test_multi_component_term_draws_one_index():
-    term = absolute_entries_term(1.0, (3,))
-    rng = RngStream(16, 0)
-    x = np.array([5.0, 5.0, 5.0])
-    p = term.prox_sample(2.0, x, rng)
-    idx = int(RngStream(16, 0).integers(3))
-    expected = x.copy()
-    expected[idx] = 3.0
-    assert np.array_equal(p, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def test_readme_example_config_passes_the_config_checks():
     assert CONFIGS
     for body in CONFIGS:
         cfg = resolve_config(json.loads(body))
-        assembled, _, x0 = _build(cfg)
+        assembled, x0 = _build(cfg)
         assert x0.shape == assembled.shape
 
 

@@ -10,7 +10,6 @@ import pytest
 from proxlmc import (
     BoxIndicator,
     ChainDivergence,
-    LipschitzProxTerm,
     LogBarrier,
     PrecisionLikelihood,
     Quadratic,
@@ -19,7 +18,6 @@ from proxlmc import (
     SamplerConfig,
     Spectral,
     ZeroSmooth,
-    absolute_entries_term,
     gaussian,
     run_chain,
     run_ensemble,
@@ -57,6 +55,11 @@ from proxlmc import samplers
         dict(gamma=0.1, num_steps=10, myula_lambda=float("inf")),
         dict(gamma=0.1, num_steps=10, myula_lambda=float("nan")),
         dict(gamma=0.1, num_steps=10, myula_lambda=True),
+        dict(gamma=0.1, num_steps=10, spla_r_weight=-0.3),
+        dict(gamma=0.1, num_steps=10, spla_r_weight=float("nan")),
+        dict(gamma=0.1, num_steps=10, spla_r_weight=float("inf")),
+        dict(gamma=0.1, num_steps=10, spla_r_weight=True),
+        dict(gamma=0.1, num_steps=10, spla_r_weight="1"),
     ],
 )
 def test_config_validation(kwargs):
@@ -155,11 +158,10 @@ def test_dual_consistency_of_prox_steps(box_quadratic):
     G at x': for the box, the normal cone, zero inside and pointing out of
     each face the iterate sits on."""
     smooth, box = box_quadratic
-    cfg = SamplerConfig(gamma=0.35, num_steps=50, seed=4, record_duals=True)
-    term = absolute_entries_term(0.5, (2,))
+    cfg = SamplerConfig(gamma=0.35, num_steps=50, seed=4, record_duals=True, spla_r_weight=0.5)
     x0 = np.array([0.1, 0.2])
     psgla = run_chain("psgla", smooth, box, cfg, x0, stream_id=0)
-    spla = run_chain("spla", smooth, box, cfg, x0, lipschitz_term=term, stream_id=1)
+    spla = run_chain("spla", smooth, box, cfg, x0, stream_id=1)
     for trace in (psgla, spla):
         assert len(trace.duals) == 50
         x, y = trace.primal, trace.duals
@@ -182,12 +184,12 @@ def test_reduction_chains_are_bitwise(box_quadratic):
     projected = run_chain("projected", smooth, box, cfg, x0)
     assert all(np.array_equal(a, b) for a, b in zip(psgla.primal, projected.primal))
 
-    spla_plain = run_chain("spla", smooth, box, cfg, x0, lipschitz_term=None)
+    spla_plain = run_chain("spla", smooth, box, cfg, x0)
     assert all(np.array_equal(a, b) for a, b in zip(psgla.primal, spla_plain.primal))
 
-    # one zero component: same prox path, still no extra randomness consumed
-    zero_term = LipschitzProxTerm([BoxIndicator(-np.inf, np.inf)])
-    spla_zero = run_chain("spla", smooth, box, cfg, x0, lipschitz_term=zero_term)
+    # a zero weight is no R term: no prox and no entry drawn
+    zero = SamplerConfig(gamma=0.1, num_steps=200, seed=5, spla_r_weight=0.0)
+    spla_zero = run_chain("spla", smooth, box, zero, x0)
     assert all(np.array_equal(a, b) for a, b in zip(psgla.primal, spla_zero.primal))
 
 
@@ -349,27 +351,6 @@ def test_dimension_mismatch_rejected_before_step_1(case, runner):
     named = re.escape(f"{shape}") + ".*" + re.escape(f"x0 has shape {x0.shape}")
     with pytest.raises(ValueError, match=named):
         _start(runner, smooth, g, cfg, x0)
-
-
-@pytest.mark.parametrize("driver", ["chain", "ensemble"])
-@pytest.mark.parametrize(
-    "term, index",
-    [(absolute_entries_term(0.3, (3,)), (2,)), (absolute_entries_term(0.3, (2, 2)), (0, 0))],
-    ids=["3-coordinates-on-flat-2", "diagonal-on-flat-2"],
-)
-def test_r_term_index_mismatch_rejected_before_step_1(term, index, driver):
-    """An R-term component indexing an entry the chain's points lack fails at
-    start-up, naming the index and the shape, not with an IndexError once
-    that component is drawn."""
-    box = BoxIndicator(-np.ones(2), np.ones(2))
-    cfg = SamplerConfig(gamma=0.1, num_steps=50, seed=0)
-    named = re.escape(f"index {index} does not fit x0 of shape (2,)")
-    with pytest.raises(ValueError, match=named):
-        if driver == "chain":
-            run_chain("spla", ZeroSmooth(), box, cfg, np.zeros(2), lipschitz_term=term)
-        else:
-            run_ensemble("spla", ZeroSmooth(), box, cfg, 3, [50], np.zeros(2),
-                         lipschitz_term=term)
 
 
 def test_duals_recorded_only_on_request(box_quadratic):
@@ -594,35 +575,35 @@ def _flat_problem():
 
 
 @pytest.mark.parametrize(
-    "sampler, space, minibatch, term",
+    "sampler, space, minibatch, w",
     [
         ("ula", "flat", "full", None),
         ("psgla", "flat", "full", None),
         ("projected", "flat", "full", None),
         ("myula", "flat", "full", None),
-        ("spla", "flat", "full", absolute_entries_term),
+        ("spla", "flat", "full", 0.4),
         ("ula", "sym", "full", None),
         ("psgla", "sym", "full", None),
         ("projected", "sym", "full", None),
         ("myula", "sym", "full", None),
         ("psgla", "sym", 3, None),
         ("myula", "flat", 2, None),
-        ("spla", "sym", "full", absolute_entries_term),
-        ("spla", "flat", 2, absolute_entries_term),
+        ("spla", "sym", "full", 0.4),
+        ("spla", "flat", 2, 0.4),
     ],
 )
-def test_batched_ensemble_matches_per_chain_runs(sampler, space, minibatch, term):
+def test_batched_ensemble_matches_per_chain_runs(sampler, space, minibatch, w):
     """Every draw schedule of the batched driver (noise pre-drawn in chunks,
-    or per-step draws for minibatches and multi-component R) replays the
+    or per-step draws for minibatches and drawn R entries) replays the
     chains run one by one, bit for bit, on both spaces."""
     smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
     if sampler == "projected" and space == "sym":
         g = Spectral(LogBarrier(0.0, 0.0), 3)
-    r = term(0.4, x0.shape) if term else None
-    cfg = SamplerConfig(0.02, 25, seed=21, minibatch=minibatch, myula_lambda=0.3)
-    res = run_ensemble(sampler, smooth, g, cfg, 4, [0, 7, 25], x0, lipschitz_term=r)
+    cfg = SamplerConfig(0.02, 25, seed=21, minibatch=minibatch, myula_lambda=0.3,
+                        spla_r_weight=w)
+    res = run_ensemble(sampler, smooth, g, cfg, 4, [0, 7, 25], x0)
     for c in range(4):
-        trace = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, stream_id=c)
+        trace = run_chain(sampler, smooth, g, cfg, x0, stream_id=c)
         assert np.array_equal(res.snapshot(0)[c], x0)
         assert np.array_equal(res.snapshot(7)[c], trace.primal[6])
         assert np.array_equal(res.snapshot(25)[c], trace.primal[24])
@@ -654,12 +635,12 @@ def test_batched_ensemble_matches_per_chain_runs_across_chunks_and_tiles(space, 
             assert np.array_equal(res.snapshot(k)[c], trace.primal[k - 1])
 
 
-_WORKER_CASES = {  # sampler, space, minibatch, R term
+_WORKER_CASES = {  # sampler, space, minibatch, spla_r_weight
     "flat": ("psgla", "flat", "full", None),
     "sym": ("psgla", "sym", "full", None),
     "flat-minibatch": ("psgla", "flat", 2, None),
-    "sym-spla": ("spla", "sym", "full", absolute_entries_term),
-    "flat-minibatch-spla": ("spla", "flat", 3, absolute_entries_term),
+    "sym-spla": ("spla", "sym", "full", 0.4),
+    "flat-minibatch-spla": ("spla", "flat", 3, 0.4),
 }
 
 
@@ -668,20 +649,18 @@ def test_ensemble_bits_do_not_depend_on_the_worker_count(case, monkeypatch):
     """Every chunk is filled by _fill.  Noise alone is filled by W =
     min(CPUs, tiles) workers, tile i by worker i mod W and worker 0 on the
     calling thread; a chain that also draws minibatch indices or an R
-    component draws on the calling thread alone.  For 1, 2, 3 and more CPUs
+    entry draws on the calling thread alone.  For 1, 2, 3 and more CPUs
     than tiles, over a chain count that no tile x W divides and a partial
     last chunk, the snapshots, chain 0's trace and every chain equal the lone
     runs bit for bit."""
-    sampler, space, minibatch, term = _WORKER_CASES[case]
+    sampler, space, minibatch, w = _WORKER_CASES[case]
     smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
-    r = term(0.4, x0.shape) if term else None
     chunk, per_tile = 1024 // x0.size, _tile_chains(x0.size)
     num_chains = 3 * per_tile + 5  # four tiles, the last one partial
-    cfg = SamplerConfig(0.02, 2 * chunk + 7, seed=26, minibatch=minibatch)
+    cfg = SamplerConfig(0.02, 2 * chunk + 7, seed=26, minibatch=minibatch, spla_r_weight=w)
     steps, checkpoints = [chunk, chunk + 1, 2 * chunk + 3], [chunk, 2 * chunk + 7]
-    lone = [run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, stream_id=c)
-            for c in range(num_chains)]
-    ref = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, mean_checkpoints=checkpoints)
+    lone = [run_chain(sampler, smooth, g, cfg, x0, stream_id=c) for c in range(num_chains)]
+    ref = run_chain(sampler, smooth, g, cfg, x0, mean_checkpoints=checkpoints)
     draw, caller = samplers.gaussian, threading.current_thread()
     for cpus in (1, 2, 3, 64):
         drawn_on = {}  # chain -> the thread that filled its first chunk
@@ -695,9 +674,9 @@ def test_ensemble_bits_do_not_depend_on_the_worker_count(case, monkeypatch):
 
         monkeypatch.setattr(samplers, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(samplers, "gaussian", spy)
-        res = run_ensemble(sampler, smooth, g, cfg, num_chains, steps, x0, lipschitz_term=r,
+        res = run_ensemble(sampler, smooth, g, cfg, num_chains, steps, x0,
                            mean_checkpoints=checkpoints)
-        workers = min(cpus, 4) if minibatch == "full" and term is None else 1
+        workers = min(cpus, 4) if minibatch == "full" and w is None else 1
         split = {((c // per_tile) % workers, drawn_on[c]) for c in range(num_chains)}
         assert len(split) == len(set(drawn_on.values())) == workers
         assert elsewhere if workers > 1 else not elsewhere
@@ -778,36 +757,35 @@ def test_rekeyed_generators_under_thread_switches_match_lone_chains(minibatch, m
 
 
 @pytest.mark.parametrize(
-    "sampler, space, minibatch, term",
+    "sampler, space, minibatch, w",
     [
         ("psgla", "flat", "full", None),
         ("psgla", "sym", "full", None),
         ("ula", "flat", "full", None),
         ("psgla", "sym", 3, None),
-        ("spla", "flat", 2, absolute_entries_term),
-        ("spla", "sym", "full", absolute_entries_term),
+        ("spla", "flat", 2, 0.4),
+        ("spla", "sym", "full", 0.4),
     ],
 )
-def test_ensemble_trace_of_chain_zero_equals_run_chain(sampler, space, minibatch, term):
+def test_ensemble_trace_of_chain_zero_equals_run_chain(sampler, space, minibatch, w):
     """Given mean checkpoints, the ensemble also records chain 0; past the
     last snapshot chain 0 goes on alone on its stream, across a noise chunk
     boundary, and its trace equals run_chain's on stream 0 bit for bit."""
     smooth, g, x0 = _matrix_problem(3) if space == "sym" else _flat_problem()
-    r = term(0.4, x0.shape) if term else None
     chunk = 1024 // x0.size
     cfg = SamplerConfig(0.02, chunk + 40, burn_in=5, record_every=3, record_duals=True,
-                        seed=25, minibatch=minibatch)
+                        seed=25, minibatch=minibatch, spla_r_weight=w)
     checkpoints = [6, chunk // 2, chunk + 1, chunk + 40]
-    res = run_ensemble(sampler, smooth, g, cfg, 5, [0, chunk // 2], x0, lipschitz_term=r,
+    res = run_ensemble(sampler, smooth, g, cfg, 5, [0, chunk // 2], x0,
                        mean_checkpoints=checkpoints)
-    ref = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, mean_checkpoints=checkpoints)
+    ref = run_chain(sampler, smooth, g, cfg, x0, mean_checkpoints=checkpoints)
     assert res.trace.steps == ref.steps
     assert np.array_equal(res.trace.primal, ref.primal)
     assert np.array_equal(res.trace.duals, ref.duals)
     assert [k for k, _ in res.trace.mean_checkpoints] == checkpoints
     for (_, ours), (_, theirs) in zip(res.trace.mean_checkpoints, ref.mean_checkpoints):
         assert np.array_equal(ours, theirs)
-    assert run_ensemble(sampler, smooth, g, cfg, 5, [chunk // 2], x0, lipschitz_term=r).trace is None
+    assert run_ensemble(sampler, smooth, g, cfg, 5, [chunk // 2], x0).trace is None
 
 
 def test_ensemble_checks_its_mean_checkpoints_before_any_step(box_quadratic, monkeypatch):
@@ -827,28 +805,31 @@ def test_ensemble_matches_chains_on_a_non_diagonal_quadratic(sampler, d):
     b = rng.standard_normal((d, d))
     f = Quadratic(b @ b.T / d + 0.5 * np.eye(d), rng.standard_normal(d))
     g = BoxIndicator(-5.0 * np.ones(d), 5.0 * np.ones(d))
-    r = absolute_entries_term(0.3, (d,)) if sampler == "spla" else None
-    cfg = SamplerConfig(0.5 / f.L, 50, seed=23, myula_lambda=0.3)
+    cfg = SamplerConfig(0.5 / f.L, 50, seed=23, myula_lambda=0.3, spla_r_weight=0.3)
     x0 = np.full(d, 0.1)
-    res = run_ensemble(sampler, f, g, cfg, 4, [50], x0, lipschitz_term=r)
+    res = run_ensemble(sampler, f, g, cfg, 4, [50], x0)
     for c in range(4):
-        trace = run_chain(sampler, f, g, cfg, x0, lipschitz_term=r, stream_id=c)
+        trace = run_chain(sampler, f, g, cfg, x0, stream_id=c)
         assert np.array_equal(res.snapshot(50)[c], trace.primal[-1])
 
 
-def _reference_chain(sampler, smooth, g, cfg, x0, r_term):
+def _reference_chain(sampler, smooth, g, cfg, x0):
     """The update equations of the samplers module docstring, one step at a
     time on one point: [(x_half, x_new)] per step, x_half None for ula and
-    myula.  Draw order per step: minibatch indices, noise, R index."""
+    myula.  Draw order per step: minibatch indices, noise, R entry j (drawn
+    when d > 1), whose soft threshold by gamma w is SPLA's R step."""
     rng = RngStream(cfg.seed, 0)
     lam, x, out = cfg.myula_lambda, x0, []
+    d, w = x0.shape[0], cfg.spla_r_weight
     for _ in range(cfg.num_steps):
         grad = smooth.stochastic_gradient(x, rng, cfg.minibatch)
         if sampler == "myula":
             grad = grad + (x - g.prox(lam, x)) / lam
         x_half = x - cfg.gamma * grad + math.sqrt(2.0 * cfg.gamma) * gaussian(rng, x0.shape)
-        if sampler == "spla":
-            x_half = r_term.prox_sample(cfg.gamma, x_half, rng)
+        if sampler == "spla" and w:
+            entry = (int(rng.integers(d)) if d > 1 else 0,) * x0.ndim
+            v = x_half[entry]
+            x_half[entry] = np.sign(v) * max(abs(v) - cfg.gamma * w, 0.0)
         if sampler in ("ula", "myula"):
             x, x_half = x_half, None
         else:
@@ -878,11 +859,10 @@ def test_run_chain_matches_the_reference_update_bitwise(sampler, space, minibatc
     if sampler == "projected" and space != "flat":
         # projected Langevin needs an indicator G
         g = Spectral(LogBarrier(0.0, 0.0), 3) if space == "sym" else LogBarrier(0.0, 0.0)
-    r = absolute_entries_term(0.4, x0.shape)
     cfg = SamplerConfig(0.02, 30, seed=24, minibatch=minibatch, myula_lambda=0.3,
-                        record_duals=True)
-    trace = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r)
-    ref = _reference_chain(sampler, smooth, g, cfg, x0, r)
+                        record_duals=True, spla_r_weight=0.4)
+    trace = run_chain(sampler, smooth, g, cfg, x0)
+    ref = _reference_chain(sampler, smooth, g, cfg, x0)
     assert len(trace.primal) == len(ref) == 30
     for k, (x_half, x_new) in enumerate(ref):
         assert np.array_equal(trace.primal[k], x_new)
@@ -894,16 +874,16 @@ def test_run_chain_matches_the_reference_update_bitwise(sampler, space, minibatc
 @pytest.mark.parametrize("sampler, minibatch", [("psgla", 2), ("spla", "full"), ("spla", 2)])
 @pytest.mark.parametrize("space", ["flat", "sym", "precision-1d"])
 def test_run_chain_matches_the_reference_update_across_draw_chunks(sampler, space, minibatch):
-    """Minibatch indices, noise and SPLA component indices are pre-drawn per
+    """Minibatch indices, noise and SPLA's R entries are pre-drawn per
     chunk of 1024 // size steps; over two chunk boundaries and a partial
     last chunk, each step still equals the reference update drawing one
     step at a time."""
     smooth, g, x0 = _PROBLEMS[space]()
-    r = absolute_entries_term(0.4, x0.shape)
     num_steps = 2 * (1024 // x0.size) + 7
-    cfg = SamplerConfig(0.02, num_steps, seed=27, minibatch=minibatch, record_duals=True)
-    trace = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r)
-    ref = _reference_chain(sampler, smooth, g, cfg, x0, r)
+    cfg = SamplerConfig(0.02, num_steps, seed=27, minibatch=minibatch, record_duals=True,
+                        spla_r_weight=0.4)
+    trace = run_chain(sampler, smooth, g, cfg, x0)
+    ref = _reference_chain(sampler, smooth, g, cfg, x0)
     assert len(trace.primal) == len(ref) == num_steps
     for k, (x_half, x_new) in enumerate(ref):
         assert np.array_equal(trace.primal[k], x_new)
@@ -919,19 +899,19 @@ def test_chain_zero_goes_on_from_a_mid_chunk_snapshot_on_an_untouched_stream(
     second chunk; chain 0 then draws on alone from there, over chunks of
     its own, and its trace equals run_chain on stream 0 bit for bit."""
     smooth, g, x0 = _PROBLEMS[space]()
-    r = absolute_entries_term(0.4, x0.shape)
     chunk = 1024 // x0.size
     num_steps = 3 * chunk + 5
-    cfg = SamplerConfig(0.02, num_steps, seed=28, minibatch=minibatch, record_duals=True)
+    cfg = SamplerConfig(0.02, num_steps, seed=28, minibatch=minibatch, record_duals=True,
+                        spla_r_weight=0.4)
     checkpoints = [chunk, chunk + chunk // 2 + 1, num_steps]
-    res = run_ensemble(sampler, smooth, g, cfg, 3, [chunk + chunk // 2], x0, lipschitz_term=r,
+    res = run_ensemble(sampler, smooth, g, cfg, 3, [chunk + chunk // 2], x0,
                        mean_checkpoints=checkpoints)
-    ref = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, mean_checkpoints=checkpoints)
+    ref = run_chain(sampler, smooth, g, cfg, x0, mean_checkpoints=checkpoints)
     assert np.array_equal(res.trace.primal, ref.primal)
     assert np.array_equal(res.trace.duals, ref.duals)
     for (_, ours), (_, theirs) in zip(res.trace.mean_checkpoints, ref.mean_checkpoints):
         assert np.array_equal(ours, theirs)
-    lone = run_chain(sampler, smooth, g, cfg, x0, lipschitz_term=r, stream_id=2)
+    lone = run_chain(sampler, smooth, g, cfg, x0, stream_id=2)
     assert np.array_equal(res.snapshot(chunk + chunk // 2)[2], lone.primal[chunk + chunk // 2 - 1])
 
 
@@ -946,9 +926,8 @@ def test_spla_ensemble_drawing_entries_keeps_its_digest():
     smooth, g, x0 = QuadraticSum(data), BoxIndicator(-np.ones(3), np.ones(3)), np.full(3, 0.2)
     chunk = 1024 // 3
     cfg = SamplerConfig(0.02, 2 * chunk + 30, burn_in=10, record_every=2, seed=30, minibatch=2,
-                        record_duals=True)
-    r = absolute_entries_term(2.0, x0.shape)
-    res = run_ensemble("spla", smooth, g, cfg, 5, [chunk + 20], x0, lipschitz_term=r,
+                        record_duals=True, spla_r_weight=2.0)
+    res = run_ensemble("spla", smooth, g, cfg, 5, [chunk + 20], x0,
                        mean_checkpoints=[chunk, 2 * chunk + 30])
     h = hashlib.sha256()
     for a in (res.snapshot(chunk + 20), res.trace.primal, res.trace.duals,
