@@ -41,12 +41,13 @@ from proxlmc.verify import (
 
 def test_a01_moreau_identity_over_catalog(acceptance_report):
     """Every catalog prox satisfies x = prox + gamma * dual to 1e-10 relative,
-    1000 points per potential per step size in {0.01, 0.1, 1, 10}."""
+    and the dual lies in the subdifferential of G at the prox to 1e-9
+    relative, 1000 points per potential per step size in {0.01, 0.1, 1, 10}."""
     r = suite_moreau(trials=1000)
     acceptance_report(
         "A1 moreau-identity",
         r.passed,
-        f"{r.detail}, limit 1e-10 (1000 pts x 4 step sizes x full catalog)",
+        f"{r.detail}, limits 1e-10 and 1e-9 (1000 pts x 4 step sizes x full catalog)",
     )
 
 

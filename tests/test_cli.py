@@ -913,3 +913,18 @@ def test_verify_detects_a_corrupted_prox(monkeypatch, capsys):
     monkeypatch.setattr(BoxIndicator, "prox", drifting_prox)
     assert main(["verify", "--suite", "moreau", "--trials", "10"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_fails_a_wrong_prox_that_keeps_the_moreau_identity(monkeypatch, capsys):
+    """The identity x = p + gamma y holds for any map p, since the dual y
+    is made from it: a box prox patched to 0.5 x + 7 keeps its residual at
+    rounding, and the subdifferential check, which does not call the prox,
+    fails it."""
+    from proxlmc.potentials import BoxIndicator
+
+    monkeypatch.setattr(BoxIndicator, "prox", lambda self, gamma, x: 0.5 * np.asarray(x) + 7)
+    assert main(["verify", "--suite", "moreau", "--trials", "10"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  moreau-identity: worst relative residual ")
+    assert float(out.split()[5].rstrip(",")) <= 1e-10
+    assert "worst dual residual inf at zero gamma=0.01" in out
