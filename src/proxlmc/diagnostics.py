@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .potentials import _weight
 from .space import RngStream, _integer, check_point, gaussian, inner
 
 _SLICED_DEFAULT_SEED = 20461
@@ -135,8 +136,10 @@ def estimate_C(samples, nonsmooth, L: float, ambient_dim: int, sigma_f_sq: float
     (boundary or out-of-domain points are skipped and counted) and adds
     2 (L * ambient_dim + sigma_f_sq).  Errors if every sample is skipped.
     The subgradients come from one call on the whole sample stack; only when
-    that call raises is each sample tried on its own.
+    that call raises is each sample tried on its own.  L must be a finite
+    number >= 0.
     """
+    _weight(L, "L")
     pts = _samples(samples)
     try:
         grads = nonsmooth.subgradient_min(pts)
@@ -253,6 +256,8 @@ def pdpg_gap_check(
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
+    if _integer(num_iters, "num_iters") < 1:
+        raise ValueError(f"num_iters must be >= 1, got {num_iters}")
     if smooth.L > 0 and gamma > 1.0 / smooth.L:
         raise ValueError(f"gamma = {gamma} exceeds 1/L = {1.0 / smooth.L}")
     x_star = _proximal_gradient_fixed_point(smooth, nonsmooth, x0)

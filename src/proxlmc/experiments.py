@@ -34,6 +34,7 @@ from .potentials import (
     PrecisionLikelihood,
     QuadraticSum,
     SmoothPotential,
+    _finite,
     build_gamma_potential,
 )
 from .diagnostics import QuantileOracle
@@ -110,7 +111,7 @@ class GroundTruth:
 
 def generate_gaussian_data(n: int, d: int, rng: RngStream) -> np.ndarray:
     """n standard Gaussian rows in R^d, an (n, d) array."""
-    if n < 1 or d < 0:
+    if _integer(n, "n") < 1 or _integer(d, "d") < 0:
         raise ValueError(f"need n >= 1 data points of d >= 0 entries, got n = {n}, d = {d}")
     return rng.standard_normal((n, d))
 
@@ -338,9 +339,12 @@ def sample_wishart(nu: float, v_inv: np.ndarray, rng: RngStream, size: int) -> n
     """Exact Wishart(nu, V = v_inv^{-1}) draws via the Bartlett factorization.
 
     Used to score matrix experiments against exact posterior samples."""
+    v_inv = _finite(v_inv, "sample_wishart")
     d = v_inv.shape[0]
-    if not nu > d - 1:
-        raise ValueError("Wishart sampling needs nu > d - 1")
+    if not (_finite_number(nu) and nu > d - 1):
+        raise ValueError(f"Wishart sampling needs a finite nu > d - 1 = {d - 1}, got {nu!r}")
+    if _integer(size, "size") < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     v = np.linalg.inv(v_inv)
     chol = np.linalg.cholesky((v + v.T) / 2.0)
     out = np.empty((size, d, d))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .space import _finite_number, frobenius, norm, spectral_apply, sym_eigendecomposition
+from .space import _finite_number, _integer, frobenius, norm, spectral_apply, sym_eigendecomposition
 
 _PSD_TOL = 1e-10
 # Shift of the Cholesky domain certificate, relative to ||x||_F (Spectral.domain_mask)
@@ -293,6 +293,8 @@ class Spectral(NonsmoothPotential):
     """
 
     def __init__(self, scalar: LogBarrier, d: int):
+        if _integer(d, "d") < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
         self.scalar = scalar
         self.is_indicator = scalar.is_indicator
         self.point_shape = (d, d)

@@ -12,18 +12,24 @@ from proxlmc import (
     BoxIndicator,
     EigenFailure,
     LogBarrier,
+    Quadratic,
     RngStream,
     SamplerConfig,
+    Spectral,
     TruncGaussSpec,
     WishartExperimentSpec,
     ZeroSmooth,
     ambient_dim,
     check_point,
+    estimate_C,
     gaussian,
+    generate_gaussian_data,
     inner,
     norm,
+    pdpg_gap_check,
     run_chain,
     run_ensemble,
+    sample_wishart,
     spectral_apply,
     sym_eigendecomposition,
 )
@@ -227,12 +233,30 @@ _FREE = (ZeroSmooth(), BoxIndicator(-np.inf, np.inf))
      "d must be an integer, got '3'"),
     (lambda: WishartExperimentSpec("precision", 3, "5", np.ones((4, 3))), "got nu='5'"),
     (lambda: TruncGaussSpec(mean="0"), "need finite mean, lo, hi"),
+    (lambda: sample_wishart(5.0, np.full((2, 2), np.nan), RngStream(1, 0), 3),
+     "sample_wishart needs a finite matrix"),
+    (lambda: sample_wishart(5.0, np.eye(2), RngStream(1, 0), -1), "size must be >= 1, got -1"),
+    (lambda: sample_wishart(5.0, np.eye(2), RngStream(1, 0), 2.5),
+     "size must be an integer, got 2.5"),
+    (lambda: generate_gaussian_data(2.5, 1, RngStream(1, 0)), "n must be an integer, got 2.5"),
+    (lambda: pdpg_gap_check(Quadratic(np.eye(1), np.zeros(1)), _FREE[1], 0.5, np.ones(1), 0),
+     "num_iters must be >= 1, got 0"),
+    (lambda: pdpg_gap_check(Quadratic(np.eye(1), np.zeros(1)), _FREE[1], 0.5, np.ones(1), -1),
+     "num_iters must be >= 1, got -1"),
+    (lambda: estimate_C(np.ones((3, 1)), LogBarrier(1, 0), np.nan, 1, 0.0),
+     "L must be a finite number >= 0, got nan"),
+    (lambda: Spectral(LogBarrier(1, 0), 0), "d must be >= 1, got 0"),
+    (lambda: Spectral(LogBarrier(1, 0), True), "d must be an integer, got True"),
 ], ids=["record_duals", "huge-gamma", "snapshot-steps", "mean-checkpoints", "alpha-bool",
         "alpha-str", "beta-str", "abs-weight", "entry-weight", "wishart-d", "wishart-nu",
-        "trunc-mean"])
+        "trunc-mean", "wishart-draw-nan", "wishart-draw-size-negative",
+        "wishart-draw-size-float", "data-n-float", "pdpg-zero-iters", "pdpg-negative-iters",
+        "estimate-c-nan-L", "spectral-d-zero", "spectral-d-bool"])
 def test_public_constructors_reject_wrong_types_with_value_error(build, message):
     """These were accepted (record_duals "no", a bool or string weight taken as
-    float(w)) or raised TypeError or OverflowError."""
+    float(w), a Spectral lift on d = 0 or True), returned NaN (Wishart draws
+    of a NaN v_inv, a C estimate at L = NaN), checked nothing (pdpg_gap_check
+    over no iterations) or raised TypeError or OverflowError."""
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
 
