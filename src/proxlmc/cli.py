@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -61,6 +62,7 @@ ENV_OUT = "PROXLMC_OUT"
 
 _WISHART_SAMPLE_SEED = 9173  # exact posterior draws for the matrix C estimate
 _ORACLE_GRID = 2000
+_BLOCK = 1 << 14  # csv fields joined and written at a time
 
 
 class ConfigError(ValueError):
@@ -252,28 +254,42 @@ def _write_json(path, obj):
 def _digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
+        while chunk := fh.read(1 << 16):
+            h.update(chunk)
     return h.hexdigest()
 
 
 def _write_csv(path, header, rows):
     """Write the header and rows of str fields as csv.writer does: "," between
-    fields, CRLF after each line; no int or float repr needs quoting."""
+    fields, CRLF after each line; no int or float repr needs quoting.  Lines
+    are joined and written one block of _BLOCK fields at a time."""
+    rows, per_block = iter(rows), max(1, _BLOCK // len(header))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *map(",".join, rows), ""]))
+        fh.write(",".join(header) + "\r\n")
+        while lines := list(map(",".join, itertools.islice(rows, per_block))):
+            fh.write("\r\n".join([*lines, ""]))
 
 
 def _write_trace_csv(path, trace, feasible_flags):
+    """trace.csv, one block of rows at a time: only one block's floats and
+    strings are ever held, whatever the length of the trace."""
     m = ambient_dim(trace.primal.shape[1:])
     header = ["step"] + [f"x{i}" for i in range(m)]
-    columns = [flatten_points(trace.primal)]
+    stacks = [trace.primal]
     if len(trace.duals):
         header += [f"y{i}" for i in range(m)]
-        columns.append(flatten_points(trace.duals))
+        stacks.append(trace.duals)
     header.append("feasible")
-    values = np.concatenate(columns, axis=1).T.tolist()
-    flags = ("1" if flag else "0" for flag in feasible_flags.tolist())
-    _write_csv(path, header, zip(map(str, trace.steps), *[map(repr, col) for col in values], flags))
+    per_block = max(1, _BLOCK // len(header))
+
+    def rows():
+        for a in range(0, len(trace.primal), per_block):
+            b = slice(a, a + per_block)
+            values = np.concatenate([flatten_points(s[b]) for s in stacks], axis=1).T.tolist()
+            flags = ("1" if flag else "0" for flag in feasible_flags[b].tolist())
+            yield from zip(map(str, trace.steps[b]), *[map(repr, col) for col in values], flags)
+
+    _write_csv(path, header, rows())
 
 
 def _write_histogram_csv(path, samples: np.ndarray):

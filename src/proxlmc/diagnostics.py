@@ -136,10 +136,13 @@ def estimate_C(samples, nonsmooth, L: float, ambient_dim: int, sigma_f_sq: float
     (boundary or out-of-domain points are skipped and counted) and adds
     2 (L * ambient_dim + sigma_f_sq).  Errors if every sample is skipped.
     The subgradients come from one call on the whole sample stack; only when
-    that call raises is each sample tried on its own.  L must be a finite
-    number >= 0.
+    that call raises is each sample tried on its own.  L and sigma_f_sq must
+    be finite numbers >= 0, ambient_dim an integer >= 0.
     """
     _weight(L, "L")
+    _weight(sigma_f_sq, "sigma_f_sq")
+    if _integer(ambient_dim, "ambient_dim") < 0:
+        raise ValueError(f"ambient_dim must be >= 0, got {ambient_dim}")
     pts = _samples(samples)
     try:
         grads = nonsmooth.subgradient_min(pts)

@@ -488,16 +488,13 @@ class FiniteSum(SmoothPotential):
 
     def grad_norm_variance(self, x, minibatch=1):
         """Var_i ||n grad f_i(x)|| / b, i uniform; 0 for the full gradient.
-        Where mean(norms^2) - mean(norms)^2 overflows, the two-pass
-        mean((norms - mean(norms))^2); a ValueError where that is not finite."""
+        The two-pass mean((norms - mean(norms))^2), which is never negative;
+        a ValueError where it is not finite."""
         if minibatch == "full":
             return 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             norms = self._datum_grad_norms(np.asarray(x, dtype=float))
-            var = float(np.mean(norms**2) - np.mean(norms) ** 2)
-            if not np.isfinite(var):
-                var = float(np.mean((norms - np.mean(norms)) ** 2))
-            var /= int(minibatch)
+            var = float(np.mean((norms - np.mean(norms)) ** 2)) / int(minibatch)
         if not np.isfinite(var):
             raise ValueError(f"{type(self).__name__} gradient norm variance is not finite at x")
         return var

@@ -90,11 +90,11 @@ class SamplerConfig:
 
 @dataclass
 class ChainTrace:
-    """The R recorded steps of one chain: primal and duals are (R, *shape)
-    arrays, row i belonging to steps[i]; duals has rows only when
-    record_duals asked for them of a sampler that proxes through G."""
+    """The R recorded steps of one chain: steps is their range, primal and
+    duals are (R, *shape) arrays, row i belonging to steps[i]; duals has rows
+    only when record_duals asked for them of a sampler that proxes through G."""
 
-    steps: list
+    steps: range
     primal: np.ndarray
     duals: np.ndarray
     mean_checkpoints: list  # (step, mean of post-burn-in iterates)
@@ -339,10 +339,13 @@ def _record(steps, sampler, cfg, x0, mean_checkpoints) -> ChainTrace:
             primal[i - 1] = xs[0]
             if record_duals:
                 half[i - 1] = x_half[0]
+    if record_duals:  # y = (x_half - x) / gamma, formed in place
+        half -= primal
+        half /= cfg.gamma
     return ChainTrace(
-        steps=list(range(burn_in + every, cfg.num_steps + 1, every)),
+        steps=range(burn_in + every, cfg.num_steps + 1, every),
         primal=primal,
-        duals=(half - primal) / cfg.gamma if record_duals else half,
+        duals=half,
         mean_checkpoints=means,
     )
 

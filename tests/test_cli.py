@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,15 +18,20 @@ from proxlmc import (
     TruncGaussSpec,
     WishartExperimentSpec,
     assemble_experiment,
+    estimate_C,
     generate_gaussian_data,
     posterior_ground_truth,
     run_chain,
 )
+from proxlmc.samplers import ChainTrace
 from proxlmc.cli import (
+    _BLOCK,
     ConfigError,
     _build,
+    _digest,
     _resolve_out_dir,
     _write_histogram_csv,
+    _write_trace_csv,
     load_config,
     main,
     resolve_config,
@@ -458,6 +464,69 @@ def test_trace_csv_flags_iterates_outside_the_box_in_csv_writer_bytes(tmp_path):
     assert (tmp_path / "rewritten.csv").read_bytes() == (out / "trace.csv").read_bytes()
 
 
+def _one_join_trace_csv(trace, flags):
+    """trace.csv's bytes as one join of every line: the writer's output
+    before it wrote block by block."""
+    shape = trace.primal.shape[1:]
+    iu, ju = np.triu_indices(shape[0]) if len(shape) == 2 else (None, None)
+    flat = (lambda xs: xs) if len(shape) == 1 else (lambda xs: xs[:, iu, ju])
+    m = flat(trace.primal).shape[1]
+    header = ["step"] + [f"x{i}" for i in range(m)]
+    columns = [flat(trace.primal)]
+    if len(trace.duals):
+        header += [f"y{i}" for i in range(m)]
+        columns.append(flat(trace.duals))
+    header.append("feasible")
+    values = np.concatenate(columns, axis=1).T.tolist()
+    rows = zip(map(str, trace.steps), *[map(repr, col) for col in values],
+               ("1" if flag else "0" for flag in flags.tolist()))
+    return "\r\n".join([",".join(header), *map(",".join, rows), ""]).encode()
+
+
+def _synthetic_trace(shape, num_rows, duals, seed=30):
+    rng = RngStream(seed, 0)
+    points = rng.standard_normal((2, num_rows, *shape))
+    if len(shape) == 2:
+        points = points + np.swapaxes(points, -1, -2)
+    return ChainTrace(steps=range(4, 4 + 3 * num_rows, 3), primal=points[0],
+                      duals=points[1] if duals else points[1][:0], mean_checkpoints=[])
+
+
+@pytest.mark.parametrize("duals", [False, True], ids=["primal", "duals"])
+@pytest.mark.parametrize("shape", [(1,), (3, 3)], ids=["flat-1", "matrix-3x3"])
+@pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["1-row", "block-1", "block", "block+1"])
+def test_trace_csv_written_by_block_equals_one_join(tmp_path, shape, duals, offset):
+    """Rows around one block of _BLOCK fields: the block writer's bytes are
+    those of one join of every line."""
+    m = 1 if shape == (1,) else 6
+    per_block = _BLOCK // (2 + m * (2 if duals else 1))
+    num_rows = 1 if offset is None else per_block + offset
+    trace = _synthetic_trace(shape, num_rows, duals)
+    flags = trace.primal.reshape(num_rows, -1)[:, 0] > 0
+    _write_trace_csv(tmp_path / "trace.csv", trace, flags)
+    assert (tmp_path / "trace.csv").read_bytes() == _one_join_trace_csv(trace, flags)
+
+
+def test_digest_of_a_file_longer_than_one_read_is_its_sha256(tmp_path):
+    data = RngStream(30, 1).integers(256, 3 * 65536 + 17).astype(np.uint8).tobytes()
+    (tmp_path / "blob").write_bytes(data)
+    assert _digest(tmp_path / "blob") == hashlib.sha256(data).hexdigest()
+
+
+def test_trace_csv_of_a_long_trace_holds_one_block_in_memory(tmp_path):
+    """100k rows of a flat trace with duals: the writer used to hold every
+    value as a Python float and a string at once, about 21 MiB."""
+    trace = _synthetic_trace((1,), 100_000, duals=True)
+    flags = np.ones(100_000, dtype=bool)
+    tracemalloc.start()
+    try:
+        _write_trace_csv(tmp_path / "trace.csv", trace, flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # experiment command
 # ---------------------------------------------------------------------------
@@ -571,6 +640,24 @@ def test_experiment_report_for_scalar_precision(tmp_path):
     assert "m_star" in report and "snapshots" in report
     assert (out / "histogram.csv").exists()
     assert (out / "convergence.csv").exists()
+
+
+def test_mean_1d_c_estimate_is_estimate_c_on_the_chains_own_trace(tmp_path):
+    """wishart-mean-1d has neither a quantile oracle nor a ground truth, so
+    its C estimate averages over the recorded chain's iterates."""
+    body = {"experiment": "wishart-mean-1d", "num_steps": 120, "burn_in": 20,
+            "record_every": 2, "seed": 5}
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", write_config(tmp_path, body), "--out", str(out)]) == 0
+    reported = json.loads((out / "report.json").read_text())["c_estimate"]
+
+    cfg = resolve_config(body)
+    asm, x0 = _build(cfg)
+    trace = run_chain(cfg.sampler, asm.smooth, asm.nonsmooth, cfg, x0)
+    expected = estimate_C(trace.primal, asm.nonsmooth, asm.smooth.L, 1, 0.0)
+    assert reported["sigma_f_sq"] == 0.0
+    assert (reported["value"], reported["grad_sq_mean"], reported["num_skipped"]) == (
+        expected.value, expected.grad_sq_mean, expected.num_skipped)
 
 
 def test_experiment_rerun_is_bit_identical(tmp_path):

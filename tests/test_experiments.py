@@ -30,7 +30,7 @@ from proxlmc import (
     sample_wishart,
     trunc_gauss_quantile,
 )
-from proxlmc.experiments import _MAXLOG, _erf
+from proxlmc.experiments import _MAXLOG, _bisect, _erf
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +202,26 @@ def test_gamma_quantile_cdf_round_trip():
         u = np.clip(rng.uniform(7), 1e-6, 1 - 1e-6)
         q = gamma_quantile(shape, rate, u)
         assert np.max(np.abs(special.gammainc(shape, rate * q) - u)) < 1e-8
+
+
+def test_gamma_quantile_doubles_a_bracket_the_level_lies_above():
+    """At shape 0.5 and rate 1 the first bracket end 17.57 has CDF 1 - 3.1e-9,
+    below u = 1 - 1e-10, so the bracket doubles before the bisection.  Near
+    u = 1 the quantile is ill-conditioned; only the CDF round trip is checked."""
+    u = np.array([1.0 - 1e-10])
+    assert special.gammainc(0.5, 0.5 + 10.0 * np.sqrt(0.5) + 10.0) < u[0]
+    q = gamma_quantile(0.5, 1.0, u)
+    assert q[0] > 0.5 + 10.0 * np.sqrt(0.5) + 10.0
+    assert abs(special.gammainc(0.5, q[0]) - u[0]) <= 1e-8
+
+
+def test_bisection_that_cannot_converge_is_a_value_error():
+    """With atol = rtol = 0 the bracket stops at one ulp around 0.5 and never
+    reaches width 0: the bisection gives up after its 1100 halvings."""
+    calls = []
+    with pytest.raises(ValueError, match="did not reach tolerance .* in 1100 halvings"):
+        _bisect(lambda t: calls.append(t) or t, 0.5, 0.0, 1.0)
+    assert len(calls) == 1100
 
 
 @pytest.mark.parametrize("shape, rate", [

@@ -963,7 +963,7 @@ def test_precision_likelihood_stochastic_gradient():
     v = f.grad_norm_variance(np.eye(2), minibatch=1)
     norms = 6.0 * np.sum(data**2, axis=1) / 2.0
     assert v == pytest.approx(norms.var())
-    assert v == float(np.mean(norms**2) - np.mean(norms) ** 2)  # the formula, bit for bit
+    assert v == float(np.mean((norms - np.mean(norms)) ** 2))  # the formula, bit for bit
 
 
 def test_precision_likelihood_validates_dimensions():
@@ -1016,10 +1016,18 @@ def test_grad_norm_variance_that_overflows_is_a_value_error(f, x):
     (QuadraticSum(np.array([[0.5]])), np.array([1e200])),
 ], ids=["one-datum", "quadratic-sum-far-x", "quadratic-sum-one-datum-far-x"])
 def test_grad_norm_variance_of_equal_norms_past_the_square_root_is_zero(f, x):
-    """Equal finite norms whose squares overflow: mean(norms^2) - mean(norms)^2
-    is inf - inf, and the two-pass form gives the true variance 0.  A
-    QuadraticSum norm of x - D_i past 1.3e154 scales before it squares."""
+    """Equal finite norms whose squares overflow: the one-pass
+    mean(norms^2) - mean(norms)^2 would be inf - inf, and the two-pass form
+    gives the true variance 0.  A QuadraticSum norm of x - D_i past 1.3e154
+    scales before it squares."""
     assert f.grad_norm_variance(x, 1) == 0.0
+
+
+def test_grad_norm_variance_of_identical_rows_is_not_negative():
+    """Seven equal data rows: the one-pass mean(norms^2) - mean(norms)^2 read
+    -2.27e-13 here, and a report took it as sigma_f_sq into its C estimate."""
+    v = PrecisionLikelihood(np.full((7, 1), 3.3), 1).grad_norm_variance(np.ones(1), 1)
+    assert 0.0 <= v <= 1e-12
 
 
 @pytest.mark.parametrize("build, name", [

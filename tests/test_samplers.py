@@ -247,7 +247,7 @@ def test_recording_arithmetic(box_quadratic):
     cfg = SamplerConfig(gamma=0.1, num_steps=10, burn_in=3, record_every=2, seed=7,
                         record_duals=True)
     trace = run_chain("psgla", smooth, box, cfg, np.zeros(2))
-    assert trace.steps == [5, 7, 9]
+    assert list(trace.steps) == [5, 7, 9]
     assert len(trace.primal) == 3
     assert len(trace.duals) == 3
 

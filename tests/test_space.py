@@ -245,18 +245,31 @@ _FREE = (ZeroSmooth(), BoxIndicator(-np.inf, np.inf))
      "num_iters must be >= 1, got -1"),
     (lambda: estimate_C(np.ones((3, 1)), LogBarrier(1, 0), np.nan, 1, 0.0),
      "L must be a finite number >= 0, got nan"),
+    (lambda: estimate_C(np.ones((3, 1)), LogBarrier(1, 0), 1.0, 1, np.nan),
+     "sigma_f_sq must be a finite number >= 0, got nan"),
+    (lambda: estimate_C(np.ones((3, 1)), LogBarrier(1, 0), 1.0, 1, -1.0),
+     "sigma_f_sq must be a finite number >= 0, got -1.0"),
+    (lambda: estimate_C(np.ones((3, 1)), LogBarrier(1, 0), 1.0, True, 0.0),
+     "ambient_dim must be an integer, got True"),
+    (lambda: estimate_C(np.ones((3, 1)), LogBarrier(1, 0), 1.0, 1.0, 0.0),
+     "ambient_dim must be an integer, got 1.0"),
+    (lambda: estimate_C(np.ones((3, 1)), LogBarrier(1, 0), 1.0, -1, 0.0),
+     "ambient_dim must be >= 0, got -1"),
     (lambda: Spectral(LogBarrier(1, 0), 0), "d must be >= 1, got 0"),
     (lambda: Spectral(LogBarrier(1, 0), True), "d must be an integer, got True"),
 ], ids=["record_duals", "huge-gamma", "snapshot-steps", "mean-checkpoints", "alpha-bool",
         "alpha-str", "beta-str", "abs-weight", "entry-weight", "wishart-d", "wishart-nu",
         "trunc-mean", "wishart-draw-nan", "wishart-draw-size-negative",
         "wishart-draw-size-float", "data-n-float", "pdpg-zero-iters", "pdpg-negative-iters",
-        "estimate-c-nan-L", "spectral-d-zero", "spectral-d-bool"])
+        "estimate-c-nan-L", "estimate-c-nan-sigma", "estimate-c-negative-sigma",
+        "estimate-c-dim-bool", "estimate-c-dim-float", "estimate-c-dim-negative",
+        "spectral-d-zero", "spectral-d-bool"])
 def test_public_constructors_reject_wrong_types_with_value_error(build, message):
     """These were accepted (record_duals "no", a bool or string weight taken as
-    float(w), a Spectral lift on d = 0 or True), returned NaN (Wishart draws
-    of a NaN v_inv, a C estimate at L = NaN), checked nothing (pdpg_gap_check
-    over no iterations) or raised TypeError or OverflowError."""
+    float(w), a Spectral lift on d = 0 or True, a C estimate's negative
+    sigma_f_sq or ambient_dim True), returned NaN (Wishart draws of a NaN
+    v_inv, a C estimate at L or sigma_f_sq = NaN), checked nothing
+    (pdpg_gap_check over no iterations) or raised TypeError or OverflowError."""
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
 
