@@ -11,6 +11,7 @@ import pytest
 
 from proxlmc import (
     BoxIndicator,
+    ChainTrace,
     LogBarrier,
     QuadraticSum,
     RngStream,
@@ -23,7 +24,6 @@ from proxlmc import (
     posterior_ground_truth,
     run_chain,
 )
-from proxlmc.samplers import ChainTrace
 from proxlmc.cli import (
     _BLOCK,
     ConfigError,
@@ -36,6 +36,7 @@ from proxlmc.cli import (
     main,
     resolve_config,
 )
+from proxlmc.space import flatten_points
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -467,15 +468,12 @@ def test_trace_csv_flags_iterates_outside_the_box_in_csv_writer_bytes(tmp_path):
 def _one_join_trace_csv(trace, flags):
     """trace.csv's bytes as one join of every line: the writer's output
     before it wrote block by block."""
-    shape = trace.primal.shape[1:]
-    iu, ju = np.triu_indices(shape[0]) if len(shape) == 2 else (None, None)
-    flat = (lambda xs: xs) if len(shape) == 1 else (lambda xs: xs[:, iu, ju])
-    m = flat(trace.primal).shape[1]
+    columns = [flatten_points(trace.primal)]
+    m = columns[0].shape[1]
     header = ["step"] + [f"x{i}" for i in range(m)]
-    columns = [flat(trace.primal)]
     if len(trace.duals):
         header += [f"y{i}" for i in range(m)]
-        columns.append(flat(trace.duals))
+        columns.append(flatten_points(trace.duals))
     header.append("feasible")
     values = np.concatenate(columns, axis=1).T.tolist()
     rows = zip(map(str, trace.steps), *[map(repr, col) for col in values],
