@@ -56,8 +56,6 @@ from .samplers import (
 from .space import RngStream, _finite_number, ambient_dim, flatten_points
 from .verify import run_suites
 
-EXPERIMENT_IDS = ("trunc-gauss", "wishart-mean-1d", "wishart-precision")
-
 ENV_OUT = "PROXLMC_OUT"
 
 _WISHART_SAMPLE_SEED = 9173  # exact posterior draws for the matrix C estimate
@@ -86,7 +84,7 @@ class RunConfig(SamplerConfig):
     snapshot_steps: list
     out: str | None = None
     x0: float | None = None  # fills a vector or scales the identity
-    # the experiment's own fields; _EXPERIMENT_KEYS says which apply
+    # the experiment's own fields; its row of _EXPERIMENTS says which apply
     d: int = 1
     nu: float
     n: int = 50
@@ -114,13 +112,32 @@ class RunConfig(SamplerConfig):
         _require(self.num_chains >= 1, "num_chains must be >= 1")
 
 
-_EXPERIMENT_KEYS = {
-    "trunc-gauss": {"mean", "lo", "hi"},
-    "wishart-mean-1d": {"nu", "n", "data_seed"},
-    "wishart-precision": {"d", "nu", "n", "data_seed"},
+def _steps_to_time_10(gamma):
+    _require(gamma > 0, "gamma must be a finite number > 0")
+    _require(10.0 / gamma < 2**63,  # SamplerConfig's bound on num_steps; inf fails too
+             f"gamma = {gamma} makes the default num_steps = ceil(10 / gamma) >= 2**63; "
+             "set num_steps")
+    return int(math.ceil(10.0 / gamma))
+
+
+def _wishart(kind):  # d is 1 for wishart-mean-1d, which takes no d key
+    return lambda cfg: WishartExperimentSpec(
+        kind=kind, d=cfg.d, nu=cfg.nu,
+        data=generate_gaussian_data(cfg.n, cfg.d, RngStream(cfg.data_seed, 0)))
+
+
+# Each experiment, once: (its own config keys, default gamma, default
+# num_steps of gamma, default nu of d, the spec its RunConfig fields build).
+_EXPERIMENTS = {
+    "trunc-gauss": ({"mean", "lo", "hi"}, 0.1, _steps_to_time_10, lambda d: 4.0,
+                    lambda cfg: TruncGaussSpec(mean=cfg.mean, lo=cfg.lo, hi=cfg.hi)),
+    "wishart-mean-1d": ({"nu", "n", "data_seed"}, 0.01, lambda gamma: 10000, lambda d: 3.0,
+                        _wishart("mean-1d")),
+    "wishart-precision": ({"d", "nu", "n", "data_seed"}, 0.1, lambda gamma: 10000,
+                          lambda d: d + 4.0, _wishart("precision")),
 }
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_COMMON_KEYS = set(_FIELD_TYPES).difference(*_EXPERIMENT_KEYS.values())
+_COMMON_KEYS = set(_FIELD_TYPES).difference(*(row[0] for row in _EXPERIMENTS.values()))
 
 
 def _as_number(raw, key):
@@ -181,28 +198,19 @@ def resolve_config(raw: dict, seed_override=None, chains_override=None) -> RunCo
     """Type-check a raw config dict and fill its experiment-dependent defaults;
     RunConfig fills the rest and checks the ranges.  Unknown keys error."""
     experiment = raw.get("experiment")
-    _require(experiment in EXPERIMENT_IDS,
-             f"experiment must be one of {EXPERIMENT_IDS}, got {experiment!r}")
-    unknown = set(raw) - _COMMON_KEYS - _EXPERIMENT_KEYS[experiment]
-    _require(not unknown,
-             f"unknown config keys for {experiment}: {sorted(unknown)}")
+    _require(isinstance(experiment, str) and experiment in _EXPERIMENTS,
+             f"experiment must be one of {tuple(_EXPERIMENTS)}, got {experiment!r}")
+    keys, gamma, steps, nu, _ = _EXPERIMENTS[experiment]
+    unknown = set(raw) - _COMMON_KEYS - keys
+    _require(not unknown, f"unknown config keys for {experiment}: {sorted(unknown)}")
     overrides = {"seed": seed_override, "num_chains": chains_override}
     kw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     kw = {key: _COERCE[_FIELD_TYPES[key]](value, key) for key, value in kw.items()}
-
-    default_gamma = {"trunc-gauss": 0.1, "wishart-mean-1d": 0.01, "wishart-precision": 0.1}
-    gamma = kw.setdefault("gamma", default_gamma[experiment])
-    if "num_steps" not in kw and experiment == "trunc-gauss":
-        _require(gamma > 0, "gamma must be a finite number > 0")
-        _require(10.0 / gamma < 2**63,  # SamplerConfig's bound on num_steps; inf fails too
-                 f"gamma = {gamma} makes the default num_steps = ceil(10 / gamma) >= 2**63; "
-                 "set num_steps")
-        kw["num_steps"] = int(math.ceil(10.0 / gamma))
-    kw.setdefault("num_steps", 10000)
+    gamma = kw.setdefault("gamma", gamma)
+    if "num_steps" not in kw:
+        kw["num_steps"] = steps(gamma)
     kw.setdefault("snapshot_steps", [kw["num_steps"]])
-    nu_default = {"trunc-gauss": 4.0, "wishart-mean-1d": 3.0,
-                  "wishart-precision": _as_number(kw.get("d", 1), "d") + 4.0}
-    kw.setdefault("nu", nu_default[experiment])
+    kw.setdefault("nu", nu(_as_number(kw.get("d", 1), "d")))
     return RunConfig(**kw)
 
 
@@ -212,13 +220,7 @@ def _build(cfg: RunConfig):
     check of run_chain and run_ensemble, the sampler's; their errors, and a
     run the assembled experiment cannot serve, raise ConfigError."""
     try:
-        if cfg.experiment == "trunc-gauss":
-            spec = TruncGaussSpec(mean=cfg.mean, lo=cfg.lo, hi=cfg.hi)
-        else:  # d is 1 for wishart-mean-1d, which takes no d key
-            data = generate_gaussian_data(cfg.n, cfg.d, RngStream(cfg.data_seed, 0))
-            spec = WishartExperimentSpec(kind=cfg.experiment.removeprefix("wishart-"),
-                                         d=cfg.d, nu=cfg.nu, data=data)
-        assembled = assemble_experiment(spec)
+        assembled = assemble_experiment(_EXPERIMENTS[cfg.experiment][-1](cfg))
         shape = assembled.shape
         if cfg.x0 is None:
             x0 = assembled.default_x0(cfg.gamma)

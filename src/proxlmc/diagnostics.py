@@ -155,6 +155,7 @@ def estimate_C(samples, nonsmooth, L: float, ambient_dim: int, sigma_f_sq: float
         if g is None:
             skipped += 1
             continue
+        g = np.array(g)  # a fresh copy: some BLAS cores sum a row view by its alignment
         total += float(np.vdot(g, g))
         kept += 1
     if kept == 0:

@@ -600,8 +600,9 @@ def build_gamma_potential(nu: float, n: int, d: int):
     """
     alpha = ((nu + n) - d - 1) / 2.0
     if alpha < 0:
+        of = f"with n = {n} data rows" if n else "of the prior alone, n = 0,"
         raise ValueError(
-            f"the Wishart log barrier needs nu >= d + 1 - n = {d + 1 - n}, got nu = {nu}: "
+            f"the Wishart log barrier {of} needs nu >= d + 1 - n = {d + 1 - n}, got nu = {nu}: "
             f"its weight alpha = ((nu + n) - d - 1)/2 would be {alpha} < 0"
         )
     barrier = LogBarrier(alpha=alpha, beta=0.5)

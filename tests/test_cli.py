@@ -26,6 +26,7 @@ from proxlmc import (
 )
 from proxlmc.cli import (
     _BLOCK,
+    _EXPERIMENTS,
     ConfigError,
     _build,
     _digest,
@@ -89,6 +90,27 @@ def test_unknown_and_inapplicable_keys_error():
         resolve_config({"experiment": "trunc-gauss", "d": 2})
     with pytest.raises(ConfigError, match="unknown config keys"):
         resolve_config({"experiment": "wishart-precision", "lo": 0.0})
+
+
+@pytest.mark.parametrize("command", ["sample", "experiment"])
+@pytest.mark.parametrize("value", [["trunc-gauss"], {"id": "trunc-gauss"}], ids=["list", "object"])
+def test_an_unhashable_experiment_is_a_config_error(tmp_path, capsys, value, command):
+    """The experiment table is a dict, and looking up a list or an object
+    in it would raise TypeError."""
+    path = write_config(tmp_path, {"experiment": value})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: experiment must be one of ('trunc-gauss', 'wishart-mean-1d', "
+        f"'wishart-precision'), got {value!r}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+def test_every_experiment_resolves_and_builds_at_its_defaults(experiment):
+    cfg = resolve_config({"experiment": experiment})
+    assembled, x0 = _build(cfg)
+    assert x0.shape == assembled.shape
+    assert cfg.snapshot_steps == [cfg.num_steps]
 
 
 def test_myula_lambda_rules():
@@ -194,6 +216,18 @@ def test_unnormalizable_wishart_nu_is_a_config_error(tmp_path, capsys, body):
     assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # rejected before anything is written
+
+
+def test_mean_1d_barrier_error_states_the_prior_only_bound(tmp_path, capsys):
+    """mean-1d's barrier is the prior's alone, so the bound and the weight
+    the error states use n = 0, whatever the config's n."""
+    body = {"experiment": "wishart-mean-1d", "n": 1, "nu": 0.5}
+    path = write_config(tmp_path, body)
+    assert main(["experiment", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the Wishart log barrier of the prior alone, n = 0, needs "
+        "nu >= d + 1 - n = 2, got nu = 0.5: its weight alpha = ((nu + n) - d - 1)/2 "
+        "would be -0.75 < 0\n")
 
 
 @pytest.mark.parametrize("command", ["sample", "experiment"])

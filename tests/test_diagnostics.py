@@ -1,4 +1,9 @@
 import itertools
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -323,6 +328,32 @@ def test_stacked_estimate_c_equals_the_per_sample_loop_on_flat_potentials(seed):
                      (AbsoluteValue(0.7), pts)):
         fields = _estimate_c_fields(stack, g, 1.0, 3, 0.0)
         assert fields == _estimate_c_per_sample(stack, g, 1.0, 3, 0.0)
+
+
+def _dynamic_arch_openblas_on_x86_64():
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (blas.get("name") == "scipy-openblas" and platform.machine() in ("x86_64", "AMD64")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas_on_x86_64(),
+                    reason="OPENBLAS_CORETYPE picks the kernels of a DYNAMIC_ARCH x86-64 OpenBLAS")
+def test_stacked_estimate_c_equals_the_loop_on_the_prescott_blas_core():
+    """Prescott's ddot sums a row view differently by its 16-byte alignment,
+    so estimate_C's stacked path must not take vdot on views.  The two
+    stacked-versus-loop properties rerun in a child process whose OpenBLAS
+    is set to the Prescott kernels; this process keeps its own."""
+    names = ["test_stacked_estimate_c_equals_the_per_sample_loop_bitwise",
+             "test_stacked_estimate_c_equals_the_per_sample_loop_on_flat_potentials"]
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *[f"{__file__}::{name}" for name in names]],
+        capture_output=True, text=True, timeout=300, cwd=root,
+        env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "2 passed" in proc.stdout
 
 
 def test_estimate_c_errors_when_everything_is_skipped():

@@ -3,18 +3,22 @@ and its example config passes the CLI's checks, so an API or config change
 that leaves the README behind fails here."""
 
 import json
+import math
 import pathlib
 import re
+from dataclasses import asdict
 
 import pytest
 
 import proxlmc
-from proxlmc.cli import _EXPERIMENT_KEYS, _build, resolve_config
+from proxlmc.cli import _EXPERIMENTS, _build, resolve_config
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text()
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, flags=re.S | re.M)
 CONFIGS = re.findall(r"^cat > \S+\.json <<'EOF'\n(.*?)^EOF$", TEXT, flags=re.S | re.M)
+# the experiment table: (id, keys, defaults) per row
+EXPERIMENT_ROWS = re.findall(r"^\| `([\w-]+)` +\| (.*?) +\| (.*?) +\|$", TEXT, flags=re.M)
 
 
 def test_readme_has_python_examples():
@@ -37,9 +41,25 @@ def test_readme_example_config_passes_the_config_checks():
 
 
 def test_readme_lists_each_experiments_keys():
-    rows = re.findall(r"^\| `([\w-]+)` +\| (.*?) +\|", TEXT, flags=re.M)
-    listed = {name: set(re.findall(r"`(\w+)`", keys)) for name, keys in rows}
-    assert listed == _EXPERIMENT_KEYS
+    listed = {name: set(re.findall(r"`(\w+)`", keys)) for name, keys, _ in EXPERIMENT_ROWS}
+    assert listed == {name: row[0] for name, row in _EXPERIMENTS.items()}
+
+
+@pytest.mark.parametrize("inputs", [{}, {"gamma": 0.3, "d": 3}], ids=["defaults", "gamma-d"])
+def test_readme_states_each_experiments_defaults(inputs):
+    """Each "key expression" of the defaults column, evaluated on the resolved
+    config, is that config's value; with inputs the formulas of gamma and d
+    are tried off their defaults too."""
+    assert EXPERIMENT_ROWS
+    for name, _, defaults in EXPERIMENT_ROWS:
+        keys = _EXPERIMENTS[name][0]
+        stated = dict(item.split(" ", 1) for item in re.split(r"[,;] ", defaults))
+        assert set(stated) == keys | {"gamma", "num_steps"}
+        raw = {"experiment": name, **{k: v for k, v in inputs.items() if k in stated}}
+        cfg = resolve_config(raw)
+        for key, expr in stated.items():
+            if key not in raw:
+                assert getattr(cfg, key) == eval(expr, {"ceil": math.ceil}, asdict(cfg)), key
 
 
 def test_readme_names_only_api_that_exists():
