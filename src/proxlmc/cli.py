@@ -347,7 +347,7 @@ def cmd_sample(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def _c_estimate_samples(cfg: RunConfig, assembled, trace):
+def _c_estimate_samples(assembled, trace):
     """Target samples for the C constant: exact draws where the law is known,
     the chain's own post-burn-in iterates otherwise."""
     if assembled.quantile_oracle is not None:
@@ -382,14 +382,9 @@ def cmd_experiment(cfg: RunConfig, out_dir: str) -> int:
         "ergodic_mean": ergodic_mean(trace),
     }
 
-    # sigma bound: running max of the stochastic-gradient norm variance over
-    # (at most 200 of) the visited iterates; zero for full-gradient runs.
-    probe = trace.primal[:: max(1, len(trace.primal) // 200)]
-    sigma_sq = max(
-        (assembled.smooth.grad_norm_variance(x, cfg.minibatch) for x in probe), default=0.0
-    )
+    sigma_sq = assembled.smooth.gradient_variance(cfg.minibatch)
     cest = estimate_C(
-        _c_estimate_samples(cfg, assembled, trace),
+        _c_estimate_samples(assembled, trace),
         assembled.nonsmooth,
         assembled.smooth.L,
         ambient_dim(assembled.shape),

@@ -18,6 +18,8 @@ alpha > 0 lack one.  Matrix potentials are spectral lifts of scalar ones
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .space import _finite_number, _integer, frobenius, norm, spectral_apply, sym_eigendecomposition
@@ -30,6 +32,7 @@ _CHOL_MARGIN = 1e-6
 _CHOL_NORMS = (1e-150, 1e150)
 _CONJ_TOL = 1e-8
 _DOMAIN_BLOCK = 512  # matrices per shifted Cholesky (and, if it fails, eigendecomposition)
+_VARIANCE_BLOCK = 1 << 16  # numbers of single-index estimates per block of gradient_variance
 
 
 class ConjugateUnavailable(NotImplementedError):
@@ -381,8 +384,8 @@ class SmoothPotential:
 
     L is a gradient Lipschitz constant (0 means the gradient is constant and
     the step-size guard is vacuous); lambda_f a strong-convexity modulus
-    (0 for merely convex).  An F without data has no index to draw, so its
-    stochastic gradient is its exact gradient, whatever the minibatch; a
+    (0 for merely convex).  An F without data has no index to draw, so the
+    kernel takes its exact gradient, whatever the minibatch; a
     :class:`FiniteSum` owns the minibatch rule.  point_shape is the shape of
     the points F is defined on, or None when any shape will do.
     """
@@ -397,13 +400,6 @@ class SmoothPotential:
     def full_gradient(self, x):
         """Gradient at x, or at each point of a stack along the leading axis."""
         raise NotImplementedError
-
-    def stochastic_gradient(self, x, rng, minibatch=1):
-        return self.full_gradient(x)
-
-    def grad_norm_variance(self, x, minibatch=1):
-        """Variance of the stochastic-gradient norm at x (0 if deterministic)."""
-        return 0.0
 
 
 class ZeroSmooth(SmoothPotential):
@@ -457,8 +453,9 @@ class FiniteSum(SmoothPotential):
     n * mean_k grad f_{I_k}(x) over the b indices of one rng.integers(n, size=b),
     drawn uniformly with replacement.  A subclass splits it into the x-free
     _minibatch_mean(idx, b) of an index block (..., b) and _minibatch_combine(x,
-    mean) with x (by default the mean), and states the norms n ||grad f_i(x)||,
-    _datum_grad_norms(x), and the finite sums of its data, _sums().
+    mean) with x (by default the mean), and states the x-free part of its
+    single-index estimates n grad f_i, _datum_terms(rows), and the finite sums
+    of its data, _sums().
     """
 
     def __init__(self, data):
@@ -486,17 +483,26 @@ class FiniteSum(SmoothPotential):
     def _minibatch_combine(self, x, mean):
         return mean
 
-    def grad_norm_variance(self, x, minibatch=1):
-        """Var_i ||n grad f_i(x)|| / b, i uniform; 0 for the full gradient.
-        The two-pass mean((norms - mean(norms))^2), which is never negative;
-        a ValueError where it is not finite."""
+    def gradient_variance(self, minibatch):
+        """sigma^2 = E||g - grad F(x)||^2 of the b-index estimate g, 0 for the
+        full gradient: the two-pass mean of ||n grad f_i - mean_j n grad f_j||^2
+        over i, which is never negative, divided by b.  n grad f_i(x) is the
+        x-free _datum_terms(D_i) up to a sign and a shift shared by every i,
+        so sigma^2 is a constant of the data.  The terms are formed in row
+        blocks of about _VARIANCE_BLOCK numbers.  A ValueError where sigma^2
+        is not finite, or unless b is "full" or an int >= 1."""
         if minibatch == "full":
             return 0.0
+        if _integer(minibatch, "minibatch") < 1:
+            raise ValueError(f"minibatch must be 'full' or an int >= 1, got {minibatch!r}")
+        rows = max(1, _VARIANCE_BLOCK // math.prod(self.point_shape))
+        blocks = [self.data[i : i + rows] for i in range(0, self.n, rows)]
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = self._datum_grad_norms(np.asarray(x, dtype=float))
-            var = float(np.mean((norms - np.mean(norms)) ** 2)) / int(minibatch)
+            mean = sum(self._datum_terms(block).sum(axis=0) for block in blocks) / self.n
+            sq = sum(float(np.sum((self._datum_terms(block) - mean) ** 2)) for block in blocks)
+            var = sq / self.n / int(minibatch)
         if not np.isfinite(var):
-            raise ValueError(f"{type(self).__name__} gradient norm variance is not finite at x")
+            raise ValueError(f"{type(self).__name__} gradient variance is not finite")
         return var
 
 
@@ -504,9 +510,8 @@ class QuadraticSum(FiniteSum):
     """F(x) = sum_i ||x - D_i||^2 / 2 over data points D_i.
 
     Smoothness and strong convexity are both n (the Hessian is n * I).
-    The single-index estimator is n * (x - D_I); its norm variance is
-    x-dependent, so report-time bounds use :meth:`grad_norm_variance`
-    evaluated along the visited iterates.
+    The single-index estimator is n * (x - D_I), whose deviations from the
+    full gradient are those of n D_I: its variance does not depend on x.
     """
 
     def __init__(self, data):
@@ -534,13 +539,8 @@ class QuadraticSum(FiniteSum):
     def _minibatch_combine(self, x, mean):
         return self.n * (x - mean)
 
-    def _datum_grad_norms(self, x):
-        diff = x - self.data
-        norms = np.linalg.norm(diff, axis=1)
-        if not np.isfinite(norms).all():  # a square overflowed: scale the entries first
-            scale = np.max(np.abs(diff))
-            norms = scale * np.linalg.norm(diff / scale, axis=1)
-        return self.n * norms
+    def _datum_terms(self, rows):
+        return self.n * rows
 
 
 class PrecisionLikelihood(FiniteSum):
@@ -560,7 +560,7 @@ class PrecisionLikelihood(FiniteSum):
 
     def _sums(self):
         scatter = self.data.T @ self.data
-        # ||D_i||^2, the d = 1 minibatch gradient's summands and the datum gradient norms
+        # ||D_i||^2, the d = 1 minibatch gradient's summands
         return {"scatter": (scatter + scatter.T) / 2.0, "_sq": np.sum(self.data**2, axis=1)}
 
     def evaluate(self, x):
@@ -579,10 +579,8 @@ class PrecisionLikelihood(FiniteSum):
         est = rows.mT @ rows / b * self.n / 2.0
         return (est + est.mT) / 2.0
 
-    def _datum_grad_norms(self, x):
-        # ||D D^T||_F = ||D||^2, so the norm of a single-index estimate is
-        # n ||D_I||^2 / 2 regardless of x.
-        return self.n * self._sq / 2.0
+    def _datum_terms(self, rows):  # the estimates themselves, flat: n D_i D_i^T / 2
+        return self.n * (rows[:, :, None] * rows[:, None, :]).reshape(len(rows), -1) / 2.0
 
 
 # ---------------------------------------------------------------------------

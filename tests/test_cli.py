@@ -692,6 +692,47 @@ def test_mean_1d_c_estimate_is_estimate_c_on_the_chains_own_trace(tmp_path):
         expected.value, expected.grad_sq_mean, expected.num_skipped)
 
 
+def _c_estimate_of(tmp_path, body):
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", write_config(tmp_path, body), "--out", str(out)]) == 0
+    return json.loads((out / "report.json").read_text())["c_estimate"]
+
+
+@pytest.mark.parametrize("body", [
+    {"experiment": "wishart-mean-1d", "minibatch": 5, "num_steps": 50, "seed": 3},
+    {"experiment": "wishart-precision", "d": 3, "minibatch": 5, "num_steps": 50, "seed": 3},
+], ids=["mean-1d", "precision-d3"])
+def test_a_minibatch_report_carries_the_variance_of_the_estimate(tmp_path, body):
+    """sigma_f_sq is mean_i ||e_i - mean_j e_j||^2 / b over the single-index
+    estimates e_i: n D_i for mean-1d (n (x - D_i) up to sign and shift) and
+    n D_i D_i^T / 2 for precision, whatever the trace."""
+    reported = _c_estimate_of(tmp_path, body)
+    data = _build(resolve_config(body))[0].smooth.data
+    n = len(data)
+    est = n * data if body["experiment"] == "wishart-mean-1d" else (
+        n * np.einsum("ni,nj->nij", data, data) / 2.0).reshape(n, -1)
+    expected = np.mean(np.sum((est - est.mean(axis=0)) ** 2, axis=1)) / 5
+    assert reported["sigma_f_sq"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("body", [
+    {"experiment": "trunc-gauss", "num_steps": 50, "seed": 3},
+    {"experiment": "wishart-mean-1d", "num_steps": 50, "seed": 3},
+    {"experiment": "wishart-precision", "d": 3, "num_steps": 50, "seed": 3},
+], ids=["trunc-gauss", "mean-1d", "precision-d3"])
+def test_a_full_gradient_report_carries_no_gradient_variance(tmp_path, body):
+    assert _c_estimate_of(tmp_path, body)["sigma_f_sq"] == 0.0
+
+
+def test_scalar_precision_keeps_its_gradient_variance_bits(tmp_path):
+    """At d = 1 the precision estimate n D_I^2 / 2 is a positive scalar, so
+    sigma^2 is the variance of its norm, the value this run has always
+    reported, bit for bit."""
+    body = {"experiment": "wishart-precision", "d": 1, "minibatch": 5, "num_steps": 2000,
+            "seed": 3}
+    assert _c_estimate_of(tmp_path, body)["sigma_f_sq"] == 357.1744273037053
+
+
 def test_experiment_rerun_is_bit_identical(tmp_path):
     cfg = trunc_experiment_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -915,21 +916,14 @@ def test_quadratic_sum_stochastic_gradient_is_unbiased():
     assert np.all(np.abs(draws.mean(axis=0) - f.full_gradient(x)) < 5 * se + 1e-9)
 
 
-def test_quadratic_sum_grad_norm_variance():
+def test_quadratic_sum_gradient_variance():
+    """sigma^2 of n (x - D_I) is n^2 mean_i ||D_i - mean(D)||^2 / b, whatever x."""
     data = RngStream(19, 0).standard_normal((5, 2))
     f = QuadraticSum(data)
-    x = np.array([0.4, -0.6])
-    norms = np.array([5.0 * np.linalg.norm(x - row) for row in data])
-    exact = norms.var()
-    assert f.grad_norm_variance(x, minibatch=1) == pytest.approx(exact)
-    assert f.grad_norm_variance(x, minibatch=5) == pytest.approx(exact / 5)
-    assert f.grad_norm_variance(x, "full") == 0.0
-
-    rng = RngStream(19, 1)
-    sample = np.array(
-        [np.linalg.norm(f.stochastic_gradient(x, rng, minibatch=1)) for _ in range(4000)]
-    )
-    assert abs(sample.var() / exact - 1.0) < 0.15
+    exact = 25.0 * np.mean(np.sum((data - data.mean(axis=0)) ** 2, axis=1))
+    assert f.gradient_variance(1) == pytest.approx(exact, rel=1e-12)
+    assert f.gradient_variance(5) == pytest.approx(exact / 5, rel=1e-12)
+    assert f.gradient_variance("full") == 0.0
 
 
 def test_precision_likelihood_flat_and_matrix():
@@ -960,10 +954,9 @@ def test_precision_likelihood_stochastic_gradient():
     )
     err = np.abs(draws.mean(axis=0) - f.full_gradient(np.eye(2)))
     assert np.max(err) < 0.1
-    v = f.grad_norm_variance(np.eye(2), minibatch=1)
-    norms = 6.0 * np.sum(data**2, axis=1) / 2.0
-    assert v == pytest.approx(norms.var())
-    assert v == float(np.mean((norms - np.mean(norms)) ** 2))  # the formula, bit for bit
+    est = 6.0 * np.einsum("ni,nj->nij", data, data) / 2.0  # the single-index estimates
+    exact = np.mean(np.sum((est - est.mean(axis=0)) ** 2, axis=(1, 2)))
+    assert f.gradient_variance(1) == pytest.approx(exact, rel=1e-12)
 
 
 def test_precision_likelihood_validates_dimensions():
@@ -995,39 +988,71 @@ def test_finite_sums_reject_data_whose_sums_overflow(build, name):
         build()
 
 
-@pytest.mark.parametrize("f, x", [
-    (PrecisionLikelihood(np.array([[1e80, 1e80, 1e80], [1e79, 0.0, 0.0]]), 3), np.eye(3)),
-    (QuadraticSum(np.array([[-9e153], [9e153]])), np.array([9e153])),
-    (QuadraticSum(np.array([[0.0], [1.0]])), np.array([np.inf])),
-], ids=["two-data", "quadratic-sum-far-apart", "quadratic-sum-infinite-x"])
-def test_grad_norm_variance_that_overflows_is_a_value_error(f, x):
-    """Finite data, or an iterate, whose single-index gradient norms spread
-    wider than a float's square root: the variance used to warn on overflow
-    and return NaN, which would reach a report's sigma_f_sq and C estimate."""
+@pytest.mark.parametrize("f", [
+    PrecisionLikelihood(np.array([[1e80, 1e80, 1e80], [1e79, 0.0, 0.0]]), 3),
+    QuadraticSum(np.array([[-9e153], [9e153]])),
+], ids=["two-data", "quadratic-sum-far-apart"])
+def test_gradient_variance_that_overflows_is_a_value_error(f):
+    """Finite data whose single-index estimates spread wider than a float's
+    square root: the variance would overflow and reach a report's
+    sigma_f_sq and C estimate as inf or NaN."""
     name = type(f).__name__
-    with pytest.raises(ValueError, match=f"^{name} gradient norm variance is not finite"):
-        f.grad_norm_variance(x, 1)
+    with pytest.raises(ValueError, match=f"^{name} gradient variance is not finite"):
+        f.gradient_variance(1)
 
 
-@pytest.mark.parametrize("f, x", [
-    (PrecisionLikelihood(np.full((1, 3), 2.6e153), 3), np.eye(3)),
-    (QuadraticSum(np.array([[0.0], [1.0]])), np.array([1e300])),
-    # trunc-gauss's F, one datum, at an iterate that has not come in yet
-    (QuadraticSum(np.array([[0.5]])), np.array([1e200])),
-], ids=["one-datum", "quadratic-sum-far-x", "quadratic-sum-one-datum-far-x"])
-def test_grad_norm_variance_of_equal_norms_past_the_square_root_is_zero(f, x):
-    """Equal finite norms whose squares overflow: the one-pass
-    mean(norms^2) - mean(norms)^2 would be inf - inf, and the two-pass form
-    gives the true variance 0.  A QuadraticSum norm of x - D_i past 1.3e154
-    scales before it squares."""
-    assert f.grad_norm_variance(x, 1) == 0.0
+@pytest.mark.parametrize("f", [
+    PrecisionLikelihood(np.full((1, 3), 2.6e153), 3),
+    QuadraticSum(np.array([[0.5]])),  # trunc-gauss's F
+], ids=["precision-likelihood", "quadratic-sum"])
+def test_gradient_variance_of_one_datum_is_zero(f):
+    """One datum: every draw is the full gradient.  The precision estimate's
+    entries square past a float's range, and the two-pass form still gives 0."""
+    assert f.gradient_variance(1) == 0.0
 
 
-def test_grad_norm_variance_of_identical_rows_is_not_negative():
-    """Seven equal data rows: the one-pass mean(norms^2) - mean(norms)^2 read
+def test_gradient_variance_of_identical_rows_is_not_negative():
+    """Seven equal data rows: the one-pass mean(g^2) - mean(g)^2 read
     -2.27e-13 here, and a report took it as sigma_f_sq into its C estimate."""
-    v = PrecisionLikelihood(np.full((7, 1), 3.3), 1).grad_norm_variance(np.ones(1), 1)
+    v = PrecisionLikelihood(np.full((7, 1), 3.3), 1).gradient_variance(1)
     assert 0.0 <= v <= 1e-12
+
+
+@pytest.mark.parametrize("b", [0, -2, 2.7, True, "half"])
+def test_gradient_variance_needs_a_batch_size_of_at_least_one(b):
+    """A negative b gave a negative sigma^2, 2.7 and True passed as 2.7 and 1,
+    and 0 divided by zero."""
+    with pytest.raises(ValueError, match="^minibatch must be"):
+        QuadraticSum(np.array([[0.0], [1.0]])).gradient_variance(b)
+
+
+def test_gradient_variance_of_a_large_precision_sum_holds_one_block_in_memory():
+    """n = 20000 rows at d = 20: the n x d x d stack of estimates alone is 61 MiB."""
+    f = PrecisionLikelihood(RngStream(27, 0).standard_normal((20000, 20)), 20)
+    tracemalloc.start()
+    try:
+        v = f.gradient_variance(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.isfinite(v) and v > 0
+
+
+@pytest.mark.parametrize("b", [1, 5])
+@pytest.mark.parametrize("f", [
+    QuadraticSum(RngStream(25, 0).standard_normal((6, 2))),
+    PrecisionLikelihood(RngStream(25, 1).standard_normal((6, 1)), 1),
+    PrecisionLikelihood(RngStream(25, 2).standard_normal((6, 3)), 3),
+], ids=["quadratic-sum", "precision-d1", "precision-d3"])
+def test_gradient_variance_is_the_monte_carlo_variance_of_stochastic_gradient(f, b):
+    """sigma^2 is E||g - grad F(x)||^2 of the b-index estimate g that the
+    reference stochastic_gradient draws: within 5 SE of 4000 draws' mean."""
+    x = np.full(f.point_shape, 0.7) if len(f.point_shape) == 1 else np.eye(3)
+    rng = RngStream(26, b)
+    grad = f.full_gradient(x)
+    sq = np.array([np.sum((f.stochastic_gradient(x, rng, b) - grad) ** 2) for _ in range(4000)])
+    assert abs(sq.mean() - f.gradient_variance(b)) < 5 * sq.std() / np.sqrt(4000)
 
 
 @pytest.mark.parametrize("build, name", [

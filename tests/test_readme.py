@@ -11,7 +11,7 @@ from dataclasses import asdict
 import pytest
 
 import proxlmc
-from proxlmc.cli import _EXPERIMENTS, _build, resolve_config
+from proxlmc.cli import _EXPERIMENTS, _build, main, resolve_config
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text()
@@ -68,3 +68,18 @@ def test_readme_names_only_api_that_exists():
     calls = set(re.findall(r"`(\w+)\(", TEXT))
     methods = set(dir(proxlmc.NonsmoothPotential)) | set(dir(proxlmc.SmoothPotential))
     assert calls and sorted(calls - set(proxlmc.__all__) - methods) == []
+
+
+def test_readme_lists_the_c_estimate_keys_of_a_real_report(tmp_path):
+    """The bullets of "The C estimate" name every key of a report's
+    c_estimate block, and its value is the stated sum."""
+    section = TEXT.split("### The C estimate\n", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^- `(\w+)`:", section, flags=re.M)
+    body = {"experiment": "wishart-mean-1d", "minibatch": 5, "num_steps": 50, "seed": 3}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body))
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    c = json.loads((tmp_path / "run" / "report.json").read_text())["c_estimate"]
+    assert sorted(listed) == sorted(c)
+    assert c["sigma_f_sq"] > 0
+    assert c["value"] == c["grad_sq_mean"] + 2.0 * (c["L"] * c["ambient_dim"] + c["sigma_f_sq"])
